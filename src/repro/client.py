@@ -43,7 +43,7 @@ from .errors import (AuthenticationError, ProtocolError, QueryCancelledError,
 from .server import protocol
 from .server.protocol import (FRAME_HEADER_BYTES, PROTOCOL_VERSION,
                               decode_header, decode_payload, encode_frame)
-from .types import SQLType, decode_internal_value
+from .types import SQLType, decode_internal_rows
 
 
 class ClientResult:
@@ -73,9 +73,7 @@ class ClientResult:
 
     def decoded_rows(self) -> list:
         """Rows with DATE/BOOL/DECIMAL columns decoded to Python objects."""
-        return [tuple(decode_internal_value(value, sql_type)
-                      for value, sql_type in zip(row, self.column_types))
-                for row in self.rows]
+        return decode_internal_rows(self.rows, self.column_types)
 
     def columns(self) -> dict:
         """Column name -> list of values, in result-column order."""
@@ -106,10 +104,13 @@ class _Pending:
 class PendingResult:
     """Handle to one in-flight EXECUTE; resolves to a :class:`ClientResult`."""
 
+    #: True when the reply is an EXECUTE_MANY stream (one result per binding).
+    _batched = False
+
     def __init__(self, connection: "ClientConnection", pending: _Pending):
         self._connection = connection
         self._pending = pending
-        self._result: Optional[ClientResult] = None
+        self._value = None
         self._error: Optional[BaseException] = None
         self._consumed = False
 
@@ -117,8 +118,10 @@ class PendingResult:
     def request_id(self) -> int:
         return self._pending.request_id
 
-    def result(self, timeout: Optional[float] = None) -> ClientResult:
-        """Block until the server's terminal frame arrives.
+    def result(self, timeout: Optional[float] = None):
+        """Block until the server's terminal frame arrives; returns the
+        :class:`ClientResult` (for an EXECUTE_MANY the ordered list of
+        them, one per binding).
 
         Raises the typed error for ERROR frames; raises ``TimeoutError``
         when no terminal frame arrives within ``timeout`` seconds (the
@@ -128,78 +131,7 @@ class PendingResult:
             self._consume(timeout)
         if self._error is not None:
             raise self._error
-        return self._result
-
-    def _consume(self, timeout: Optional[float]) -> None:
-        names: list = []
-        types: list = []
-        rows: list = []
-        while True:
-            try:
-                frame = self._pending.frames.get(timeout=timeout)
-            except queue.Empty:
-                raise TimeoutError(
-                    f"no response for request {self.request_id} within "
-                    f"{timeout} seconds")
-            if isinstance(frame, BaseException):
-                self._error = frame
-                break
-            if isinstance(frame, protocol.RowHeader):
-                names = frame.column_names
-                types = frame.column_types
-            elif isinstance(frame, protocol.RowBatch):
-                rows.extend(frame.rows)
-            elif isinstance(frame, protocol.Done):
-                self._result = ClientResult(names, types, rows, frame)
-                break
-            elif isinstance(frame, protocol.Error):
-                self._error = _error_from_frame(frame)
-                break
-            else:
-                self._error = ProtocolError(
-                    f"unexpected frame {type(frame).__name__.upper()} in "
-                    f"an EXECUTE response stream")
-                break
-        self._consumed = True
-        self._connection._forget(self._pending)
-
-    def cancel(self) -> bool:
-        """Ask the server to cancel this request (CANCEL frame).
-
-        Returns True when the cancel took effect server-side (the query
-        had not started running); the request then resolves with
-        :class:`~repro.errors.QueryCancelledError`.  Returns False when
-        the query already ran or finished -- its result still arrives.
-        """
-        return self._connection._cancel(self.request_id)
-
-
-class PendingBatchResult:
-    """Handle to one in-flight EXECUTE_MANY; resolves to a result list.
-
-    The response stream interleaves one ``BATCH_DONE`` per binding between
-    the row batches; each binding becomes its own :class:`ClientResult`
-    (with ``cached`` / ``cache_source`` per binding), in request order.
-    """
-
-    def __init__(self, connection: "ClientConnection", pending: _Pending):
-        self._connection = connection
-        self._pending = pending
-        self._results: Optional[list] = None
-        self._error: Optional[BaseException] = None
-        self._consumed = False
-
-    @property
-    def request_id(self) -> int:
-        return self._pending.request_id
-
-    def result(self, timeout: Optional[float] = None) -> list:
-        """Block until DONE; returns the ordered ``list[ClientResult]``."""
-        if not self._consumed:
-            self._consume(timeout)
-        if self._error is not None:
-            raise self._error
-        return self._results
+        return self._value
 
     def _consume(self, timeout: Optional[float]) -> None:
         names: list = []
@@ -216,20 +148,28 @@ class PendingBatchResult:
             if isinstance(frame, BaseException):
                 self._error = frame
                 break
-            if isinstance(frame, protocol.RowHeader):
+            if isinstance(frame, protocol.RowBatch):
+                if frame.rows and len(frame.rows[0]) != len(names):
+                    self._error = ProtocolError(
+                        f"ROW_BATCH carries {len(frame.rows[0])} column(s), "
+                        f"its ROW_HEADER announced {len(names)}")
+                    break
+                rows.extend(frame.rows)
+            elif isinstance(frame, protocol.RowHeader):
                 names = frame.column_names
                 types = frame.column_types
-            elif isinstance(frame, protocol.RowBatch):
-                rows.extend(frame.rows)
-            elif isinstance(frame, protocol.BatchDone):
+            elif isinstance(frame, protocol.BatchDone) and self._batched:
                 results.append(ClientResult(names, types, rows, frame))
                 rows = []
             elif isinstance(frame, protocol.Done):
-                # The terminal frame carries batch-wide totals; stamp the
-                # fields every per-binding result shares.
-                for result in results:
-                    result.mode = frame.mode
-                self._results = results
+                if self._batched:
+                    # The terminal frame carries batch-wide totals; stamp
+                    # the fields every per-binding result shares.
+                    for result in results:
+                        result.mode = frame.mode
+                    self._value = results
+                else:
+                    self._value = ClientResult(names, types, rows, frame)
                 break
             elif isinstance(frame, protocol.Error):
                 self._error = _error_from_frame(frame)
@@ -237,14 +177,33 @@ class PendingBatchResult:
             else:
                 self._error = ProtocolError(
                     f"unexpected frame {type(frame).__name__.upper()} in "
-                    f"an EXECUTE_MANY response stream")
+                    f"an EXECUTE{'_MANY' if self._batched else ''} "
+                    f"response stream")
                 break
         self._consumed = True
         self._connection._forget(self._pending)
 
     def cancel(self) -> bool:
-        """Ask the server to cancel the whole batch (CANCEL frame)."""
+        """Ask the server to cancel this request (CANCEL frame).
+
+        Returns True when the cancel took effect server-side (the query
+        had not started running); the request then resolves with
+        :class:`~repro.errors.QueryCancelledError`.  Returns False when
+        the query already ran or finished -- its result still arrives.
+        """
         return self._connection._cancel(self.request_id)
+
+
+class PendingBatchResult(PendingResult):
+    """Handle to one in-flight EXECUTE_MANY; resolves to a result list.
+
+    The response stream interleaves one ``BATCH_DONE`` per binding between
+    the row batches; each binding becomes its own :class:`ClientResult`
+    (with ``cached`` / ``cache_source`` per binding), in request order.
+    ``cancel`` cancels the whole batch.
+    """
+
+    _batched = True
 
 
 def _error_from_frame(frame: protocol.Error) -> BaseException:

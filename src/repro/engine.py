@@ -61,7 +61,7 @@ from .scheduler import CompileExecutor, QueryScheduler, QueryTicket, \
     Session, WorkerPool
 from .semantics import Binder, BoundQuery
 from .sqlparser import parse
-from .types import SQLType, decode_internal_value
+from .types import SQLType, decode_internal_rows
 from .vm import IRInterpreter, VirtualMachine, translate_function
 from .backend import compile_function
 from .codegen.runtime import BreakerRun, round_up_pow2, strip_sort_keys
@@ -215,13 +215,8 @@ class QueryResult:
         }
 
     def decoded_rows(self) -> list[tuple]:
-        """Rows with DATE/BOOL columns decoded to Python objects."""
-        decoded = []
-        for row in self.rows:
-            decoded.append(tuple(
-                decode_internal_value(value, sql_type)
-                for value, sql_type in zip(row, self.column_types)))
-        return decoded
+        """Rows with DATE/BOOL/DECIMAL columns decoded to Python objects."""
+        return decode_internal_rows(self.rows, self.column_types)
 
     def columns(self) -> dict[str, list]:
         """Column name -> list of values, in result-column order."""

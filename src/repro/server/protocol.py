@@ -42,24 +42,40 @@ Frames of concurrent requests may interleave on one connection; the
 ``request_id`` chosen by the client routes every response.  Request id 0 is
 reserved for connection-level errors (handshake and framing violations).
 
-Row values travel self-describing (a one-byte tag per value), in the
-engine's *internal* representation: DATE/BOOL/DECIMAL columns are tagged
-integers exactly as ``QueryResult.rows`` holds them, and the typed column
-metadata in ``ROW_HEADER`` lets the client decode them to Python objects on
-demand -- the wire never re-encodes what the engine already normalised.
+Result rows travel column-major, in the engine's *internal*
+representation: a ``ROW_BATCH`` payload is ``request_id u64, row_count u32,
+column_count u32`` followed by one *column* per result column -- a kind byte
+and a packed body::
+
+    kind 0  INT     row_count x i64         (INT64/DATE/DECIMAL/BOOL columns)
+    kind 1  FLOAT   row_count x f64
+    kind 2  STR     row_count x u32 byte lengths, then the UTF-8 bytes
+    kind 3  TAGGED  row_count tagged values
+
+The encoder picks the kind from the Python types in the column: all ``int``,
+all ``float`` and all ``str`` columns are packed by one ``struct`` call; any
+other column (NULLs, bools, numpy scalars, mixed types) falls back to the
+*tagged* encoding -- a one-byte tag per value -- that parameters and option
+values also use.  DATE/BOOL/DECIMAL columns are integers exactly as
+``QueryResult.rows`` holds them, and the typed column metadata in
+``ROW_HEADER`` lets the client decode them to Python objects on demand -- the
+wire never re-encodes what the engine already normalised.  A decoder
+validates every count against the bytes that remain in the frame before it
+sizes anything by it.
 """
 
 from __future__ import annotations
 
 import datetime as _dt
 import struct
+from itertools import accumulate
 from dataclasses import dataclass, field
 
 from ..errors import ProtocolError
-from ..types import SQLType
+from ..types import SQLType, decode_internal_rows
 
 #: Protocol revision; bumped on incompatible frame-layout changes.
-PROTOCOL_VERSION = 1
+PROTOCOL_VERSION = 2
 
 #: Hard bound on one frame's payload (header excluded).  Large result sets
 #: are streamed as many ROW_BATCH frames, so no legitimate frame
@@ -103,6 +119,13 @@ _VAL_FLOAT = 1
 _VAL_STR = 2
 _VAL_BOOL = 3
 _VAL_DATE = 4
+_VAL_NULL = 5
+
+#: Column kinds of a ROW_BATCH body (see the module docstring).
+_COL_INT = 0
+_COL_FLOAT = 1
+_COL_STR = 2
+_COL_TAGGED = 3
 
 #: ``request_id`` reserved for connection-level (unrouted) errors.
 CONNECTION_REQUEST_ID = 0
@@ -153,6 +176,9 @@ class PayloadWriter:
         elif isinstance(value, str):
             self.u8(_VAL_STR)
             self.string(value)
+        elif value is None:
+            # The NULL padding of an unmatched LEFT JOIN row.
+            self.u8(_VAL_NULL)
         elif isinstance(value, _dt.date):
             self.u8(_VAL_DATE)
             self.string(value.isoformat())
@@ -166,8 +192,50 @@ class PayloadWriter:
                 f"value {value!r} of type {type(value).__name__} is not "
                 f"representable on the wire")
 
+    def column(self, values: tuple) -> None:
+        """One ROW_BATCH column: the kind byte, then the packed body."""
+        count = len(values)
+        kinds = set(map(type, values))
+        if kinds == {int}:
+            self._parts.append(
+                struct.pack("!B%dq" % count, _COL_INT, *values))
+        elif kinds == {float}:
+            self._parts.append(
+                struct.pack("!B%dd" % count, _COL_FLOAT, *values))
+        elif kinds == {str}:
+            text = "".join(values)
+            if text.isascii():
+                # Every byte length is the character length.
+                blob = text.encode("ascii")
+                lengths = map(len, values)
+            else:
+                raws = [value.encode("utf-8") for value in values]
+                blob = b"".join(raws)
+                lengths = map(len, raws)
+            self._parts.append(
+                struct.pack("!B%dI" % count, _COL_STR, *lengths))
+            self._parts.append(blob)
+        else:
+            self.u8(_COL_TAGGED)
+            for value in values:
+                self.value(value)
+
     def getvalue(self) -> bytes:
         return b"".join(self._parts)
+
+
+def _primitive(codec: struct.Struct):
+    """A :class:`PayloadReader` method reading one ``codec`` value in place."""
+    size = codec.size
+    unpack_from = codec.unpack_from
+
+    def read(self):
+        pos = self._pos
+        if pos + size > len(self._data):
+            raise self._truncated(size)
+        self._pos = pos + size
+        return unpack_from(self._data, pos)[0]
+    return read
 
 
 class PayloadReader:
@@ -179,30 +247,33 @@ class PayloadReader:
         self._data = data
         self._pos = 0
 
+    @property
+    def remaining(self) -> int:
+        """Bytes of the payload not yet read."""
+        return len(self._data) - self._pos
+
+    def _truncated(self, count: int) -> ProtocolError:
+        return ProtocolError(
+            f"truncated frame payload: wanted {count} byte(s) at "
+            f"offset {self._pos}, have {self.remaining}")
+
+    def _skip(self, count: int) -> int:
+        """Move past ``count`` bytes; returns the offset they start at."""
+        pos = self._pos
+        if pos + count > len(self._data):
+            raise self._truncated(count)
+        self._pos = pos + count
+        return pos
+
     def _take(self, count: int) -> bytes:
-        end = self._pos + count
-        if end > len(self._data):
-            raise ProtocolError(
-                f"truncated frame payload: wanted {count} byte(s) at "
-                f"offset {self._pos}, have {len(self._data) - self._pos}")
-        chunk = self._data[self._pos:end]
-        self._pos = end
-        return chunk
+        pos = self._skip(count)
+        return self._data[pos:pos + count]
 
-    def u8(self) -> int:
-        return _U8.unpack(self._take(1))[0]
-
-    def u32(self) -> int:
-        return _U32.unpack(self._take(4))[0]
-
-    def u64(self) -> int:
-        return _U64.unpack(self._take(8))[0]
-
-    def i64(self) -> int:
-        return _I64.unpack(self._take(8))[0]
-
-    def f64(self) -> float:
-        return _F64.unpack(self._take(8))[0]
+    u8 = _primitive(_U8)
+    u32 = _primitive(_U32)
+    u64 = _primitive(_U64)
+    i64 = _primitive(_I64)
+    f64 = _primitive(_F64)
 
     def string(self) -> str:
         length = self.u32()
@@ -221,6 +292,8 @@ class PayloadReader:
             return self.string()
         if tag == _VAL_BOOL:
             return self.u8() != 0
+        if tag == _VAL_NULL:
+            return None
         if tag == _VAL_DATE:
             try:
                 return _dt.date.fromisoformat(self.string())
@@ -228,11 +301,39 @@ class PayloadReader:
                 raise ProtocolError(f"invalid DATE value: {exc}")
         raise ProtocolError(f"unknown value tag {tag}")
 
+    def column(self, count: int):
+        """The ``count`` values of one ROW_BATCH column.
+
+        Every body is bounds-checked before its format string is built, so
+        ``count`` never sizes anything the payload does not back.
+        """
+        kind = self.u8()
+        if kind == _COL_INT or kind == _COL_FLOAT:
+            begin = self._skip(8 * count)
+            code = "q" if kind == _COL_INT else "d"
+            return struct.unpack_from(f"!{count}{code}", self._data, begin)
+        if kind == _COL_STR:
+            begin = self._skip(4 * count)
+            lengths = struct.unpack_from(f"!{count}I", self._data, begin)
+            ends = list(accumulate(lengths))
+            blob = self._take(ends[-1] if ends else 0)
+            spans = zip([0] + ends, ends)
+            if blob.isascii():
+                text = blob.decode("ascii")
+                return [text[begin:end] for begin, end in spans]
+            try:
+                return [blob[begin:end].decode("utf-8")
+                        for begin, end in spans]
+            except UnicodeDecodeError as exc:
+                raise ProtocolError(f"invalid UTF-8 in string column: {exc}")
+        if kind == _COL_TAGGED:
+            return [self.value() for _ in range(count)]
+        raise ProtocolError(f"unknown column kind {kind}")
+
     def expect_end(self) -> None:
         if self._pos != len(self._data):
             raise ProtocolError(
-                f"{len(self._data) - self._pos} trailing byte(s) after "
-                f"frame payload")
+                f"{self.remaining} trailing byte(s) after frame payload")
 
 
 # ---------------------------------------------------------------------- #
@@ -335,64 +436,6 @@ _PARAMS_POSITIONAL = 1
 _PARAMS_NAMED = 2
 
 
-@dataclass
-class Execute:
-    """Run raw SQL (``statement_id == 0``) or a prepared statement."""
-
-    frame_type = EXECUTE
-    request_id: int = 0
-    statement_id: int = 0
-    sql: str = ""
-    #: ``None`` | sequence (positional) | mapping (named), natural values.
-    params: object = None
-    #: ``ExecOptions`` field overrides for this request (mode, threads, ...).
-    options: dict = field(default_factory=dict)
-    #: Max rows per ROW_BATCH frame (0 = server default).
-    batch_rows: int = 0
-
-    def pack_payload(self, writer: PayloadWriter) -> None:
-        writer.u64(self.request_id)
-        writer.u64(self.statement_id)
-        writer.string(self.sql)
-        if self.params is None:
-            writer.u8(_PARAMS_NONE)
-        elif isinstance(self.params, dict):
-            writer.u8(_PARAMS_NAMED)
-            writer.u32(len(self.params))
-            for name, value in self.params.items():
-                writer.string(str(name))
-                writer.value(value)
-        else:
-            writer.u8(_PARAMS_POSITIONAL)
-            values = list(self.params)
-            writer.u32(len(values))
-            for value in values:
-                writer.value(value)
-        writer.u32(len(self.options))
-        for name, value in self.options.items():
-            writer.string(str(name))
-            writer.value(value)
-        writer.u32(self.batch_rows)
-
-    @classmethod
-    def unpack(cls, reader: PayloadReader) -> "Execute":
-        msg = cls(request_id=reader.u64(), statement_id=reader.u64(),
-                  sql=reader.string())
-        kind = reader.u8()
-        if kind == _PARAMS_POSITIONAL:
-            msg.params = [reader.value() for _ in range(reader.u32())]
-        elif kind == _PARAMS_NAMED:
-            msg.params = {reader.string(): reader.value()
-                          for _ in range(reader.u32())}
-        elif kind != _PARAMS_NONE:
-            raise ProtocolError(f"unknown params kind {kind}")
-        for _ in range(reader.u32()):
-            name = reader.string()
-            msg.options[name] = reader.value()
-        msg.batch_rows = reader.u32()
-        return msg
-
-
 def _pack_params(writer: PayloadWriter, params) -> None:
     """One binding in the EXECUTE params encoding (kind + values)."""
     if params is None:
@@ -423,6 +466,48 @@ def _unpack_params(reader: PayloadReader):
     return None
 
 
+def _pack_options(writer: PayloadWriter, options: dict) -> None:
+    writer.u32(len(options))
+    for name, value in options.items():
+        writer.string(str(name))
+        writer.value(value)
+
+
+def _unpack_options(reader: PayloadReader) -> dict:
+    return {reader.string(): reader.value() for _ in range(reader.u32())}
+
+
+@dataclass
+class Execute:
+    """Run raw SQL (``statement_id == 0``) or a prepared statement."""
+
+    frame_type = EXECUTE
+    request_id: int = 0
+    statement_id: int = 0
+    sql: str = ""
+    #: ``None`` | sequence (positional) | mapping (named), natural values.
+    params: object = None
+    #: ``ExecOptions`` field overrides for this request (mode, threads, ...).
+    options: dict = field(default_factory=dict)
+    #: Max rows per ROW_BATCH frame (0 = server default).
+    batch_rows: int = 0
+
+    def pack_payload(self, writer: PayloadWriter) -> None:
+        writer.u64(self.request_id)
+        writer.u64(self.statement_id)
+        writer.string(self.sql)
+        _pack_params(writer, self.params)
+        _pack_options(writer, self.options)
+        writer.u32(self.batch_rows)
+
+    @classmethod
+    def unpack(cls, reader: PayloadReader) -> "Execute":
+        return cls(request_id=reader.u64(), statement_id=reader.u64(),
+                   sql=reader.string(), params=_unpack_params(reader),
+                   options=_unpack_options(reader),
+                   batch_rows=reader.u32())
+
+
 @dataclass
 class ExecuteMany:
     """Run one statement (raw SQL or prepared id) for a batch of bindings."""
@@ -445,23 +530,17 @@ class ExecuteMany:
         writer.u32(len(self.bindings))
         for binding in self.bindings:
             _pack_params(writer, binding)
-        writer.u32(len(self.options))
-        for name, value in self.options.items():
-            writer.string(str(name))
-            writer.value(value)
+        _pack_options(writer, self.options)
         writer.u32(self.batch_rows)
 
     @classmethod
     def unpack(cls, reader: PayloadReader) -> "ExecuteMany":
-        msg = cls(request_id=reader.u64(), statement_id=reader.u64(),
-                  sql=reader.string())
-        msg.bindings = [_unpack_params(reader)
-                        for _ in range(reader.u32())]
-        for _ in range(reader.u32()):
-            name = reader.string()
-            msg.options[name] = reader.value()
-        msg.batch_rows = reader.u32()
-        return msg
+        return cls(request_id=reader.u64(), statement_id=reader.u64(),
+                   sql=reader.string(),
+                   bindings=[_unpack_params(reader)
+                             for _ in range(reader.u32())],
+                   options=_unpack_options(reader),
+                   batch_rows=reader.u32())
 
 
 @dataclass
@@ -518,26 +597,44 @@ class RowHeader:
 
 @dataclass
 class RowBatch:
-    """One bounded batch of result rows (internal-representation values)."""
+    """One bounded batch of result rows (internal-representation values).
+
+    ``rows`` is a list of equal-width tuples; on the wire the batch is
+    column-major (see the module docstring).  An empty batch has no columns.
+    """
 
     frame_type = ROW_BATCH
     request_id: int = 0
     rows: list = field(default_factory=list)
 
     def pack_payload(self, writer: PayloadWriter) -> None:
+        try:
+            columns = list(zip(*self.rows, strict=True))
+        except ValueError:
+            raise ProtocolError("rows of one batch differ in width")
+        if self.rows and not columns:
+            raise ProtocolError("a row batch has rows but no columns")
         writer.u64(self.request_id)
         writer.u32(len(self.rows))
-        for row in self.rows:
-            writer.u32(len(row))
-            for value in row:
-                writer.value(value)
+        writer.u32(len(columns))
+        for values in columns:
+            writer.column(values)
 
     @classmethod
     def unpack(cls, reader: PayloadReader) -> "RowBatch":
         msg = cls(request_id=reader.u64())
-        for _ in range(reader.u32()):
-            msg.rows.append(tuple(reader.value()
-                                  for _ in range(reader.u32())))
+        row_count = reader.u32()
+        column_count = reader.u32()
+        # A column costs a kind byte and every value at least one more, so
+        # counts the remaining bytes cannot back are refused before any
+        # format string or list is sized by them.
+        if (column_count * (row_count + 1) > reader.remaining
+                or (row_count and not column_count)):
+            raise ProtocolError(
+                f"row batch declares {row_count} row(s) x {column_count} "
+                f"column(s) but only {reader.remaining} byte(s) follow")
+        columns = [reader.column(row_count) for _ in range(column_count)]
+        msg.rows = list(zip(*columns))
         return msg
 
 
@@ -685,7 +782,14 @@ _MESSAGE_TYPES = {
 def encode_frame(message) -> bytes:
     """Serialize one message into a complete frame (header + payload)."""
     writer = PayloadWriter()
-    message.pack_payload(writer)
+    try:
+        message.pack_payload(writer)
+    except (struct.error, OverflowError, UnicodeEncodeError) as exc:
+        # An int outside its field's range (i64 for values), a lone
+        # surrogate in a string.
+        raise ProtocolError(
+            f"{type(message).__name__} field is not representable on the "
+            f"wire: {exc}")
     payload = writer.getvalue()
     if len(payload) > MAX_FRAME_BYTES:
         raise ProtocolError(
@@ -727,8 +831,4 @@ def decode_payload(frame_type: int, payload: bytes):
 # ---------------------------------------------------------------------- #
 def decode_result_rows(rows: list, type_names: list) -> list:
     """Internal-representation rows -> Python objects, per column type."""
-    from ..types import decode_internal_value
-    types = [SQLType(name) for name in type_names]
-    return [tuple(decode_internal_value(value, sql_type)
-                  for value, sql_type in zip(row, types))
-            for row in rows]
+    return decode_internal_rows(rows, [SQLType(name) for name in type_names])

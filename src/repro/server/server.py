@@ -277,20 +277,26 @@ class _Connection:
                 request_id, ProtocolError(
                     f"request id {request_id} is already in flight")))
             return
-        runner = (self._run_execute_many if batch else self._run_execute)
-        task = asyncio.get_running_loop().create_task(runner(message))
+        execute_and_stream = (self._execute_many_and_stream if batch
+                              else self._execute_and_stream)
+        task = asyncio.get_running_loop().create_task(
+            self._run_request(message, execute_and_stream))
         self._inflight[request_id] = _Inflight(task)
         task.add_done_callback(
             lambda _t: self._inflight.pop(request_id, None))
 
-    async def _run_execute(self, message: protocol.Execute) -> None:
+    async def _run_request(self, message, execute_and_stream) -> None:
         server = self._server
         started = time.perf_counter()
         server._m_in_flight.inc()
         try:
-            await self._execute_and_stream(message)
+            await execute_and_stream(message)
         except (ConnectionError, OSError):
             pass  # peer gone; the read loop's cleanup handles the rest
+        except ProtocolError as exc:
+            # A result value the wire cannot carry (an int outside i64):
+            # end the stream with an ERROR instead of leaving it open.
+            await self._try_send_error(message.request_id, exc)
         finally:
             server._m_in_flight.dec()
             server._m_request_seconds.observe(time.perf_counter() - started)
@@ -409,19 +415,6 @@ class _Connection:
     # ------------------------------------------------------------------ #
     # EXECUTE_MANY
     # ------------------------------------------------------------------ #
-    async def _run_execute_many(self,
-                                message: protocol.ExecuteMany) -> None:
-        server = self._server
-        started = time.perf_counter()
-        server._m_in_flight.inc()
-        try:
-            await self._execute_many_and_stream(message)
-        except (ConnectionError, OSError):
-            pass  # peer gone; the read loop's cleanup handles the rest
-        finally:
-            server._m_in_flight.dec()
-            server._m_request_seconds.observe(time.perf_counter() - started)
-
     async def _execute_many_and_stream(
             self, message: protocol.ExecuteMany) -> None:
         server = self._server

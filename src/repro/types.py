@@ -134,6 +134,39 @@ def decode_internal_value(value, sql_type: SQLType):
     return value
 
 
+_DATE_EPOCH_ORDINAL = DATE_EPOCH.toordinal()
+_date_from_ordinal = _dt.date.fromordinal
+
+#: Column-at-a-time forms of :func:`decode_internal_value` for the types
+#: whose internal form differs from the user-facing one; NULL stays ``None``.
+_COLUMN_DECODERS = {
+    SQLType.DECIMAL: lambda values: [
+        None if value is None else value / DECIMAL_SCALE
+        for value in values],
+    SQLType.DATE: lambda values: [
+        None if value is None
+        else _date_from_ordinal(_DATE_EPOCH_ORDINAL + value)
+        for value in values],
+    SQLType.BOOL: lambda values: [
+        None if value is None else bool(value) for value in values],
+}
+
+
+def decode_internal_rows(rows, column_types) -> list[tuple]:
+    """Decode result rows into user-facing Python values, column-wise.
+
+    Only DATE/DECIMAL/BOOL columns are converted; every other column is
+    passed through untouched, so a result without such columns costs one
+    list copy.  ``column_types`` holds one :class:`SQLType` per column.
+    """
+    decoders = [_COLUMN_DECODERS.get(sql_type) for sql_type in column_types]
+    if not any(decoders):
+        return list(rows)
+    return list(zip(*[
+        values if decode is None else decode(values)
+        for decode, values in zip(decoders, zip(*rows))]))
+
+
 def common_numeric_type(left: SQLType, right: SQLType) -> SQLType:
     """Return the result type of arithmetic between two numeric types."""
     if not (left.is_numeric and right.is_numeric):

@@ -7,6 +7,8 @@ edge cases -- through raw sockets.  Covered here:
 * end-to-end correctness: many concurrent client connections running
   parameterized prepared queries across all execution modes, compared
   against in-process ``db.execute``,
+* NULL-padded LEFT JOIN rows and uneven EXECUTE_MANY streams surviving
+  the columnar ROW_BATCH codec in every mode,
 * authentication rejection, malformed and oversized frames,
 * admission-control backpressure surfacing as BUSY protocol errors,
 * CANCEL semantics (pending query cancelled vs. racing completion),
@@ -30,9 +32,10 @@ import time
 
 import pytest
 
-from repro import Database, SQLType, connect
+from repro import (BASELINE_MODES, ENGINE_MODES, ClientConnection, Database,
+                   SQLType, connect)
 from repro.errors import (AuthenticationError, ProtocolError,
-                          QueryCancelledError, ServerBusyError)
+                          QueryCancelledError, ServerBusyError, ServerError)
 from repro.server import protocol
 from repro.server.protocol import (FRAME_HEADER, FRAME_HEADER_BYTES,
                                    MAX_FRAME_BYTES, PROTOCOL_VERSION,
@@ -229,6 +232,120 @@ def test_positional_parameters_and_decoded_rows(served_db):
         conn.close()
 
 
+LEFT_JOIN_SQL = ("select l.k, l.name, r.d, r.f, r.ok, r.label from l "
+                 "left join r on l.k = r.k where l.k >= ? order by l.k")
+
+
+@pytest.fixture()
+def outer_join_db(served_db):
+    db, server = served_db
+    db.create_table("l", [("k", SQLType.INT64), ("name", SQLType.STRING)])
+    db.create_table("r", [("k", SQLType.INT64), ("d", SQLType.DATE),
+                          ("f", SQLType.FLOAT64), ("ok", SQLType.BOOL),
+                          ("label", SQLType.STRING)])
+    db.insert("l", [(i, f"n{i}") for i in range(12)])
+    db.insert("r", [(i, f"2024-02-{i + 1:02d}", i + 0.5, i % 2 == 0, f"w{i}")
+                    for i in range(0, 12, 3)])
+    return db, server
+
+
+@pytest.mark.parametrize("mode", list(ENGINE_MODES) + list(BASELINE_MODES))
+def test_null_padded_left_join_rows_cross_the_wire(outer_join_db, mode):
+    db, server = outer_join_db
+    bindings = [(0,), (7,), (11,)]
+    expected = [db.execute(LEFT_JOIN_SQL, params=binding, mode=mode,
+                           use_result_cache=False)
+                for binding in bindings]
+    assert any(None in row for row in expected[0].rows)
+    conn = connect(*server.address)
+    try:
+        for binding, reference in zip(bindings, expected):
+            # batch_rows=5: NULL and non-NULL rows share and split batches.
+            result = conn.execute(LEFT_JOIN_SQL, params=binding, mode=mode,
+                                  timeout=60, batch_rows=5)
+            assert result.rows == reference.rows
+            assert result.decoded_rows() == reference.decoded_rows()
+        many = conn.execute_many(LEFT_JOIN_SQL, bindings=bindings,
+                                 mode=mode, timeout=60, batch_rows=5)
+        assert [r.rows for r in many] == [r.rows for r in expected]
+        assert ([r.decoded_rows() for r in many]
+                == [r.decoded_rows() for r in expected])
+    finally:
+        conn.close()
+
+
+def test_execute_many_streams_bindings_of_different_sizes(served_db):
+    db, server = served_db
+    sql = "select a, b, s from t where a < ? order by a"
+    # 0 rows (no ROW_BATCH at all), one partial batch, exactly one batch,
+    # several batches with a remainder.
+    bindings = [(0,), (3,), (16,), (50,), (0,), (1,)]
+    expected = [db.execute(sql, params=b, use_result_cache=False).rows
+                for b in bindings]
+    conn = connect(*server.address)
+    try:
+        results = conn.execute_many(sql, bindings=bindings, timeout=60,
+                                    batch_rows=16)
+        assert [r.rows for r in results] == expected
+        assert [len(r) for r in results] == [0, 3, 16, 50, 0, 1]
+    finally:
+        conn.close()
+
+
+def test_unencodable_result_value_ends_the_stream_with_an_error(served_db):
+    db, server = served_db
+    db.create_table("big", [("v", SQLType.INT64)])
+    db.insert("big", [(2 ** 62,)] * 4)
+    conn = connect(*server.address)
+    try:
+        # sum() is 2**64: representable in the engine, not in an i64 column.
+        # ROW_HEADER is already out when the encoder finds out.
+        with pytest.raises(ProtocolError, match="not representable"):
+            conn.execute("select sum(v) as s from big", timeout=60)
+        with pytest.raises(ProtocolError, match="not representable"):
+            conn.execute_many("select sum(v) as s from big where v > ?",
+                              bindings=[(0,), (1,)], timeout=60)
+        # Request-level failures: the connection keeps serving.
+        assert conn.execute("select count(*) as n from big",
+                            timeout=60).rows == [(4,)]
+    finally:
+        conn.close()
+
+
+def test_null_parameter_is_the_engines_parameter_error(served_db):
+    _db, server = served_db
+    conn = connect(*server.address)
+    try:
+        with pytest.raises(ServerError, match="NULL") as info:
+            conn.execute("select a from t where a = ?", params=(None,),
+                         timeout=60)
+        assert info.value.code == "SQL"
+    finally:
+        conn.close()
+
+
+def test_row_batch_width_must_match_its_row_header():
+    # The client end of a socket pair, fed hand-written response frames.
+    ours, theirs = socket.socketpair()
+    conn = ClientConnection(ours, "fake")
+    try:
+        pending = conn.execute_async("select 1 as one")
+        request_id = pending.request_id
+        theirs.sendall(
+            encode_frame(protocol.RowHeader(
+                request_id=request_id, column_names=["a", "b"],
+                column_types=["int64", "int64"]))
+            + encode_frame(protocol.RowBatch(request_id=request_id,
+                                             rows=[(1, 2)]))
+            + encode_frame(protocol.RowBatch(request_id=request_id,
+                                             rows=[(3,)])))
+        with pytest.raises(ProtocolError, match="announced 2"):
+            pending.result(timeout=10)
+    finally:
+        theirs.close()
+        conn.close()
+
+
 # ---------------------------------------------------------------------- #
 # handshake / framing edge cases
 # ---------------------------------------------------------------------- #
@@ -268,16 +385,18 @@ def test_first_frame_must_be_hello(served_db):
         sock.close()
 
 
-def test_unsupported_protocol_version_is_rejected(served_db):
+@pytest.mark.parametrize("version", [1, 99])  # 1: the row-major layout
+def test_unsupported_protocol_version_is_rejected(served_db, version):
     _, server = served_db
     sock = socket.create_connection(server.address, timeout=10)
     sock.settimeout(10)
     try:
-        sock.sendall(encode_frame(protocol.Hello(protocol_version=99)))
+        sock.sendall(encode_frame(protocol.Hello(
+            protocol_version=version)))
         frame = _read_raw_frame(sock)
         assert isinstance(frame, protocol.Error)
         assert frame.code == "PROTOCOL"
-        assert "version" in frame.message
+        assert f"version {version} is not supported" in frame.message
     finally:
         sock.close()
 

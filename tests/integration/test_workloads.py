@@ -1,6 +1,8 @@
 """Integration tests over the benchmark workloads (TPC-H, TPC-DS, metadata,
 machine-generated wide queries)."""
 
+import gc
+
 import pytest
 
 from repro.workloads import (
@@ -155,6 +157,9 @@ class TestWideQueries:
         """Section V-E: translation must stay cheap for very large queries."""
         db = populate_wide_table(num_rows=10)
         sql = wide_aggregate_query(150)
+        # A full collection of the earlier tests' garbage (~50 ms) must not
+        # land inside the ~12 ms translation being timed.
+        gc.collect()
         bytecode = db.execute(sql, mode="bytecode").timings.compile
         optimized = db.execute(sql, mode="optimized").timings.compile
         assert bytecode < optimized

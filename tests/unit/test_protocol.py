@@ -3,9 +3,9 @@
 Every message type must survive an encode/decode round trip bit-exactly,
 and the decoder must reject every malformation class with a
 :class:`~repro.errors.ProtocolError` rather than crashing or silently
-accepting: truncated payloads, trailing bytes, unknown frame types and
-value tags, oversized frames, and invalid embedded data (bad UTF-8, bad
-dates).
+accepting: truncated payloads, trailing bytes, unknown frame types, value
+tags and column kinds, oversized frames, row/column counts the payload does
+not back, and invalid embedded data (bad UTF-8, bad dates).
 """
 
 from __future__ import annotations
@@ -60,6 +60,10 @@ ALL_MESSAGES = [
     protocol.RowBatch(request_id=9,
                       rows=[(1, 2.0, "three", False), (-(2 ** 62), 0.0,
                                                        "", True)]),
+    # One column per fallback reason: NULLs, mixed types, non-ASCII text.
+    protocol.RowBatch(request_id=9,
+                      rows=[(1, None, "x", "gr\u00fc\u00df"),
+                            (2, 7, 2.5, "\u65e5\u672c")]),
     protocol.RowBatch(request_id=9, rows=[]),
     protocol.Done(request_id=9, row_count=1234, mode="adaptive",
                   cached=True, total_seconds=0.25, queue_seconds=0.001),
@@ -88,10 +92,12 @@ def test_positional_params_roundtrip_as_list():
 
 def test_numpy_like_int_scalars_travel_as_int():
     np = pytest.importorskip("numpy")
+    # A pure-numpy column and one mixed with Python ints both take the
+    # tagged fallback and come back as plain ints.
     decoded = roundtrip(protocol.RowBatch(
-        request_id=1, rows=[(np.int64(41), np.int32(-3))]))
-    assert decoded.rows == [(41, -3)]
-    assert all(type(v) is int for v in decoded.rows[0])
+        request_id=1, rows=[(np.int64(41), np.int32(-3)), (np.int64(1), 5)]))
+    assert decoded.rows == [(41, -3), (1, 5)]
+    assert all(type(v) is int for row in decoded.rows for v in row)
 
 
 def test_unrepresentable_value_is_rejected_at_encode_time():
@@ -99,13 +105,47 @@ def test_unrepresentable_value_is_rejected_at_encode_time():
         encode_frame(protocol.RowBatch(request_id=1, rows=[(object(),)]))
 
 
+@pytest.mark.parametrize("rows", [
+    [(2 ** 63,)],                   # packed INT column
+    [(-(2 ** 63) - 1,), (None,)],   # tagged fallback column
+    [("\ud800",)],                  # lone surrogate: not UTF-8 encodable
+], ids=["int-column", "tagged-int", "surrogate"])
+def test_out_of_range_row_values_are_protocol_errors(rows):
+    with pytest.raises(ProtocolError, match="not representable"):
+        encode_frame(protocol.RowBatch(request_id=1, rows=rows))
+
+
+def test_out_of_range_parameter_is_a_protocol_error():
+    with pytest.raises(ProtocolError, match="not representable"):
+        encode_frame(protocol.Execute(request_id=1, sql="s",
+                                      params=[2 ** 64]))
+
+
+def test_ragged_and_zero_width_row_batches_are_rejected():
+    with pytest.raises(ProtocolError, match="differ in width"):
+        encode_frame(protocol.RowBatch(request_id=1, rows=[(1, 2), (3,)]))
+    with pytest.raises(ProtocolError, match="no columns"):
+        encode_frame(protocol.RowBatch(request_id=1, rows=[(), ()]))
+
+
+def test_null_parameter_reaches_the_decoder():
+    # The wire carries NULL; rejecting a NULL *parameter* is the engine's
+    # job (ParameterError), not the codec's.
+    decoded = roundtrip(protocol.Execute(request_id=1, sql="s",
+                                         params=[None]))
+    assert decoded.params == [None]
+
+
 def test_decode_result_rows_applies_column_types():
-    rows = [(738947, 1, 42)]
-    decoded = decode_result_rows(rows, ["date", "bool", "int64"])
-    (date_value, bool_value, int_value), = decoded
-    assert isinstance(date_value, datetime.date)
-    assert bool_value is True
-    assert int_value == 42
+    # Type names -> SQLType, then types.decode_internal_rows (tested there).
+    rows = [(19782, 1, 42, 150, None), (0, 0, 7, -25, 3)]
+    decoded = decode_result_rows(
+        rows, ["date", "bool", "int64", "decimal", "date"])
+    assert decoded == [
+        (datetime.date(2024, 2, 29), True, 42, 1.5, None),
+        (datetime.date(1970, 1, 1), False, 7, -0.25,
+         datetime.date(1970, 1, 4))]
+    assert decoded[0][1] is True and decoded[1][1] is False
 
 
 # ---------------------------------------------------------------------- #
@@ -149,14 +189,79 @@ def test_trailing_bytes_are_rejected():
         decode_payload(protocol.OK, payload + b"\x00")
 
 
+def row_batch_payload(row_count: int, column_count: int,
+                      *columns: bytes) -> bytes:
+    """A hand-built ROW_BATCH payload: the counts, then raw column bytes."""
+    return struct.pack("!QII", 1, row_count, column_count) + b"".join(columns)
+
+
 def test_unknown_value_tag_is_rejected():
-    writer = PayloadWriter()
-    writer.u64(1)       # request_id
-    writer.u32(1)       # one row
-    writer.u32(1)       # one value
-    writer.u8(99)       # bogus tag
+    payload = row_batch_payload(1, 1, bytes([3, 99]))  # TAGGED, bogus tag
     with pytest.raises(ProtocolError, match="unknown value tag"):
-        decode_payload(protocol.ROW_BATCH, writer.getvalue())
+        decode_payload(protocol.ROW_BATCH, payload)
+
+
+def test_unknown_column_kind_is_rejected():
+    payload = row_batch_payload(1, 1, bytes([9]) + bytes(8))
+    with pytest.raises(ProtocolError, match="unknown column kind"):
+        decode_payload(protocol.ROW_BATCH, payload)
+
+
+def test_row_batch_payload_layout_is_column_major():
+    frame = encode_frame(protocol.RowBatch(
+        request_id=1, rows=[(1, 0.5, "ab"), (2, 1.5, "c")]))
+    assert frame[FRAME_HEADER_BYTES:] == row_batch_payload(
+        2, 3,
+        struct.pack("!B2q", 0, 1, 2),
+        struct.pack("!B2d", 1, 0.5, 1.5),
+        struct.pack("!B2I", 2, 2, 1) + b"abc")
+
+
+@pytest.mark.parametrize("row_count, column_count", [
+    (2 ** 32 - 1, 1), (1, 2 ** 32 - 1), (2 ** 32 - 1, 2 ** 32 - 1),
+    (2 ** 32 - 1, 0), (5, 2)])
+def test_row_batch_counts_beyond_the_payload_are_rejected(
+        row_count, column_count, monkeypatch):
+    # The counts are refused from the bytes that remain, before a format
+    # string is built or a column is read.
+    monkeypatch.setattr(PayloadReader, "column", None)
+    payload = row_batch_payload(row_count, column_count,
+                                struct.pack("!Bq", 0, 7))
+    with pytest.raises(ProtocolError, match="row batch declares"):
+        decode_payload(protocol.ROW_BATCH, payload)
+
+
+def test_truncated_and_overlong_row_batches_are_rejected():
+    frame = encode_frame(protocol.RowBatch(
+        request_id=1, rows=[(1, 2.5, "abc", None), (2, 3.5, "d", 4)]))
+    payload = frame[FRAME_HEADER_BYTES:]
+    for cut in range(len(payload)):
+        with pytest.raises(ProtocolError):
+            decode_payload(protocol.ROW_BATCH, payload[:cut])
+    with pytest.raises(ProtocolError, match="trailing byte"):
+        decode_payload(protocol.ROW_BATCH, payload + b"\x00")
+
+
+def test_row_count_beyond_a_column_body_is_rejected():
+    # Passes the whole-payload check (2 x (3 + 1) <= 9 bytes), fails at the
+    # first column: three i64 wanted, one present.
+    payload = row_batch_payload(3, 2, struct.pack("!Bq", 0, 7))
+    with pytest.raises(ProtocolError, match="truncated"):
+        decode_payload(protocol.ROW_BATCH, payload)
+
+
+def test_string_column_lengths_beyond_the_payload_are_rejected():
+    # Two strings claiming 4 GiB each over a 3-byte blob.
+    column = struct.pack("!B2I", 2, 2 ** 32 - 1, 2 ** 32 - 1) + b"abc"
+    with pytest.raises(ProtocolError, match="truncated"):
+        decode_payload(protocol.ROW_BATCH, row_batch_payload(2, 1, column))
+
+
+def test_invalid_utf8_in_string_column_is_rejected():
+    # Valid UTF-8 overall, but the length vector splits a 2-byte character.
+    column = struct.pack("!B2I", 2, 1, 1) + "\u00fc".encode("utf-8")
+    with pytest.raises(ProtocolError, match="invalid UTF-8"):
+        decode_payload(protocol.ROW_BATCH, row_batch_payload(2, 1, column))
 
 
 def test_unknown_params_kind_is_rejected():
@@ -180,13 +285,12 @@ def test_invalid_utf8_in_string_is_rejected():
 
 def test_invalid_date_value_is_rejected():
     writer = PayloadWriter()
-    writer.u64(1)       # request_id
-    writer.u32(1)       # one row
-    writer.u32(1)       # one value
+    writer.u8(3)        # _COL_TAGGED
     writer.u8(4)        # _VAL_DATE
     writer.string("not-a-date")
     with pytest.raises(ProtocolError, match="invalid DATE"):
-        decode_payload(protocol.ROW_BATCH, writer.getvalue())
+        decode_payload(protocol.ROW_BATCH,
+                       row_batch_payload(1, 1, writer.getvalue()))
 
 
 def test_reader_expect_end_and_bounds():

@@ -12,6 +12,7 @@ from repro.types import (
     date_to_days,
     days_to_date,
     decimal_to_scaled,
+    decode_internal_rows,
     decode_internal_value,
     encode_python_value,
     scaled_to_decimal,
@@ -98,3 +99,28 @@ class TestEncoding:
 
     def test_decode_bool(self):
         assert decode_internal_value(1, SQLType.BOOL) is True
+
+    def test_decode_rows_matches_the_per_value_decoder(self):
+        # decode_internal_value is the reference; the column-wise decoder
+        # must agree with it on every type, NULLs included.
+        types = list(SQLType)
+        samples = {SQLType.INT64: [7, -1, None], SQLType.FLOAT64: [0.5, None],
+                   SQLType.DECIMAL: [150, -25, 0, None],
+                   SQLType.STRING: ["x", "", None],
+                   SQLType.DATE: [0, 19782, -365, None],
+                   SQLType.BOOL: [0, 1, None]}
+        rows = [tuple(samples[t][i % len(samples[t])] for t in types)
+                for i in range(12)]
+        expected = [tuple(decode_internal_value(value, sql_type)
+                          for value, sql_type in zip(row, types))
+                    for row in rows]
+        decoded = decode_internal_rows(rows, types)
+        assert decoded == expected
+        assert all(type(a) is type(b) for got, want in zip(decoded, expected)
+                   for a, b in zip(got, want))
+
+    def test_decode_rows_passes_unconverted_columns_through(self):
+        rows = [(1, "a"), (2, "b")]
+        assert decode_internal_rows(rows, [SQLType.INT64,
+                                           SQLType.STRING]) == rows
+        assert decode_internal_rows([], [SQLType.DATE]) == []
