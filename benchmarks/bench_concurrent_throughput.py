@@ -37,7 +37,7 @@ for _path in (os.path.join(os.path.dirname(_HERE), "src"), _HERE):
     if _path not in sys.path:
         sys.path.insert(0, _path)
 
-from repro import Database, SQLType  # noqa: E402
+from repro import Database, ExecOptions, SQLType  # noqa: E402
 
 TINY = os.environ.get("REPRO_BENCH_TINY", "") == "1"
 FULL = os.environ.get("REPRO_BENCH_FULL", "") == "1"
@@ -95,13 +95,15 @@ def measure_serial(db: Database, use_cache: bool) -> float:
     """Wall seconds for one client running the whole stream back to back."""
     start = time.perf_counter()
     for sql in query_stream():
-        db.execute(sql, mode="optimized", use_cache=use_cache)
+        db.execute(sql,
+                   options=ExecOptions(mode="optimized", use_cache=use_cache))
     return time.perf_counter() - start
 
 
 def measure_concurrent(db: Database) -> tuple[float, float, float]:
     """8 sessions submit the stream; returns (wall, mean queue, mean run)."""
-    sessions = [db.session(mode="optimized", name=f"client-{i}")
+    sessions = [db.session(options=ExecOptions(mode="optimized"),
+                           name=f"client-{i}")
                 for i in range(CLIENTS)]
     start = time.perf_counter()
     tickets = []
@@ -118,8 +120,9 @@ def measure_concurrent(db: Database) -> tuple[float, float, float]:
 
 def measure_thread_bound(db: Database) -> int:
     """Peak live threads while IN_FLIGHT_TARGET queries are in flight."""
-    tickets = [db.submit(HOT_QUERIES[i % len(HOT_QUERIES)], mode="optimized",
-                         use_cache=False)
+    tickets = [db.submit(HOT_QUERIES[i % len(HOT_QUERIES)],
+                         options=ExecOptions(mode="optimized",
+                                             use_cache=False))
                for i in range(IN_FLIGHT_TARGET)]
     peak = threading.active_count()
     while not all(t.done() for t in tickets):
@@ -142,7 +145,7 @@ def run_benchmark(report=print) -> dict:
         serial_cold = measure_serial(db, use_cache=False)
         db.plan_cache.clear()
         for sql in HOT_QUERIES:  # warm every hot entry once
-            db.execute(sql, mode="optimized")
+            db.execute(sql, options=ExecOptions(mode="optimized"))
         serial_cached = measure_serial(db, use_cache=True)
         conc_wall, mean_queue, mean_run = measure_concurrent(db)
         peak = measure_thread_bound(db)
@@ -190,10 +193,12 @@ def test_concurrent_throughput_and_thread_bound():
 def test_hot_submit_latency(benchmark):
     db = build_database()
     try:
-        db.execute(HOT_QUERIES[0], mode="optimized")  # warm
+        db.execute(HOT_QUERIES[0],
+                   options=ExecOptions(mode="optimized"))  # warm
 
         def round_trip():
-            return db.submit(HOT_QUERIES[0], mode="optimized").result(
+            return db.submit(HOT_QUERIES[0],
+                             options=ExecOptions(mode="optimized")).result(
                 timeout=300)
 
         result = benchmark(round_trip)

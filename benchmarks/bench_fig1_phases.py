@@ -9,6 +9,7 @@ negligible, bytecode translation cheap, optimized compilation dominant) is
 the property the adaptive design builds on.
 """
 
+from repro import ExecOptions
 from repro.workloads import TPCH_QUERIES
 
 from conftest import fmt_ms, print_table
@@ -19,9 +20,15 @@ def _phase_breakdown(db):
     rows = []
     # use_cache=False: this figure measures the cold path; a plan-cache hit
     # reports 0 for all front-end phases (see bench_repeated_queries.py).
-    bytecode = db.execute(sql, mode="bytecode", use_cache=False)
-    unoptimized = db.execute(sql, mode="unoptimized", use_cache=False)
-    optimized = db.execute(sql, mode="optimized", use_cache=False)
+    bytecode = db.execute(sql,
+                          options=ExecOptions(mode="bytecode",
+                                              use_cache=False))
+    unoptimized = db.execute(sql,
+                             options=ExecOptions(mode="unoptimized",
+                                                 use_cache=False))
+    optimized = db.execute(sql,
+                           options=ExecOptions(mode="optimized",
+                                               use_cache=False))
     timings = optimized.timings
     rows.append(["Parser + Semantic Analysis", fmt_ms(timings.parse + timings.bind)])
     rows.append(["Optimizer", fmt_ms(timings.plan)])

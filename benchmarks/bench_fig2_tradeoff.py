@@ -8,6 +8,7 @@ progressively more to produce and run progressively faster.  The reproduction
 prints the same two columns for the four modes and asserts the ordering.
 """
 
+from repro import ExecOptions
 from repro.workloads import TPCH_QUERIES
 
 from conftest import fmt_ms, print_table
@@ -18,7 +19,9 @@ MODES = ["ir-interp", "bytecode", "unoptimized", "optimized"]
 def test_fig2_latency_throughput_tradeoff(tpch_small, benchmark):
     sql = TPCH_QUERIES[1]
     # use_cache=False: the figure plots cold compile cost per mode.
-    results = {mode: tpch_small.execute(sql, mode=mode, use_cache=False)
+    results = {mode: tpch_small.execute(sql,
+                                        options=ExecOptions(mode=mode,
+                                                            use_cache=False))
                for mode in MODES}
 
     rows = []
@@ -41,4 +44,5 @@ def test_fig2_latency_throughput_tradeoff(tpch_small, benchmark):
     assert results["bytecode"].timings.execution >= \
         results["unoptimized"].timings.execution
 
-    benchmark(lambda: tpch_small.execute(sql, mode="bytecode"))
+    benchmark(lambda: tpch_small.execute(sql,
+                                         options=ExecOptions(mode="bytecode")))

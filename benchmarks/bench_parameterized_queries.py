@@ -34,7 +34,7 @@ for _path in (os.path.join(os.path.dirname(_HERE), "src"), _HERE):
     if _path not in sys.path:
         sys.path.insert(0, _path)
 
-from repro import Database, SQLType  # noqa: E402
+from repro import Database, ExecOptions, SQLType  # noqa: E402
 
 TINY = os.environ.get("REPRO_BENCH_TINY", "") == "1"
 FULL = os.environ.get("REPRO_BENCH_FULL", "") == "1"
@@ -87,8 +87,8 @@ def _constants():
 def measure_cold(db) -> float:
     start = time.perf_counter()
     for constant in _constants():
-        db.execute(SHAPE.format(constant), mode="optimized",
-                   use_cache=False)
+        db.execute(SHAPE.format(constant),
+                   options=ExecOptions(mode="optimized", use_cache=False))
     return time.perf_counter() - start
 
 
@@ -98,7 +98,8 @@ def measure_hot_auto(db) -> tuple[float, int, int]:
     misses_before = db.plan_cache.stats.misses
     start = time.perf_counter()
     for constant in _constants():
-        db.execute(SHAPE.format(constant), mode="optimized")
+        db.execute(SHAPE.format(constant),
+                   options=ExecOptions(mode="optimized"))
     elapsed = time.perf_counter() - start
     return (elapsed, db.plan_cache.stats.hits - hits_before,
             db.plan_cache.stats.misses - misses_before)
@@ -106,10 +107,12 @@ def measure_hot_auto(db) -> tuple[float, int, int]:
 
 def measure_hot_explicit(db) -> float:
     prepared = db.prepare_query(PARAM_SHAPE)
-    prepared.execute(mode="optimized", params=(0,))  # pay the build once
+    prepared.execute(options=ExecOptions(mode="optimized"),
+                     params=(0,))  # pay the build once
     start = time.perf_counter()
     for constant in _constants():
-        prepared.execute(mode="optimized", params=(constant,))
+        prepared.execute(options=ExecOptions(mode="optimized"),
+                         params=(constant,))
     return time.perf_counter() - start
 
 
@@ -126,7 +129,8 @@ def run_benchmark(report=print) -> dict:
         # literal path returns.
         probe = SHAPE.format(_constants()[len(_constants()) // 2])
         assert (db.execute(probe).rows
-                == db.execute(probe, use_cache=False).rows)
+                == db.execute(probe,
+                              options=ExecOptions(use_cache=False)).rows)
 
         n = DISTINCT_CONSTANTS
         hit_rate = hits / max(hits + misses, 1)
@@ -178,11 +182,12 @@ def test_rebind_latency(benchmark):
     db = build_database()
     try:
         prepared = db.prepare_query(PARAM_SHAPE)
-        prepared.execute(mode="optimized", params=(0,))  # warm
+        prepared.execute(options=ExecOptions(mode="optimized"),
+                         params=(0,))  # warm
         constants = iter(_constants() * 1000)
 
         def rebind():
-            return prepared.execute(mode="optimized",
+            return prepared.execute(options=ExecOptions(mode="optimized"),
                                     params=(next(constants),))
 
         result = benchmark(rebind)

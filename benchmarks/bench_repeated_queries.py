@@ -40,8 +40,8 @@ def test_repeated_query_skips_preparation(repeat_db, benchmark):
     db = repeat_db
     db.plan_cache.clear()
 
-    first = db.execute(SQL, mode="optimized")
-    cached = db.execute(SQL, mode="optimized")
+    first = db.execute(SQL, options=ExecOptions(mode="optimized"))
+    cached = db.execute(SQL, options=ExecOptions(mode="optimized"))
 
     print_table(
         "Repeated TPC-H Q1, optimized tier: first vs. cached execution (ms)",
@@ -63,14 +63,14 @@ def test_repeated_query_skips_preparation(repeat_db, benchmark):
     # An insert into a referenced table invalidates the cached entry ...
     lineitem = db.catalog.table("lineitem")
     db.insert("lineitem", [lineitem.row(0)], encode=False)
-    rebuilt = db.execute(SQL, mode="optimized")
+    rebuilt = db.execute(SQL, options=ExecOptions(mode="optimized"))
     assert not rebuilt.cached
     assert rebuilt.timings.planning > 0
     # ... and the rebuilt plan sees the new data.
     assert rebuilt.rows != first.rows
 
     # Steady-state repeated execution (all artifacts cached).
-    benchmark(lambda: db.execute(SQL, mode="optimized"))
+    benchmark(lambda: db.execute(SQL, options=ExecOptions(mode="optimized")))
 
 
 def test_adaptive_reuses_compiled_tiers(repeat_db):
@@ -83,7 +83,8 @@ def test_adaptive_reuses_compiled_tiers(repeat_db):
         "optimized": TierEstimate(0.0, 0.0, 8.0),
     })
     prepared = db.prepare_query(SQL)
-    first = prepared.execute(mode="adaptive", cost_model=model)
+    first = prepared.execute(options=ExecOptions(mode="adaptive"),
+                             cost_model=model)
     # use_result_cache=False: the rerun must actually execute -- its
     # per-pipeline mode history is the observable being tested.
     second = prepared.execute(

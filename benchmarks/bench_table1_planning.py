@@ -8,6 +8,7 @@ vectorized baselines as the PostgreSQL / MonetDB stand-ins and the compiled
 engine's phase timings for the remaining columns.
 """
 
+from repro import ExecOptions
 from repro.workloads import TPCH_QUERIES
 
 from conftest import fmt_ms, print_table, tpch_query_set
@@ -15,11 +16,18 @@ from conftest import fmt_ms, print_table, tpch_query_set
 
 def _measure_query(db, sql):
     # use_cache=False: Table I reports cold planning/compilation phases.
-    volcano = db.execute(sql, mode="volcano").timings
-    vectorized = db.execute(sql, mode="vectorized").timings
-    bytecode = db.execute(sql, mode="bytecode", use_cache=False).timings
-    unoptimized = db.execute(sql, mode="unoptimized", use_cache=False).timings
-    optimized = db.execute(sql, mode="optimized", use_cache=False).timings
+    volcano = db.execute(sql, options=ExecOptions(mode="volcano")).timings
+    vectorized = db.execute(sql,
+                            options=ExecOptions(mode="vectorized")).timings
+    bytecode = db.execute(sql,
+                          options=ExecOptions(mode="bytecode",
+                                              use_cache=False)).timings
+    unoptimized = db.execute(sql,
+                             options=ExecOptions(mode="unoptimized",
+                                                 use_cache=False)).timings
+    optimized = db.execute(sql,
+                           options=ExecOptions(mode="optimized",
+                                               use_cache=False)).timings
     return {
         "pg_plan": volcano.planning,
         "monet_plan": vectorized.planning,

@@ -9,6 +9,7 @@ tiers; the 8-thread columns come from the virtual-time simulator (DESIGN.md
 documents the substitution).
 """
 
+from repro import ExecOptions
 from repro.adaptive import simulate_static
 from repro.adaptive.simulation import profile_query
 from repro.workloads import TPCH_QUERIES
@@ -26,8 +27,10 @@ def test_table2_execution_times(tpch_small, benchmark):
 
     for number in tpch_query_set():
         sql = TPCH_QUERIES[number]
-        volcano = tpch_small.execute(sql, mode="volcano").timings.execution
-        vectorized = tpch_small.execute(sql, mode="vectorized").timings.execution
+        volcano = tpch_small.execute(
+            sql, options=ExecOptions(mode="volcano")).timings.execution
+        vectorized = tpch_small.execute(
+            sql, options=ExecOptions(mode="vectorized")).timings.execution
         profile = profile_query(tpch_small, sql, label=f"Q{number}")
         single = {mode: sum(p.rows / p.rates[mode] for p in profile.pipelines)
                   for mode in ("bytecode", "unoptimized", "optimized")}
@@ -63,4 +66,5 @@ def test_table2_execution_times(tpch_small, benchmark):
     assert means[f"opt. {THREADS}t"] < means["opt."]
     assert means[f"bc. {THREADS}t"] < means["bc."]
 
-    benchmark(lambda: tpch_small.execute(TPCH_QUERIES[6], mode="optimized"))
+    benchmark(lambda: tpch_small.execute(
+        TPCH_QUERIES[6], options=ExecOptions(mode="optimized")))

@@ -30,7 +30,7 @@ for _path in (os.path.join(os.path.dirname(_HERE), "src"), _HERE):
     if _path not in sys.path:
         sys.path.insert(0, _path)
 
-from repro import Database, SQLType  # noqa: E402
+from repro import Database, ExecOptions, SQLType  # noqa: E402
 
 TINY = os.environ.get("REPRO_BENCH_TINY", "") == "1"
 FULL = os.environ.get("REPRO_BENCH_FULL", "") == "1"
@@ -62,7 +62,8 @@ def build_database() -> Database:
 def measure_trial(db: Database, telemetry: str) -> float:
     start = time.perf_counter()
     for _ in range(ITERATIONS):
-        db.execute(HOT_QUERY, mode="optimized", telemetry=telemetry)
+        db.execute(HOT_QUERY,
+                   options=ExecOptions(mode="optimized", telemetry=telemetry))
     return time.perf_counter() - start
 
 
@@ -72,8 +73,10 @@ def run_benchmark(report=print) -> dict:
     db = build_database()
     try:
         # Warm the plan cache and both code paths before measuring.
-        db.execute(HOT_QUERY, mode="optimized", telemetry="off")
-        db.execute(HOT_QUERY, mode="optimized", telemetry="basic")
+        db.execute(HOT_QUERY,
+                   options=ExecOptions(mode="optimized", telemetry="off"))
+        db.execute(HOT_QUERY,
+                   options=ExecOptions(mode="optimized", telemetry="basic"))
 
         off_times, basic_times = [], []
         for _ in range(TRIALS):
@@ -115,10 +118,11 @@ def test_telemetry_basic_overhead_under_limit():
 def test_hot_query_with_telemetry(benchmark):
     db = build_database()
     try:
-        db.execute(HOT_QUERY, mode="optimized")  # warm
+        db.execute(HOT_QUERY, options=ExecOptions(mode="optimized"))  # warm
 
-        result = benchmark(lambda: db.execute(HOT_QUERY, mode="optimized",
-                                              telemetry="basic"))
+        result = benchmark(lambda: db.execute(
+            HOT_QUERY,
+            options=ExecOptions(mode="optimized", telemetry="basic")))
         assert result.cached
     finally:
         db.close()

@@ -15,6 +15,7 @@ import sys
 sys.path.insert(0, os.path.join(os.path.dirname(os.path.dirname(
     os.path.abspath(__file__))), "src"))
 
+from repro import ExecOptions
 from repro.adaptive import render_trace, simulate_adaptive, simulate_static
 from repro.adaptive.simulation import cost_model_from_profiles, profile_query
 from repro.workloads import TPCH_QUERIES, populate_tpch
@@ -26,7 +27,9 @@ def main() -> None:
     sql = TPCH_QUERIES[11]
 
     # --- real adaptive execution ------------------------------------------
-    result = db.execute(sql, mode="adaptive", collect_trace=True)
+    result = db.execute(sql,
+                        options=ExecOptions(mode="adaptive",
+                                            collect_trace=True))
     print(f"\nadaptive execution of TPC-H Q11 "
           f"({result.timings.total * 1000:.1f} ms total):")
     for pipeline in result.pipelines:

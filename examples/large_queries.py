@@ -15,6 +15,7 @@ import sys
 sys.path.insert(0, os.path.join(os.path.dirname(os.path.dirname(
     os.path.abspath(__file__))), "src"))
 
+from repro import ExecOptions
 from repro.workloads import populate_wide_table, wide_aggregate_query
 
 
@@ -29,10 +30,18 @@ def main() -> None:
 
         # use_cache=False: the point of this table is the *cold* preparation
         # cost per tier; a plan-cache hit would report 0 for those phases.
-        bytecode = db.execute(sql, mode="bytecode", use_cache=False)
-        unoptimized = db.execute(sql, mode="unoptimized", use_cache=False)
-        optimized = db.execute(sql, mode="optimized", use_cache=False)
-        adaptive = db.execute(sql, mode="adaptive", use_cache=False)
+        bytecode = db.execute(sql,
+                              options=ExecOptions(mode="bytecode",
+                                                  use_cache=False))
+        unoptimized = db.execute(sql,
+                                 options=ExecOptions(mode="unoptimized",
+                                                     use_cache=False))
+        optimized = db.execute(sql,
+                               options=ExecOptions(mode="optimized",
+                                                   use_cache=False))
+        adaptive = db.execute(sql,
+                              options=ExecOptions(mode="adaptive",
+                                                  use_cache=False))
 
         print(f"{num_aggregates:>10} {bytecode.ir_instructions:>9} | "
               f"{bytecode.timings.compile * 1000:>11.1f} ms "

@@ -62,7 +62,7 @@ def main() -> None:
     # --- one query, every execution strategy -------------------------------
     for mode in ("adaptive", "bytecode", "unoptimized", "optimized",
                  "volcano", "vectorized"):
-        result = db.execute(sql, mode=mode)
+        result = db.execute(sql, options=ExecOptions(mode=mode))
         timings = result.timings
         print(f"[{mode:>11}] total={timings.total * 1000:7.2f} ms  "
               f"(plan {timings.planning * 1000:5.2f}, "
@@ -70,7 +70,7 @@ def main() -> None:
               f"compile {timings.compile * 1000:6.2f}, "
               f"execute {timings.execution * 1000:6.2f})")
 
-    result = db.execute(sql, mode="adaptive")
+    result = db.execute(sql, options=ExecOptions(mode="adaptive"))
     print("\nresult rows:")
     for row in result.rows:
         segment, count, revenue, avg_order = row
@@ -84,7 +84,7 @@ def main() -> None:
     # code generation entirely and reuse the compiled tiers, so only the
     # execution phase remains -- the hot path for repeated query traffic.
     prepared = db.prepare_query(sql)
-    rerun = prepared.execute(mode="optimized")
+    rerun = prepared.execute(options=ExecOptions(mode="optimized"))
     print(f"\nprepared re-execution (optimized): "
           f"plan+codegen {1000 * (rerun.timings.planning + rerun.timings.codegen):.2f} ms, "
           f"compile {rerun.timings.compile * 1000:.2f} ms, "
@@ -162,7 +162,8 @@ def main() -> None:
     # observed cardinalities and timings; it works in all execution modes
     # and through every entry point (execute, submit, sessions).
     print("\nEXPLAIN ANALYZE:")
-    analyzed = db.execute(f"explain analyze {sql}", mode="adaptive")
+    analyzed = db.execute(f"explain analyze {sql}",
+                          options=ExecOptions(mode="adaptive"))
     for (line,) in analyzed.rows:
         print(f"  {line}")
 

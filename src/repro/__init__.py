@@ -7,13 +7,13 @@ This package reproduces the system described in
 
 The public entry point is :class:`repro.Database`:
 
-    >>> from repro import Database, SQLType
+    >>> from repro import Database, ExecOptions, SQLType
     >>> db = Database()
     >>> db.create_table("t", [("a", SQLType.INT64), ("b", SQLType.INT64)])
     >>> db.insert("t", [(1, 10), (2, 20), (3, 30)])
     3
     >>> result = db.execute("select sum(b) as total from t where a >= 2",
-    ...                     mode="adaptive")
+    ...                     options=ExecOptions(mode="adaptive"))
     >>> result.rows
     [(50,)]
 

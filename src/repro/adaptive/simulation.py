@@ -30,6 +30,7 @@ from typing import Optional
 
 from ..backend.cost_model import CostModel, TierEstimate, default_cost_model
 from ..errors import AdaptiveError
+from ..options import ExecOptions
 from .modes import ExecutionMode
 from .policy import AdaptivePolicy, Decision
 from .trace import ExecutionTrace, TraceEvent
@@ -96,7 +97,8 @@ def profile_query(database, sql: str, label: str = "",
         # use_cache=False: a plan-cache hit reports 0 for the planning,
         # codegen and compile phases, which are exactly the quantities the
         # simulator needs measured cold.
-        result = database.execute(sql, mode=tier, threads=1, use_cache=False)
+        result = database.execute(sql, options=ExecOptions(
+            mode=tier, threads=1, use_cache=False))
         runs[tier] = result
         planning_seconds = result.timings.planning
         codegen_seconds = result.timings.codegen

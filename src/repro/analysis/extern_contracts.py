@@ -20,9 +20,8 @@ This module verifies every generated module against the declared
   threaded ``state``) as their first call operand, by identity,
 * the bound Python implementation positionally accepts the declared arity
   (via :func:`inspect.signature`),
-* the implementation's closure/code only references lock-like names when
-  the contract grants ``may_lock`` (the fallback-path aggregate update and
-  row emission are the only sanctioned lock takers).
+* the implementation's closure/code references no lock-like name: no
+  extern may synchronise on the per-tuple path.
 
 :func:`check_extern_contracts` returns findings for tests and tooling;
 :func:`verify_extern_contracts` raises :class:`repro.errors.CodegenError`
@@ -44,9 +43,6 @@ from ..ir.types import ptr
 
 #: Substrings that mark a code-object name as referring to a lock.
 _LOCK_NAME = re.compile(r"lock|mutex|semaphore|rlock", re.IGNORECASE)
-#: Lock-related names the ``may_lock`` contracts are allowed to reference:
-#: the counted fallback lock itself plus its acquisition counter.
-_SANCTIONED_LOCK = re.compile(r"fallback_lock|lock_acquisitions")
 
 
 @dataclass(frozen=True)
@@ -149,7 +145,7 @@ def _check_declaration(callee: ExternFunction, contract: ExternContract,
         return findings
 
     findings.extend(_check_impl_arity(callee, impl, function_name))
-    findings.extend(_check_impl_locks(callee, contract, impl, function_name))
+    findings.extend(_check_impl_locks(callee, impl, function_name))
     return findings
 
 
@@ -194,8 +190,8 @@ def _iter_code_objects(impl):
                 stack.append(const)
 
 
-def _check_impl_locks(callee: ExternFunction, contract: ExternContract,
-                      impl, function_name: str) -> list:
+def _check_impl_locks(callee: ExternFunction, impl,
+                      function_name: str) -> list:
     lockish: set = set()
     for code in _iter_code_objects(impl):
         for name in (*code.co_freevars, *code.co_names):
@@ -215,20 +211,10 @@ def _check_impl_locks(callee: ExternFunction, contract: ExternContract,
                 lockish.add(name)
     if not lockish:
         return []
-    if not contract.may_lock:
-        return [ContractFinding(
-            "lock", callee.name, function_name,
-            f"implementation references lock-like name(s) "
-            f"{sorted(lockish)} but its contract does not grant may_lock")]
-    unsanctioned = {name for name in lockish
-                    if not _SANCTIONED_LOCK.search(name)}
-    if unsanctioned:
-        return [ContractFinding(
-            "lock", callee.name, function_name,
-            f"may_lock extern references unsanctioned lock name(s) "
-            f"{sorted(unsanctioned)} (only the counted fallback lock is "
-            f"allowed)")]
-    return []
+    return [ContractFinding(
+        "lock", callee.name, function_name,
+        f"implementation references lock-like name(s) {sorted(lockish)}; "
+        f"runtime externs must stay lock-free")]
 
 
 # --------------------------------------------------------------------------- #

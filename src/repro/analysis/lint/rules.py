@@ -18,8 +18,6 @@ from . import Finding, Rule
 
 #: Names that refer to a lock (locals, attributes, freevars).
 _LOCK_NAME = re.compile(r"lock|mutex|semaphore", re.IGNORECASE)
-#: The single sanctioned lock of the codegen'd fallback path.
-_SANCTIONED = re.compile(r"fallback_lock")
 #: Attributes holding per-chunk columnar storage (sealed once published).
 _CHUNK_ATTR = re.compile(r"(^|_)(chunks|zone_maps|numpy_chunks)$")
 #: List/dict mutator method names.
@@ -207,14 +205,12 @@ class HotPathLockRule(Rule):
     """Codegen'd runtime externs (``rt_*``) must not acquire locks.
 
     The morsel hot path calls these once per tuple; the partitioned-breaker
-    design (PR 5 onward) exists so they never synchronise.  The single
-    counted ``fallback_lock`` of the non-partitioned escape hatch is the
-    one sanctioned exception.
+    design (PR 5 onward) exists so they never synchronise.  There is no
+    exception.
     """
 
     rule_id = "hot-path-lock"
-    description = ("no lock acquisition inside rt_* runtime externs "
-                   "(fallback_lock excepted)")
+    description = "no lock acquisition inside rt_* runtime externs"
 
     def check(self, tree: ast.Module, source: str) -> Iterator[Finding]:
         extern_names = _extern_function_names(tree)
@@ -232,13 +228,12 @@ class HotPathLockRule(Rule):
             if isinstance(node, ast.With):
                 for item in node.items:
                     expr = item.context_expr
-                    if _is_lock_expr(expr) and not _sanctioned(expr):
+                    if _is_lock_expr(expr):
                         offender = f"with {ast.unparse(expr)}:"
             elif (isinstance(node, ast.Call)
                   and isinstance(node.func, ast.Attribute)
                   and node.func.attr == "acquire"
-                  and _is_lock_expr(node.func.value)
-                  and not _sanctioned(node.func.value)):
+                  and _is_lock_expr(node.func.value)):
                 offender = f"{ast.unparse(node.func)}()"
             elif (isinstance(node, ast.Call)
                   and _terminal_name(node.func) in ("Lock", "RLock",
@@ -250,11 +245,6 @@ class HotPathLockRule(Rule):
                     node, f"lock use inside runtime extern "
                           f"{function.name}(): {offender} — hot-path "
                           f"externs must stay lock-free")
-
-
-def _sanctioned(node: ast.AST) -> bool:
-    name = _terminal_name(node)
-    return name is not None and bool(_SANCTIONED.search(name))
 
 
 def _extern_function_names(tree: ast.Module) -> set:

@@ -59,7 +59,8 @@ def evaluate_expression(expr: TypedExpression, row: dict, params=()):
         return params[expr.index]
     if isinstance(expr, ColumnExpr):
         value = row[(expr.binding, expr.column)]
-        if expr.storage_type is SQLType.DECIMAL:
+        # ``None`` is the NULL padding of an unmatched LEFT JOIN row.
+        if expr.storage_type is SQLType.DECIMAL and value is not None:
             return value * 0.01
         return value
     if isinstance(expr, ArithmeticExpr):
@@ -165,6 +166,9 @@ def evaluate_expression_vectorized(expr: TypedExpression,
     if isinstance(expr, ColumnExpr):
         values = columns[(expr.binding, expr.column)]
         if expr.storage_type is SQLType.DECIMAL:
+            if values.dtype == object:  # NULL-padded LEFT JOIN payload
+                return np.asarray([None if value is None else value * 0.01
+                                   for value in values], dtype=object)
             return values * 0.01
         return values
     if isinstance(expr, ArithmeticExpr):

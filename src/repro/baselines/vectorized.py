@@ -11,10 +11,11 @@ key vectors at once (factorise both sides over a shared vocabulary, sort
 the build side, ``searchsorted`` the probe side, then expand matches with
 ``repeat``/``cumsum`` arithmetic), and GROUP BY -- including multi-key
 grouping and MIN/MAX -- reduces via integer group codes, ``bincount`` and
-``reduceat`` over the chunk-cached numpy columns.  ``use_batch_kernels=
-False`` keeps the historical row-at-a-time dict loops for comparison (the
-pipeline-breaker benchmark asserts the batch kernels' speedup against it);
-results are identical, including the ascending group-key order.
+``reduceat`` over the chunk-cached numpy columns.  Where the data rules a
+kernel out -- a key domain too wide for int64 codes, NaN keys, NaN or
+object-typed MIN/MAX arguments -- the same operator falls back to a
+row-at-a-time loop with identical results, including the ascending
+group-key order.
 """
 
 from __future__ import annotations
@@ -53,10 +54,9 @@ def _has_nan(vector) -> bool:
     """Whether a float key vector contains NaN.
 
     ``np.unique`` over codes would collapse NaNs to one key, so NaN-bearing
-    key vectors take the row-at-a-time fallback instead -- keeping the
-    batch kernels output-identical to the legacy path on every input.
+    key vectors take the row-at-a-time fallback instead.
     (NaN *semantics* remain this engine's historical ones: NaN join keys
-    never match, and the single-key legacy grouping path itself groups
+    never match, and the single-key row-at-a-time grouping itself groups
     NaNs via ``np.unique``.  The dict-based engines resolve NaN keys by
     object identity, so exact cross-engine NaN-key agreement is not a
     guarantee anywhere -- see DESIGN.md.)
@@ -154,17 +154,9 @@ def _batch_match(build_codes, probe_codes):
 class VectorizedEngine:
     """Column-at-a-time execution of pipeline plans."""
 
-    def __init__(self, catalog: Catalog, use_pruning: bool = True,
-                 use_batch_kernels: bool = True,
-                 use_topk_breaker: bool = True):
+    def __init__(self, catalog: Catalog, use_pruning: bool = True):
         self.catalog = catalog
         self.use_pruning = use_pruning
-        #: ``False`` restores the historical row-at-a-time dict loops for
-        #: join build/probe and grouping (benchmark reference path).
-        self.use_batch_kernels = use_batch_kernels
-        #: ``False`` disables the batch top-k candidate preselection for
-        #: ORDER BY + LIMIT queries (sort-then-slice reference path).
-        self.use_topk_breaker = use_topk_breaker
         #: True when a LIMIT quota truncated the output scan early.
         self.early_terminated = False
         #: Zone-map pruning counters of the last execution.
@@ -309,26 +301,13 @@ class VectorizedEngine:
                 key, columns, num_rows, self._params))
                 for key in sink.build_keys]
 
-        if self.use_batch_kernels:
-            # Batch build: the "hash table" is just the materialised key
-            # vectors; matching happens wholesale at probe time.
-            return ("batch", (key_vectors, num_rows), payload_arrays,
-                    list(sink.payload_columns))
-
-        key_to_rows: dict = {}
-        if len(key_vectors) == 1:
-            keys = key_vectors[0]
-            for row in range(num_rows):
-                key_to_rows.setdefault(keys[row], []).append(row)
-        else:
-            for row in range(num_rows):
-                key = tuple(vector[row] for vector in key_vectors)
-                key_to_rows.setdefault(key, []).append(row)
-        return ("rows", key_to_rows, payload_arrays,
+        # The "hash table" is just the materialised key vectors; matching
+        # happens wholesale at probe time.
+        return (key_vectors, num_rows, payload_arrays,
                 list(sink.payload_columns))
 
     def _probe(self, operator: PhysHashProbe, columns, num_rows, hash_tables):
-        kind, keys_or_table, payload_arrays, payload_columns = \
+        build_vectors, build_rows, payload_arrays, payload_columns = \
             hash_tables[operator.join_id]
         probe_rows = num_rows
 
@@ -336,28 +315,22 @@ class VectorizedEngine:
             key, columns, num_rows, self._params))
             for key in operator.probe_keys]
 
-        if kind == "batch":
-            build_vectors, build_rows = keys_or_table
-            if not key_vectors:
-                # Key-less (cross) join: every probe row matches every
-                # build row, in build order -- like probing key ().
-                probe_idx = np.repeat(np.arange(num_rows, dtype=np.int64),
-                                      build_rows)
-                build_idx = np.tile(np.arange(build_rows, dtype=np.int64),
-                                    num_rows)
-            else:
-                build_codes, probe_codes = _factorize_pair(build_vectors,
-                                                           key_vectors)
-                if build_codes is not None:
-                    probe_idx, build_idx = _batch_match(build_codes,
-                                                        probe_codes)
-                else:
-                    # Key domain too wide for int64 codes: row-at-a-time.
-                    probe_idx, build_idx = self._match_rows_fallback(
-                        build_vectors, key_vectors, num_rows)
+        if not key_vectors:
+            # Key-less (cross) join: every probe row matches every build
+            # row, in build order -- like probing key ().
+            probe_idx = np.repeat(np.arange(num_rows, dtype=np.int64),
+                                  build_rows)
+            build_idx = np.tile(np.arange(build_rows, dtype=np.int64),
+                                num_rows)
         else:
-            probe_idx, build_idx = self._match_rows(keys_or_table,
-                                                    key_vectors, num_rows)
+            build_codes, probe_codes = _factorize_pair(build_vectors,
+                                                       key_vectors)
+            if build_codes is not None:
+                probe_idx, build_idx = _batch_match(build_codes, probe_codes)
+            else:
+                # Key domain too wide for int64 codes, or NaN keys.
+                probe_idx, build_idx = self._match_rows_fallback(
+                    build_vectors, key_vectors, num_rows)
 
         joined = {key: values[probe_idx] if len(probe_idx) else values[:0]
                   for key, values in columns.items()}
@@ -413,8 +386,18 @@ class VectorizedEngine:
         return joined, num_rows + len(unmatched)
 
     @staticmethod
-    def _match_rows(key_to_rows: dict, key_vectors, num_rows):
-        """Row-at-a-time probe against a build-side dict (legacy path)."""
+    def _match_rows_fallback(build_vectors, key_vectors, num_rows):
+        """Dict-based matching when batch codes are ruled out."""
+        key_to_rows: dict = {}
+        build_rows = len(build_vectors[0]) if build_vectors else 0
+        if len(build_vectors) == 1:
+            keys = build_vectors[0]
+            for row in range(build_rows):
+                key_to_rows.setdefault(keys[row], []).append(row)
+        else:
+            for row in range(build_rows):
+                key = tuple(vector[row] for vector in build_vectors)
+                key_to_rows.setdefault(key, []).append(row)
         probe_indices: list[int] = []
         build_indices: list[int] = []
         if len(key_vectors) == 1:
@@ -433,21 +416,6 @@ class VectorizedEngine:
                     build_indices.extend(matches)
         return (np.asarray(probe_indices, dtype=np.int64),
                 np.asarray(build_indices, dtype=np.int64))
-
-    @classmethod
-    def _match_rows_fallback(cls, build_vectors, key_vectors, num_rows):
-        """Dict-based matching when batch codes would overflow."""
-        key_to_rows: dict = {}
-        build_rows = len(build_vectors[0]) if build_vectors else 0
-        if len(build_vectors) == 1:
-            keys = build_vectors[0]
-            for row in range(build_rows):
-                key_to_rows.setdefault(keys[row], []).append(row)
-        else:
-            for row in range(build_rows):
-                key = tuple(vector[row] for vector in build_vectors)
-                key_to_rows.setdefault(key, []).append(row)
-        return cls._match_rows(key_to_rows, key_vectors, num_rows)
 
     # ------------------------------------------------------------------ #
     # aggregation
@@ -481,9 +449,7 @@ class VectorizedEngine:
                                                    num_rows, self._params)))
 
         if sink.group_by:
-            grouped = None
-            if self.use_batch_kernels:
-                grouped = self._group_batch(group_vectors, num_rows)
+            grouped = self._group_batch(group_vectors, num_rows)
             if grouped is None:
                 grouped = self._group_rows(group_vectors, num_rows)
             key_columns, inverse, num_groups = grouped
@@ -542,7 +508,8 @@ class VectorizedEngine:
 
     @staticmethod
     def _group_rows(group_vectors, num_rows):
-        """Row-at-a-time grouping over object tuples (legacy path)."""
+        """Row-at-a-time grouping over object tuples (when integer codes
+        are ruled out)."""
         if len(group_vectors) == 1:
             unique_keys, inverse = np.unique(group_vectors[0],
                                              return_inverse=True)
@@ -563,8 +530,7 @@ class VectorizedEngine:
         argument = np.asarray(argument)
         # NaN arguments take the row loop: ``reduceat`` would propagate NaN
         # while Python's min/max keeps the first non-NaN comparison winner.
-        if self.use_batch_kernels and argument.dtype != object \
-                and not _has_nan(argument):
+        if argument.dtype != object and not _has_nan(argument):
             # Scatter-free reduction: sort rows by group, reduce each
             # contiguous segment (every group has at least one member).
             order = np.argsort(inverse, kind="stable")
@@ -601,7 +567,7 @@ class VectorizedEngine:
                     self.early_terminated = True
                     vectors = [vector[:remaining] for vector in vectors]
                     num_rows = remaining
-            elif self.use_topk_breaker and 0 < limit < num_rows:
+            elif 0 < limit < num_rows:
                 selected = self._topk_candidates(sink, vectors, num_rows,
                                                  limit)
                 if selected is not None:

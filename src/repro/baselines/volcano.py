@@ -68,22 +68,16 @@ class VolcanoEngine:
     runtime: build and aggregate rows accumulate into hash-partitioned
     partials, a merge step seals the partition tables, and probes read the
     sealed partitions -- the same lifecycle the worker contexts follow,
-    with a single (the calling) worker.  ``use_partitioned_breakers=False``
-    is the single-table path (one partition, no separate merge step).
+    with a single (the calling) worker.
     """
 
     def __init__(self, catalog: Catalog, use_pruning: bool = True,
-                 breaker_partitions: int = 1,
-                 use_partitioned_breakers: bool = True,
-                 use_topk_breaker: bool = True):
+                 breaker_partitions: int = 1):
         self.catalog = catalog
         self.use_pruning = use_pruning
-        self.use_topk_breaker = use_topk_breaker
         #: True when a LIMIT quota stopped the output scan early.
         self.early_terminated = False
-        self._partitions = (round_up_pow2(breaker_partitions)
-                            if use_partitioned_breakers else 1)
-        self.use_partitioned_breakers = use_partitioned_breakers
+        self._partitions = round_up_pow2(breaker_partitions)
         #: Zone-map pruning counters of the last execution.
         self.chunks_pruned = 0
         self.chunks_scanned = 0
@@ -235,17 +229,19 @@ class VolcanoEngine:
                 payload = tuple(row[(c.binding, c.column)]
                                 for c in sink.payload_columns)
                 partial[hash(key) & mask].setdefault(key, []).append(payload)
-        if self.use_partitioned_breakers:
-            self.breaker_partitions_used = count
-            self.breaker_partial_entries += sum(len(p) for p in partial)
-            start = time.perf_counter()
-            sealed: list[dict] = [{} for _ in range(count)]
-            for index in range(count):
-                merge_join_partition(sealed[index], [partial[index]])
-            self.breaker_merge_seconds += time.perf_counter() - start
-            hash_tables[sink.join_id] = sealed
-        else:
-            hash_tables[sink.join_id] = partial
+        hash_tables[sink.join_id] = self._seal(partial, merge_join_partition)
+
+    def _seal(self, partial: list[dict], merge_partition) -> list[dict]:
+        """The merge step: fold the (single worker's) partials into fresh
+        sealed partition tables via ``merge_partition(target, partials)``."""
+        self.breaker_partitions_used = len(partial)
+        self.breaker_partial_entries += sum(len(part) for part in partial)
+        start = time.perf_counter()
+        sealed: list[dict] = [{} for _ in partial]
+        for target, part in zip(sealed, partial):
+            merge_partition(target, [part])
+        self.breaker_merge_seconds += time.perf_counter() - start
+        return sealed
 
     def _run_aggregate(self, pipeline: Pipeline, sink: AggregateSink,
                        hash_tables: dict, intermediates: dict) -> None:
@@ -279,16 +275,9 @@ class VolcanoEngine:
                         if cells[index] is None or value > cells[index]:
                             cells[index] = value
 
-        if self.use_partitioned_breakers:
-            self.breaker_partitions_used = count
-            self.breaker_partial_entries += sum(len(p) for p in partial)
-            start = time.perf_counter()
-            sealed: list[dict] = [{} for _ in range(count)]
-            for index in range(count):
-                merge_agg_partition(specs, sealed[index], [partial[index]])
-            self.breaker_merge_seconds += time.perf_counter() - start
-        else:
-            sealed = partial
+        sealed = self._seal(
+            partial, lambda target, parts: merge_agg_partition(
+                specs, target, parts))
 
         items: list = []
         for part in sealed:
@@ -320,8 +309,8 @@ class VolcanoEngine:
                     hash_tables: dict, intermediates: dict,
                     output_rows: list) -> None:
         limit = resolve_limit(sink.limit, self._params)
-        use_topk = (self.use_topk_breaker and limit is not None
-                    and bool(sink.order_by) and not sink.distinct)
+        use_topk = (limit is not None and bool(sink.order_by)
+                    and not sink.distinct)
         early_limit = (limit if limit is not None and not sink.order_by
                        and not sink.distinct else None)
         key_fn = make_sort_key_fn(sink) if use_topk else None

@@ -226,6 +226,31 @@ def normalize_sql(sql: str) -> str:
     return "".join(out)
 
 
+def _hint_type_tag(hints: list) -> str:
+    """Cache-key suffix encoding the natural types of auto-param literals."""
+    codes = {int: "i", float: "f", str: "s"}
+    return "#" + "".join(codes.get(type(hint), "x") for hint in hints)
+
+
+def plan_cache_key(sql: str, parameter_hints: Optional[list] = None) -> str:
+    """The plan-cache key of one statement.
+
+    Normalized SQL, plus -- for an auto-parameterized statement -- the
+    natural types of the extracted literals (``parameter_hints``).  The
+    entry's parameter types were inferred from the first-seen constants,
+    so ``a = 2`` and ``a = 2.5`` must land on *separate* entries: an
+    INT64-typed plan bound with 2.5 would silently diverge from the
+    literal form.  Same-typed constants (the common case) still collide
+    on one entry.  The key is also the first component of the
+    statement's result-cache keys, which is what keeps ``a = 2`` and
+    ``a = 2.0`` on separate cached results.
+    """
+    key = normalize_sql(sql)
+    if parameter_hints is not None:
+        key += _hint_type_tag(parameter_hints)
+    return key
+
+
 @dataclass
 class CacheStats:
     """Counters of one :class:`PlanCache` instance."""

@@ -36,6 +36,7 @@ import queue
 import socket
 import struct
 import threading
+import time
 from typing import Optional
 
 from .errors import (AuthenticationError, ProtocolError, QueryCancelledError,
@@ -113,6 +114,13 @@ class PendingResult:
         self._value = None
         self._error: Optional[BaseException] = None
         self._consumed = False
+        # What the stream delivered so far.  Kept here, not in locals of
+        # one ``result`` call, so a call that times out mid-stream leaves
+        # the next call everything it already took out of the mailbox.
+        self._names: list = []
+        self._types: list = []
+        self._rows: list = []
+        self._results: list = []
 
     @property
     def request_id(self) -> int:
@@ -124,8 +132,9 @@ class PendingResult:
         them, one per binding).
 
         Raises the typed error for ERROR frames; raises ``TimeoutError``
-        when no terminal frame arrives within ``timeout`` seconds (the
-        stream keeps accumulating; call ``result`` again to re-wait).
+        when the terminal frame has not arrived ``timeout`` seconds after
+        this call started (frames consumed so far are kept; call
+        ``result`` again to re-wait).
         """
         if not self._consumed:
             self._consume(timeout)
@@ -134,13 +143,12 @@ class PendingResult:
         return self._value
 
     def _consume(self, timeout: Optional[float]) -> None:
-        names: list = []
-        types: list = []
-        rows: list = []
-        results: list = []
+        deadline = None if timeout is None else time.monotonic() + timeout
         while True:
             try:
-                frame = self._pending.frames.get(timeout=timeout)
+                frame = self._pending.frames.get(
+                    timeout=None if deadline is None
+                    else max(deadline - time.monotonic(), 0.0))
             except queue.Empty:
                 raise TimeoutError(
                     f"no response for request {self.request_id} within "
@@ -149,27 +157,29 @@ class PendingResult:
                 self._error = frame
                 break
             if isinstance(frame, protocol.RowBatch):
-                if frame.rows and len(frame.rows[0]) != len(names):
+                if frame.rows and len(frame.rows[0]) != len(self._names):
                     self._error = ProtocolError(
                         f"ROW_BATCH carries {len(frame.rows[0])} column(s), "
-                        f"its ROW_HEADER announced {len(names)}")
+                        f"its ROW_HEADER announced {len(self._names)}")
                     break
-                rows.extend(frame.rows)
+                self._rows.extend(frame.rows)
             elif isinstance(frame, protocol.RowHeader):
-                names = frame.column_names
-                types = frame.column_types
+                self._names = frame.column_names
+                self._types = frame.column_types
             elif isinstance(frame, protocol.BatchDone) and self._batched:
-                results.append(ClientResult(names, types, rows, frame))
-                rows = []
+                self._results.append(ClientResult(
+                    self._names, self._types, self._rows, frame))
+                self._rows = []
             elif isinstance(frame, protocol.Done):
                 if self._batched:
                     # The terminal frame carries batch-wide totals; stamp
                     # the fields every per-binding result shares.
-                    for result in results:
+                    for result in self._results:
                         result.mode = frame.mode
-                    self._value = results
+                    self._value = self._results
                 else:
-                    self._value = ClientResult(names, types, rows, frame)
+                    self._value = ClientResult(
+                        self._names, self._types, self._rows, frame)
                 break
             elif isinstance(frame, protocol.Error):
                 self._error = _error_from_frame(frame)

@@ -428,9 +428,9 @@ class CodeGenerator:
                    pipeline: Pipeline) -> None:
         sink = pipeline.sink
         # The worker function's ``state`` argument carries the per-worker
-        # breaker context (a WorkerContext, or None on the single-table
-        # fallback path); every sink call forwards it so partial state stays
-        # slot-local no matter which tier executes the call.
+        # breaker context (a WorkerContext); every sink call forwards it so
+        # partial state stays slot-local no matter which tier executes the
+        # call.
         context_arg = builder.function.args[0]
 
         if isinstance(sink, HashBuildSink):

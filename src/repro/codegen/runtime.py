@@ -23,17 +23,11 @@ context travels through the generated code as the worker function's ``state``
 argument, so every tier -- IR interpreter, bytecode VM and both compiled
 tiers -- threads it through unchanged, and a mid-pipeline tier switch simply
 keeps appending to the same slot-local partials.
-
-The escape hatch (``ExecOptions.use_partitioned_breakers=False``) restores
-the historical single-table path: workers receive ``None`` as their context
-and write straight into the sealed tables (aggregate read-modify-writes are
-then guarded by one counted fallback lock).
 """
 
 from __future__ import annotations
 
 import heapq
-import threading
 import time
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
@@ -153,8 +147,7 @@ class BreakerMergeStats:
     """Per-pipeline metrics of one partial-merge phase.
 
     ``partitions`` is the hash-partition count of the pipeline's breaker --
-    0 for output pipelines (their partials are unpartitioned row buffers)
-    and on the single-table fallback path (no partials exist at all).
+    0 for output pipelines (their partials are unpartitioned row buffers).
     """
 
     partitions: int = 0
@@ -189,24 +182,13 @@ class QueryState:
         #: over it), so it is updated in place via :meth:`set_params` and
         #: deliberately survives :meth:`reset`.
         self.params: list = [None] * len(getattr(plan, "parameters", ()))
-        #: Whether workers accumulate into per-slot partials (the default)
-        #: or write the sealed tables directly (the single-table fallback).
-        self.use_partitioned = True
         self._partition_count = 1
-        #: Single lock guarding aggregate read-modify-writes on the fallback
-        #: path only; the partitioned hot path never touches it.
-        self._fallback_lock = threading.Lock()
-        #: Number of fallback-lock acquisitions of the current execution
-        #: (always 0 for partitioned executions -- asserted by the
-        #: pipeline-breaker benchmark).
-        self.lock_acquisitions = 0
         #: Top-k breaker configuration of the current execution (set by
         #: :meth:`configure_output` after the LIMIT is resolved against the
         #: bound parameters): ``topk_k`` is the resolved k when the output
         #: sink runs as a bounded-heap breaker, else ``None`` (plain row
         #: collection).  ``topk_key_fn`` maps an emitted row to its total
-        #: ordering key; ``topk_entries`` collects the merged (or, on the
-        #: fallback path, directly maintained) heap entries.
+        #: ordering key; ``topk_entries`` collects the merged heap entries.
         self.topk_k: Optional[int] = None
         self.topk_key_fn: Optional[Callable] = None
         self.topk_entries: list = []
@@ -238,19 +220,15 @@ class QueryState:
         """Current number of breaker partitions (a power of two)."""
         return self._partition_count
 
-    def configure_breakers(self, partitions: Optional[int] = None,
-                           use_partitioned: bool = True) -> None:
+    def configure_breakers(self, partitions: Optional[int] = None) -> None:
         """Set this execution's breaker layout (before any pipeline runs).
 
         ``partitions`` is rounded up to a power of two (the partition index
-        is ``hash(key) & (count - 1)``).  ``use_partitioned=False`` selects
-        the single-table fallback, which forces one partition.  The sealed
-        partition *lists* keep their identity (generated code captured
-        them); only their contents are replaced.
+        is ``hash(key) & (count - 1)``).  The sealed partition *lists* keep
+        their identity (generated code captured them); only their contents
+        are replaced.
         """
-        count = 1 if not use_partitioned else round_up_pow2(partitions or 1)
-        self.use_partitioned = use_partitioned
-        self.lock_acquisitions = 0
+        count = round_up_pow2(partitions or 1)
         if count != self._partition_count:
             self._partition_count = count
             for parts in self.join_partitions.values():
@@ -258,23 +236,20 @@ class QueryState:
             for parts in self.agg_partitions.values():
                 parts[:] = [{} for _ in range(count)]
 
-    def configure_output(self, sink: OutputSink, use_topk: bool = True
-                         ) -> None:
+    def configure_output(self, sink: OutputSink) -> None:
         """Choose this execution's output-sink strategy (after parameters).
 
         Must run after :meth:`set_params` -- a ``LIMIT ?`` resolves against
         the bound values.  ORDER BY + LIMIT becomes a top-k breaker (bounded
-        per-slot heaps, unless ``use_topk`` is off); LIMIT alone arms the
-        early-termination quota.  DISTINCT disables both (deduplication
-        needs every row).
+        per-slot heaps); LIMIT alone arms the early-termination quota.
+        DISTINCT disables both (deduplication needs every row).
         """
         limit = resolve_limit(sink.limit, self.params)
         if limit is None or sink.distinct:
             return
         if sink.order_by:
-            if use_topk:
-                self.topk_k = limit
-                self.topk_key_fn = make_sort_key_fn(sink)
+            self.topk_k = limit
+            self.topk_key_fn = make_sort_key_fn(sink)
         else:
             self.early_limit = limit
 
@@ -359,9 +334,7 @@ class BreakerRun:
 
     Executors call :meth:`context` with the dense worker-slot id of each
     morsel (slots are exclusive, so the lazy creation is race-free) and
-    :meth:`merge` once after the last morsel.  With the partitioned path
-    disabled every slot gets ``None`` and the merge is a no-op -- workers
-    wrote the sealed tables directly.
+    :meth:`merge` once after the last morsel.
     """
 
     def __init__(self, state: QueryState, pipeline: Pipeline,
@@ -371,9 +344,7 @@ class BreakerRun:
         self.contexts: list[Optional[WorkerContext]] = \
             [None] * max(int(max_slots), 1)
 
-    def context(self, slot: int) -> Optional[WorkerContext]:
-        if not self.state.use_partitioned:
-            return None
+    def context(self, slot: int) -> WorkerContext:
         context = self.contexts[slot]
         if context is None:
             context = self.state.new_context(self.pipeline)
@@ -401,8 +372,7 @@ def merge_breaker_partials(state: QueryState, pipeline: Pipeline,
     stats = BreakerMergeStats()
     live = [context for context in contexts if context is not None]
     sink = pipeline.sink
-    if state.use_partitioned and isinstance(sink,
-                                            (HashBuildSink, AggregateSink)):
+    if isinstance(sink, (HashBuildSink, AggregateSink)):
         stats.partitions = state.partition_count
     start = time.perf_counter()
 
@@ -561,17 +531,12 @@ class QueryRuntime:
     # ---- hash joins ----------------------------------------------------- #
     def make_build_insert(self, join_id: int, num_keys: int,
                           num_payload: int) -> Callable:
-        """Closure inserting (key, payload) into the join partials.
+        """Closure inserting (key, payload) into the worker's join partials.
 
-        ``ctx`` is the worker's :class:`WorkerContext` (partitioned path) or
-        ``None`` (single-table fallback: insert straight into the sealed
-        partitions -- ``dict.setdefault`` / ``list.append`` are atomic under
-        the GIL, which is all the old shared-dict path relied on).
+        ``ctx`` is the worker's :class:`WorkerContext`.
         """
-        sealed = self.state.join_partitions[join_id]
-
         def insert_key(ctx, key, payload):
-            parts = sealed if ctx is None else ctx.joins[join_id]
+            parts = ctx.joins[join_id]
             part = parts[hash(key) & (len(parts) - 1)]
             bucket = part.get(key)
             if bucket is None:
@@ -645,14 +610,9 @@ class QueryRuntime:
         """Closure folding one row into the worker's aggregation partials.
 
         The accumulator layout per group is one cell per aggregate; AVG uses
-        a ``[sum, count]`` pair.  With a worker context the read-modify-write
-        touches only slot-private partials and needs no lock; the ``None``
-        fallback updates the sealed tables under the state's single counted
-        fallback lock.
+        a ``[sum, count]`` pair.  The read-modify-write touches only the
+        worker context's slot-private partials and needs no lock.
         """
-        state = self.state
-        sealed = state.agg_partitions[sink.agg_id]
-        fallback_lock = state._fallback_lock
         agg_id = sink.agg_id
         num_groups = len(sink.group_by)
         specs = list(sink.aggregates)
@@ -696,21 +656,12 @@ class QueryRuntime:
             else:
                 key = values[:num_groups]
             args = values[num_groups:]
-            if ctx is not None:
-                parts = ctx.aggs[agg_id]
-                part = parts[hash(key) & (len(parts) - 1)]
-                cells = part.get(key)
-                if cells is None:
-                    cells = part.setdefault(key, make_initial())
-                apply(cells, args)
-                return
-            with fallback_lock:
-                state.lock_acquisitions += 1
-                part = sealed[hash(key) & (len(sealed) - 1)]
-                cells = part.get(key)
-                if cells is None:
-                    cells = part.setdefault(key, make_initial())
-                apply(cells, args)
+            parts = ctx.aggs[agg_id]
+            part = parts[hash(key) & (len(parts) - 1)]
+            cells = part.get(key)
+            if cells is None:
+                cells = part.setdefault(key, make_initial())
+            apply(cells, args)
         update.__name__ = f"rt_agg_update_{sink.agg_id}"
         return update
 
@@ -780,13 +731,9 @@ class QueryRuntime:
         goes through the slot's bounded heap (push below k, displace the
         heap's worst row otherwise -- the hot path touches only slot-private
         state); with an early-termination quota armed a racy monotone
-        counter lets executors stop dispatching morsels.  The ``None``
-        context fallback maintains the shared heap under the counted
-        fallback lock.
+        counter lets executors stop dispatching morsels.
         """
         state = self.state
-        rows = state.output_rows
-        fallback_lock = state._fallback_lock
 
         def emit(ctx, *values):
             k = state.topk_k
@@ -794,25 +741,13 @@ class QueryRuntime:
                 if k == 0:
                     return
                 entry = _TopKEntry(state.topk_key_fn(values), values)
-                if ctx is None:
-                    with fallback_lock:
-                        state.lock_acquisitions += 1
-                        heap = state.topk_entries
-                        if len(heap) < k:
-                            heapq.heappush(heap, entry)
-                        elif entry.key < heap[0].key:
-                            heapq.heapreplace(heap, entry)
-                    return
                 heap = ctx.topk
                 if len(heap) < k:
                     heapq.heappush(heap, entry)
                 elif entry.key < heap[0].key:
                     heapq.heapreplace(heap, entry)
                 return
-            if ctx is None:
-                rows.append(values)
-            else:
-                ctx.rows.append(values)
+            ctx.rows.append(values)
             if state.early_limit is not None:
                 state.rows_emitted += 1
         emit.__name__ = "rt_emit_row"
@@ -904,15 +839,13 @@ class ExternContract:
     of ``None`` means unbounded).  ``is_sink`` marks externs that mutate
     per-worker breaker state and therefore must receive the worker
     function's threaded ``state`` argument first (the PR 5 invariant);
-    ``may_lock`` whitelists the two fallback-path externs that are allowed
-    to take the counted fallback lock; ``pure`` means the extern must be
-    declared side-effect free (and vice versa).
+    ``pure`` means the extern must be declared side-effect free (and vice
+    versa).  No extern may take a lock.
     """
 
     pattern: str
     description: str
     is_sink: bool = False
-    may_lock: bool = False
     pure: bool = False
     min_args: int = 0
     max_args: Optional[int] = None
@@ -926,9 +859,9 @@ EXTERN_CONTRACTS: tuple = (
     ExternContract(r"rt_build_insert_\d+", "hash-join build insert",
                    is_sink=True, min_args=2),
     ExternContract(r"rt_agg_update_\d+", "aggregate update",
-                   is_sink=True, may_lock=True, min_args=1),
+                   is_sink=True, min_args=1),
     ExternContract(r"rt_emit_row", "result row emission",
-                   is_sink=True, may_lock=True, min_args=1),
+                   is_sink=True, min_args=1),
     ExternContract(r"rt_probe_\d+", "hash-join probe",
                    pure=True, min_args=1),
     ExternContract(r"rt_match_count", "probe match count",

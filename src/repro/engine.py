@@ -18,14 +18,21 @@ Every :class:`QueryResult` carries a per-phase timing breakdown (parse,
 analysis, planning, code generation, compilation, execution), which is what
 the Table I / Fig. 1 / Fig. 3 reproductions report.
 
-Repeated queries are served from a plan/artifact cache: ``execute`` looks up
-the normalized SQL in an LRU :class:`repro.cache.PlanCache` of
-:class:`repro.prepared.PreparedQuery` entries, so re-executions skip
-parse/bind/plan/codegen entirely and reuse bytecode translations and
-compiled tiers.  ``prepare_query`` exposes the same machinery explicitly;
-``use_cache=False`` bypasses it for cold-path measurements.  Entries are
-invalidated through the catalog's per-table version counters (bumped by
-``insert`` and DDL).
+There is one request path.  ``execute`` is a one-binding ``execute_many``;
+both resolve their :class:`repro.ExecOptions` and hand the statement and
+its bindings to :meth:`Database._run`, which validates once, picks the
+engine or the baseline executor, and records telemetry.  ``submit`` /
+``submit_many`` (scheduler), the wire server and EXPLAIN ANALYZE are thin
+adapters over the same two calls.
+
+Repeated queries are served from a plan/artifact cache: the engine path
+looks up the statement's :func:`repro.cache.plan_cache_key` in an LRU
+:class:`repro.cache.PlanCache` of :class:`repro.prepared.PreparedQuery`
+entries, so re-executions skip parse/bind/plan/codegen entirely and reuse
+bytecode translations and compiled tiers.  ``prepare_query`` exposes the
+same machinery explicitly; ``ExecOptions(use_cache=False)`` bypasses it
+for cold-path measurements.  Entries are invalidated through the catalog's
+per-table version counters (bumped by ``insert`` and DDL).
 
 Concurrent serving goes through :mod:`repro.scheduler`: a database owns one
 shared :class:`~repro.scheduler.WorkerPool` (all parallel executions draw
@@ -41,19 +48,19 @@ from __future__ import annotations
 
 import threading
 import time
-from dataclasses import dataclass, field, replace
-from typing import Optional, Sequence
+from dataclasses import dataclass, field
+from typing import Callable, Optional
 
-from .cache import PlanCache, auto_parameterize_sql, normalize_sql
+from .cache import PlanCache, auto_parameterize_sql, plan_cache_key
 from .result_cache import ResultCache, result_cache_key
 from .catalog import Catalog
-from .codegen import CodeGenerator, GeneratedQuery, QueryRuntime, QueryState
-from .errors import ExecutionError, ReproError, SchedulerError
+from .codegen import CodeGenerator, GeneratedQuery, QueryState
+from .errors import ExecutionError, SchedulerError
 from .options import ExecOptions
 from .optimizer import Planner, PlanningResult
 from .parameters import bind_parameter_values
-from .plan.physical import AggregateSink, HashBuildSink, OutputSink
-from .plan.sargs import plan_pipeline_scan
+from .plan.physical import AggregateSink, HashBuildSink, OutputSink, \
+    TableSource
 from .telemetry import (MetricsRegistry, QueryTelemetry, TELEMETRY_LEVELS,
                         build_explain_analyze, build_explain_plan,
                         split_explain)
@@ -64,7 +71,7 @@ from .sqlparser import parse
 from .types import SQLType, decode_internal_rows
 from .vm import IRInterpreter, VirtualMachine, translate_function
 from .backend import compile_function
-from .codegen.runtime import BreakerRun, round_up_pow2, strip_sort_keys
+from .codegen.runtime import round_up_pow2, strip_sort_keys
 
 #: Execution modes backed by the compiled-query engine.
 ENGINE_MODES = ("ir-interp", "bytecode", "unoptimized", "optimized",
@@ -75,11 +82,6 @@ BASELINE_MODES = ("volcano", "vectorized")
 #: Default morsel size (tuples per work unit), as in the paper (~10k).
 DEFAULT_MORSEL_SIZE = 10_000
 
-
-def _hint_type_tag(hints: list) -> str:
-    """Cache-key suffix encoding the natural types of auto-param literals."""
-    codes = {int: "i", float: "f", str: "s"}
-    return "#" + "".join(codes.get(type(hint), "x") for hint in hints)
 
 #: Default worker-pool size of a database (shared by all its queries).
 DEFAULT_WORKERS = 4
@@ -105,12 +107,12 @@ class PhaseTimings:
     chunks_pruned: int = 0
     chunks_scanned: int = 0
     #: Pipeline-breaker metrics: hash partitions per breaker, total partial
-    #: entries across worker contexts before merging, wall-clock seconds of
-    #: the merge phases (part of :attr:`execution`, broken out here) and
-    #: fallback-lock acquisitions (0 whenever the partitioned path ran).
+    #: entries across worker contexts before merging and wall-clock seconds
+    #: of the merge phases (part of :attr:`execution`, broken out here).
     breaker_partitions: int = 0
     breaker_partials: int = 0
     breaker_merge: float = 0.0
+    #: Constant 0; sole reader: harness/layers.py ``runtime.breaker_locks``.
     breaker_locks: int = 0
 
     @property
@@ -140,8 +142,8 @@ class PipelineExecution:
     mode_history: list[str] = field(default_factory=list)
     ir_instructions: int = 0
     #: Breaker metrics of this pipeline.  ``breaker_partitions`` is the
-    #: hash-partition count of a partitioned join-build/aggregate breaker
-    #: (0 for output pipelines and on the single-table fallback path);
+    #: hash-partition count of a join-build/aggregate breaker (0 for output
+    #: pipelines);
     #: ``breaker_partial_entries`` counts entries across all worker
     #: partials before the merge (buffered rows for output pipelines).
     breaker_partitions: int = 0
@@ -210,7 +212,6 @@ class QueryResult:
             "breaker_partitions": self.timings.breaker_partitions,
             "breaker_partial_entries": self.timings.breaker_partials,
             "breaker_merge_seconds": self.timings.breaker_merge,
-            "breaker_lock_acquisitions": self.timings.breaker_locks,
             "limit_early_terminated": self.early_terminated,
         }
 
@@ -228,6 +229,30 @@ class QueryResult:
 
     def __iter__(self):
         return iter(self.rows)
+
+
+def referenced_tables(planning: PlanningResult) -> frozenset[str]:
+    """The lower-cased names of all base tables a physical plan reads."""
+    names = set()
+    for pipeline in planning.physical.pipelines:
+        source = pipeline.source
+        if isinstance(source, TableSource):
+            names.add(source.table.name.lower())
+    return frozenset(names)
+
+
+def _share_result(result: QueryResult) -> QueryResult:
+    """A result sharing another's rows (deduplicated batch binding)."""
+    shared = QueryResult(
+        column_names=list(result.column_names),
+        column_types=list(result.column_types),
+        rows=list(result.rows),
+        mode=result.mode,
+        timings=PhaseTimings(),
+        early_terminated=result.early_terminated)
+    shared.cached = True
+    shared.cache_source = "result"
+    return shared
 
 
 class Database:
@@ -375,12 +400,8 @@ class Database:
                     max_pending=self._max_pending)
             return self._scheduler
 
-    def submit(self, sql: str, mode: Optional[str] = None,
-               threads: Optional[int] = None,
-               collect_trace: Optional[bool] = None,
-               use_cache: Optional[bool] = None,
-               session: Optional[Session] = None, block: bool = True,
-               timeout: Optional[float] = None,
+    def submit(self, sql: str, session: Optional[Session] = None,
+               block: bool = True, timeout: Optional[float] = None,
                options: Optional[ExecOptions] = None,
                params=None) -> QueryTicket:
         """Submit ``sql`` for asynchronous execution.
@@ -390,27 +411,19 @@ class Database:
         query runs on the shared worker pool once admission control lets it
         through; ``block`` / ``timeout`` govern what happens while the
         bounded admission queue is full.  ``options`` carries the execution
-        options (legacy keywords override it); ``params`` supplies bind
-        parameter values.
+        options; ``params`` supplies bind parameter values.
         """
         return self.scheduler.submit(
-            sql, mode=mode, threads=threads, collect_trace=collect_trace,
-            use_cache=use_cache, session=session, block=block,
-            timeout=timeout, options=options, params=params)
+            sql, session=session, block=block, timeout=timeout,
+            options=options, params=params)
 
-    def session(self, mode: Optional[str] = None,
-                threads: Optional[int] = None,
-                collect_trace: Optional[bool] = None,
-                use_cache: Optional[bool] = None,
-                name: str = "",
+    def session(self, name: str = "",
                 options: Optional[ExecOptions] = None) -> Session:
         """A new :class:`~repro.scheduler.Session` bound to this database."""
         with self._runtime_lock:
             if self._closed:
                 raise SchedulerError("database is closed")
-        return Session(self, mode=mode, threads=threads,
-                       collect_trace=collect_trace, use_cache=use_cache,
-                       name=name, options=options)
+        return Session(self, name=name, options=options)
 
     def serve(self, host: str = "127.0.0.1", port: int = 0,
               auth_token: Optional[str] = None, **kwargs):
@@ -562,23 +575,15 @@ class Database:
                       parameter_hints: Optional[list] = None):
         """The :class:`repro.prepared.PreparedQuery` for ``sql``.
 
-        Consults the plan cache first (keyed on normalized SQL); on a miss
-        the query is parsed, bound, planned and code-generated once, and the
-        resulting entry is cached for subsequent ``prepare_query`` and
-        ``execute`` calls.  ``sql`` may contain ``?`` / ``:name``
-        placeholders; supply the values per execution via ``params=``.
-
-        With ``parameter_hints`` (the auto-parameterization path) the key is
-        additionally qualified by the hints' natural types: the entry's
-        parameter types were inferred from the first-seen constants, so
-        ``a = 2`` and ``a = 2.5`` must land on *separate* entries -- an
-        INT64-typed plan bound with 2.5 would silently diverge from the
-        literal form.  Same-typed constants (the common case) still collide
-        on one entry.
+        Consults the plan cache first (keyed by
+        :func:`repro.cache.plan_cache_key`); on a miss the query is parsed,
+        bound, planned and code-generated once, and the resulting entry is
+        cached for subsequent ``prepare_query`` and ``execute`` calls.
+        ``sql`` may contain ``?`` / ``:name`` placeholders; supply the
+        values per execution via ``params=``.  ``parameter_hints`` carries
+        the literals auto-parameterization extracted.
         """
-        key = normalize_sql(sql)
-        if parameter_hints is not None:
-            key += _hint_type_tag(parameter_hints)
+        key = plan_cache_key(sql, parameter_hints)
         if self.plan_cache.capacity > 0:
             prepared = self.plan_cache.get(key)
             if prepared is not None:
@@ -603,7 +608,7 @@ class Database:
     # ------------------------------------------------------------------ #
     # execution
     # ------------------------------------------------------------------ #
-    def _validate_options(self, sql: str, opts: ExecOptions) -> None:
+    def _validate_options(self, opts: ExecOptions) -> None:
         """Reject invalid mode/parameter combinations (shared with submit)."""
         mode = opts.mode
         if mode in BASELINE_MODES:
@@ -624,19 +629,11 @@ class Database:
                 f"unknown telemetry level {opts.telemetry!r}; expected one "
                 f"of {TELEMETRY_LEVELS}")
 
-    def execute(self, sql: str, mode: Optional[str] = None,
-                threads: Optional[int] = None,
-                collect_trace: Optional[bool] = None,
-                use_cache: Optional[bool] = None,
-                use_result_cache: Optional[bool] = None,
-                options: Optional[ExecOptions] = None,
-                params=None,
-                telemetry: Optional[str] = None) -> QueryResult:
+    def execute(self, sql: str, options: Optional[ExecOptions] = None,
+                params=None) -> QueryResult:
         """Execute ``sql`` with the given execution options.
 
-        ``options`` (an :class:`repro.ExecOptions`) describes how to run;
-        the legacy ``mode`` / ``threads`` / ``collect_trace`` / ``use_cache``
-        keywords (and the ``telemetry`` level) override individual fields.
+        ``options`` (an :class:`repro.ExecOptions`) describes how to run.
         ``params`` supplies bind parameter values -- a sequence for ``?``
         placeholders, a mapping for ``:name`` placeholders.
 
@@ -656,87 +653,143 @@ class Database:
         shared pool; the calling thread participates, so this works both for
         direct calls and from scheduler workers.
         """
-        opts = ExecOptions.resolve(options, mode=mode, threads=threads,
-                                   collect_trace=collect_trace,
-                                   use_cache=use_cache,
-                                   use_result_cache=use_result_cache,
-                                   telemetry=telemetry)
+        opts = ExecOptions.of(options)
         explain_kind, inner_sql = split_explain(sql)
         if explain_kind == "plan":
             return self._explain_plan(inner_sql, opts)
         if explain_kind == "analyze":
             return self._explain_analyze(inner_sql, opts, params)
-        return self._execute_resolved(sql, opts, params)
+        return self._run(sql, opts, [params])[0]
 
-    def _execute_resolved(self, sql: str, opts: ExecOptions,
-                          params=None) -> QueryResult:
-        """Validated execution of a plain (non-EXPLAIN) statement."""
-        self._validate_options(sql, opts)
+    def execute_many(self, sql: str, bindings,
+                     options: Optional[ExecOptions] = None
+                     ) -> list[QueryResult]:
+        """Execute one statement for every binding; one result per binding.
+
+        The batch form of :meth:`execute` (which is this with one binding):
+        ``bindings`` is a sequence of per-execution parameter values (each
+        a sequence for ``?`` placeholders, a mapping for ``:name``
+        placeholders, or ``None`` for a literal-only statement).  Engine
+        modes fuse the whole batch into a single pass over one prepared
+        entry -- prepare/validate once, encode all bindings up front,
+        reuse compiled tiers across bindings, deduplicate identical
+        bindings and serve repeats from the semantic result cache.
+        Baseline modes plan once and dispatch per binding, with the same
+        result-cache reuse -- so the API is total across all 7 execution
+        modes.
+
+        EXPLAIN statements are rejected (they describe one execution, not
+        a batch); use :meth:`execute` / :meth:`explain` per statement.
+        """
+        opts = ExecOptions.of(options)
+        explain_kind, _ = split_explain(sql)
+        if explain_kind:
+            raise ExecutionError(
+                "execute_many does not support EXPLAIN statements; use "
+                "execute() or explain() per statement")
+        bindings = list(bindings)
+        if not bindings:
+            self._validate_options(opts)
+            return []
+        results = self._run(sql, opts, bindings)
+        if opts.telemetry != "off":
+            self._batch_calls.inc()
+            self._batch_bindings.inc(len(bindings))
+            if opts.mode in BASELINE_MODES:
+                self._batch_dispatched.inc(len(bindings))
+            else:
+                self._fused_bindings.observe(len(bindings))
+        return results
+
+    def _run(self, sql: str, opts: ExecOptions,
+             bindings: list) -> list[QueryResult]:
+        """The request path: one plain statement, one result per binding.
+
+        Every way into the database -- ``execute``, ``execute_many``, the
+        scheduler, the wire server, EXPLAIN ANALYZE -- ends here, so
+        option validation, the telemetry level and failure accounting are
+        each decided exactly once.
+        """
+        self._validate_options(opts)
         # Level "trace" implies the morsel-event timeline for engine modes;
         # the baselines have no morsel events, so the level degrades to
         # "basic" there (an *explicit* collect_trace still errors above).
-        if opts.telemetry == "trace" and not opts.collect_trace \
-                and opts.mode in ENGINE_MODES:
+        if opts.telemetry == "trace" and opts.mode in ENGINE_MODES:
             opts = opts.merged(collect_trace=True)
         record = opts.telemetry != "off"
         try:
             if opts.mode in BASELINE_MODES:
-                result = self._execute_baseline(sql, opts.mode, params,
-                                                options=opts)
+                results = self._execute_baseline(sql, opts, bindings)
             else:
-                result = self._execute_engine(sql, opts, params)
+                results = self._execute_engine(sql, opts, bindings)
         except Exception:
             if record:
                 self._query_telemetry.record_failure(opts.mode)
             raise
-        if record:
-            self._query_telemetry.record_result(sql, result)
-        else:
-            # Level "off": the executors may still have built a trace for
-            # their own bookkeeping; the result must not surface it.
-            result.query_trace = None
-        return result
+        for result in results:
+            if record:
+                self._query_telemetry.record_result(sql, result)
+            else:
+                # Level "off": the executors may still have built a trace
+                # for their own bookkeeping; the result must not surface it.
+                result.query_trace = None
+        return results
 
-    def _execute_engine(self, sql: str, opts: ExecOptions,
-                        params=None) -> QueryResult:
-        """Engine-mode execution through the plan cache."""
-        exec_sql, exec_params, hints = sql, params, None
-        use_cache_now = opts.use_cache and self.plan_cache.capacity > 0
+    def _plan_statement(self, sql: str, opts: ExecOptions,
+                        bindings: list) -> tuple[str, Optional[list], list]:
+        """The statement as the plan cache sees it.
+
+        Returns ``(sql, parameter_hints, bindings)``: a statement that
+        arrived without any parameter values has its literal constants
+        extracted into positional parameters (unless opted out), and every
+        binding becomes the extracted values; anything else passes through
+        with ``parameter_hints=None``.
+        """
         auto = (opts.auto_parameterize if opts.auto_parameterize is not None
                 else self.auto_parameterize)
-        if auto and use_cache_now and params is None:
+        if auto and all(binding is None for binding in bindings):
             rewritten = auto_parameterize_sql(sql)
             if rewritten is not None:
                 exec_sql, extracted = rewritten
-                exec_params = extracted
-                hints = extracted
+                return exec_sql, extracted, [extracted] * len(bindings)
+        return sql, None, bindings
 
-        if use_cache_now:
-            prepared = self.prepare_query(exec_sql, parameter_hints=hints)
-            result = prepared.execute_nowait(options=opts,
-                                             params=exec_params)
-            if result is not None:
-                return result
+    def _execute_engine(self, sql: str, opts: ExecOptions,
+                        bindings: list) -> list[QueryResult]:
+        """Engine-mode execution of all bindings over one prepared entry."""
+        hints = None
+        if opts.use_cache and self.plan_cache.capacity > 0:
+            sql, hints, bindings = self._plan_statement(sql, opts, bindings)
+            prepared = self.prepare_query(sql, parameter_hints=hints)
+            results = prepared.execute_many(bindings, options=opts,
+                                            block=False)
+            if results is not None:
+                return results
             # The cached entry is mid-execution on another thread.  Before
             # paying an independent cold build, try the result cache -- a
             # hot identical read should never rebuild just because the
             # shared entry is busy.
-            cached = prepared.cached_result(options=opts,
-                                            params=exec_params)
-            if cached is not None:
-                return cached
-        prepared = self._build_prepared(exec_sql, parameter_hints=hints)
-        return prepared.execute(options=opts, params=exec_params)
+            results = []
+            for binding in bindings:
+                cached = prepared.cached_result(options=opts, params=binding)
+                if cached is None:
+                    break
+                results.append(cached)
+            else:
+                return results
+        prepared = self._build_prepared(sql, parameter_hints=hints)
+        return prepared.execute_many(bindings, options=opts)
 
     # ------------------------------------------------------------------ #
-    # batch bindings / semantic result reuse
+    # semantic result reuse
     # ------------------------------------------------------------------ #
     def _usable_result_cache(self, opts: ExecOptions):
         """The result cache if this execution may probe/populate it.
 
-        Mirrors ``PreparedQuery._usable_result_cache``: executions that
-        exist to observe execution (tracing, per-morsel telemetry,
-        operator-stat collection) run for real, and ``use_cache=False``
+        Executions that exist to *observe* execution (trace collection,
+        per-morsel telemetry, operator-stat collection for EXPLAIN
+        ANALYZE) must run for real, so they bypass the cache in both
+        directions.  ``use_cache=False`` -- the cold-measurement switch --
         implies the result cache off as well.
         """
         if not self.result_cache.enabled:
@@ -748,132 +801,48 @@ class Database:
             return None
         return self.result_cache
 
-    def execute_many(self, sql: str, bindings, mode: Optional[str] = None,
-                     threads: Optional[int] = None,
-                     use_cache: Optional[bool] = None,
-                     options: Optional[ExecOptions] = None,
-                     telemetry: Optional[str] = None) -> list[QueryResult]:
-        """Execute one statement for every binding; one result per binding.
+    def _serve_bindings(self, opts: ExecOptions, plan_key: str,
+                        referenced: frozenset, encoded: list,
+                        run: Callable[[list], QueryResult]
+                        ) -> list[QueryResult]:
+        """One result per encoded binding, executing as little as possible.
 
-        The batch form of :meth:`execute` for parameterized statements:
-        ``bindings`` is a sequence of per-execution parameter values (each
-        a sequence for ``?`` placeholders, a mapping for ``:name``
-        placeholders, or ``None`` for a literal-only statement).  Engine
-        modes fuse the whole batch into a single pass over one prepared
-        entry -- prepare/validate once, encode all bindings up front,
-        reuse compiled tiers across bindings, deduplicate identical
-        bindings and serve repeats from the semantic result cache.
-        Baseline modes take the grouped-dispatch fallback: one shared
-        prepare, then a per-binding dispatch, with the same result-cache
-        reuse -- so the API is total across all 7 execution modes.
-
-        EXPLAIN statements are rejected (they describe one execution, not
-        a batch); use :meth:`execute` / :meth:`explain` per statement.
+        With the result cache usable, identical bindings are grouped: the
+        first occurrence is served from the cache or executed by
+        ``run(values)`` (and admitted to the cache), the rest share its
+        materialized rows.  Otherwise every binding executes for real.
         """
-        opts = ExecOptions.resolve(options, mode=mode, threads=threads,
-                                   use_cache=use_cache, telemetry=telemetry)
-        explain_kind, _ = split_explain(sql)
-        if explain_kind:
-            raise ExecutionError(
-                "execute_many does not support EXPLAIN statements; use "
-                "execute() or explain() per statement")
-        self._validate_options(sql, opts)
-        bindings = list(bindings)
-        if not bindings:
-            return []
-        if opts.telemetry == "trace" and not opts.collect_trace \
-                and opts.mode in ENGINE_MODES:
-            opts = opts.merged(collect_trace=True)
-        record = opts.telemetry != "off"
-        if record:
-            self._batch_calls.inc()
-            self._batch_bindings.inc(len(bindings))
-        try:
-            if opts.mode in BASELINE_MODES:
-                results = self._execute_many_baseline(sql, opts, bindings)
-                if record:
-                    self._batch_dispatched.inc(len(bindings))
-            else:
-                results = self._execute_many_engine(sql, opts, bindings)
-                if record:
-                    self._fused_bindings.observe(len(bindings))
-        except Exception:
-            if record:
-                self._query_telemetry.record_failure(opts.mode)
-            raise
-        for result in results:
-            if record:
-                self._query_telemetry.record_result(sql, result)
-            else:
-                result.query_trace = None
-        return results
-
-    def _execute_many_engine(self, sql: str, opts: ExecOptions,
-                             bindings: list) -> list[QueryResult]:
-        """Fused batch execution over one plan-cache entry."""
-        if opts.use_cache and self.plan_cache.capacity > 0:
-            prepared = self.prepare_query(sql)
-            results = prepared.execute_many_nowait(bindings, options=opts)
-            if results is not None:
-                return results
-            # Busy entry: fall through to an independent cold build, same
-            # as the single-statement path.
-        prepared = self._build_prepared(sql)
-        return prepared.execute_many(bindings, options=opts)
-
-    def _execute_many_baseline(self, sql: str, opts: ExecOptions,
-                               bindings: list) -> list[QueryResult]:
-        """Grouped dispatch: one shared prepare, one dispatch per binding."""
-        from .prepared import referenced_tables
-
-        mode = opts.mode
-        bound, planning, build_timings = self.prepare(sql)
-        encoded = [bind_parameter_values(bound.parameters, binding)
-                   for binding in bindings]
         result_cache = self._usable_result_cache(opts)
-        plan_key = normalize_sql(sql)
-        referenced = referenced_tables(planning)
-        results: list[Optional[QueryResult]] = [None] * len(bindings)
-        first = True
-
-        def run(values: list) -> QueryResult:
-            nonlocal first
-            timings = (replace(build_timings) if first else PhaseTimings())
-            result = self._run_baseline(planning, timings, mode, opts,
-                                        values)
-            result.cached = not first
-            if result.cached:
-                result.cache_source = "plan"
-            first = False
-            return result
-
         if result_cache is None:
-            for index, values in enumerate(encoded):
-                results[index] = run(values)
-            return results
+            return [run(values) for values in encoded]
         groups: dict[tuple, list[int]] = {}
         for index, values in enumerate(encoded):
-            key = result_cache_key(plan_key, mode, values)
+            key = result_cache_key(plan_key, opts.mode, values)
             groups.setdefault(key, []).append(index)
-        from .prepared import PreparedQuery
-
+        table_version = self.catalog.table_version
+        results: list[Optional[QueryResult]] = [None] * len(encoded)
         for key, indices in groups.items():
-            entry = result_cache.get(key, self.catalog.table_version)
+            entry = result_cache.get(key, table_version)
             if entry is not None:
                 result = entry.to_result()
             else:
-                versions = {name: self.catalog.table_version(name)
+                # Versions are snapshotted *before* execution starts
+                # reading: a concurrent mutation that completes mid-scan
+                # bumps them afterwards, so the stored entry can only be
+                # keyed to an older snapshot and later lookups miss (never
+                # serve rows the mutation may have influenced).
+                versions = {name: table_version(name)
                             for name in referenced}
                 result = run(encoded[indices[0]])
                 result_cache.put(key, versions, result)
             results[indices[0]] = result
             for duplicate in indices[1:]:
-                results[duplicate] = PreparedQuery._share_result(result)
+                results[duplicate] = _share_result(result)
         return results
 
     def cached_result(self, sql: str, params=None,
-                      options: Optional[ExecOptions] = None,
-                      **overrides) -> Optional[QueryResult]:
+                      options: Optional[ExecOptions] = None
+                      ) -> Optional[QueryResult]:
         """A pure result-cache probe: the cached result or ``None``.
 
         Never parses, plans, builds or executes anything -- the plan cache
@@ -884,7 +853,7 @@ class Database:
         admission slot.  Baseline modes always return ``None`` (they do
         not populate the plan cache).
         """
-        opts = ExecOptions.resolve(options, **overrides)
+        opts = ExecOptions.of(options)
         if opts.mode not in ENGINE_MODES:
             return None
         if self._usable_result_cache(opts) is None \
@@ -893,20 +862,9 @@ class Database:
         explain_kind, _ = split_explain(sql)
         if explain_kind:
             return None
-        exec_params, hints = params, None
-        key = sql
-        auto = (opts.auto_parameterize if opts.auto_parameterize is not None
-                else self.auto_parameterize)
-        if auto and params is None:
-            rewritten = auto_parameterize_sql(sql)
-            if rewritten is not None:
-                key, extracted = rewritten
-                exec_params = extracted
-                hints = extracted
-        key = normalize_sql(key)
-        if hints is not None:
-            key += _hint_type_tag(hints)
-        prepared = self.plan_cache.peek(key)
+        exec_sql, hints, (exec_params,) = self._plan_statement(
+            sql, opts, [params])
+        prepared = self.plan_cache.peek(plan_cache_key(exec_sql, hints))
         if prepared is None:
             return None
         result = prepared.cached_result(options=opts, params=exec_params)
@@ -917,8 +875,7 @@ class Database:
     def submit_many(self, sql: str, bindings,
                     session: Optional[Session] = None, block: bool = True,
                     timeout: Optional[float] = None,
-                    options: Optional[ExecOptions] = None,
-                    **overrides) -> QueryTicket:
+                    options: Optional[ExecOptions] = None) -> QueryTicket:
         """Submit a batch of bindings; the ticket resolves to a result list.
 
         The asynchronous form of :meth:`execute_many`: admission control
@@ -926,30 +883,28 @@ class Database:
         ticket), and ``ticket.result()`` returns the ordered
         ``list[QueryResult]``.
         """
-        opts = ExecOptions.resolve(options, **overrides)
         return self.scheduler.submit(sql, session=session, block=block,
-                                     timeout=timeout, options=opts,
+                                     timeout=timeout, options=options,
                                      bindings=list(bindings))
 
     # ------------------------------------------------------------------ #
     # EXPLAIN / EXPLAIN ANALYZE
     # ------------------------------------------------------------------ #
     def explain(self, sql: str, analyze: bool = False,
-                options: Optional[ExecOptions] = None, params=None,
-                **overrides):
+                options: Optional[ExecOptions] = None, params=None):
         """The structured :class:`repro.telemetry.ExplainResult` for ``sql``.
 
         Convenience wrapper over ``execute("EXPLAIN [ANALYZE] ...")``;
         ``sql`` must *not* already carry the EXPLAIN prefix.
         """
-        opts = ExecOptions.resolve(options, **overrides)
+        opts = ExecOptions.of(options)
         if analyze:
             return self._explain_analyze(sql, opts, params).explain
         return self._explain_plan(sql, opts).explain
 
     def _explain_plan(self, sql: str, opts: ExecOptions) -> QueryResult:
         """EXPLAIN: plan the statement, return the annotated plan text."""
-        self._validate_options(sql, opts)
+        self._validate_options(opts)
         _, planning, timings = self.prepare(sql)
         explain = build_explain_plan(sql, planning, opts.mode)
         return self._explain_to_result(explain, timings, opts.mode)
@@ -957,8 +912,8 @@ class Database:
     def _explain_analyze(self, sql: str, opts: ExecOptions,
                          params=None) -> QueryResult:
         """EXPLAIN ANALYZE: execute, then annotate the plan with reality."""
-        inner = self._execute_resolved(
-            sql, opts.merged(collect_operator_stats=True), params)
+        inner, = self._run(
+            sql, opts.merged(collect_operator_stats=True), [params])
         explain = build_explain_analyze(sql, inner)
         result = self._explain_to_result(explain, inner.timings, inner.mode)
         result.pipelines = inner.pipelines
@@ -988,65 +943,6 @@ class Database:
         if options.breaker_partitions is not None:
             return round_up_pow2(options.breaker_partitions)
         return round_up_pow2(self._workers)
-
-    def _execute_static(self, generated: GeneratedQuery,
-                        planning: PlanningResult, timings: PhaseTimings,
-                        mode: str, tiers: Optional[dict] = None,
-                        use_pruning: bool = True,
-                        verify_ir: Optional[bool] = None) -> QueryResult:
-        """Single-threaded execution with one statically chosen tier."""
-        pipeline_stats: list[PipelineExecution] = []
-        state = generated.state
-
-        for index, pipeline in enumerate(generated.pipelines):
-            executable, compile_seconds = self._tier_for(pipeline.function,
-                                                         index, mode, tiers,
-                                                         verify_ir=verify_ir)
-            timings.compile += compile_seconds
-
-            total_rows = state.source_row_count(pipeline.pipeline)
-            scan = plan_pipeline_scan(pipeline.pipeline, total_rows,
-                                      state.params, use_pruning=use_pruning)
-            timings.chunks_pruned += scan.chunks_pruned
-            timings.chunks_scanned += scan.chunks_scanned
-            rows = scan.rows_to_scan
-            breaker = BreakerRun(state, pipeline.pipeline, max_slots=1)
-            start = time.perf_counter()
-            morsels = 0
-            stop = False
-            for range_begin, range_end in scan.ranges:
-                # Morsels stay within one chunk-aligned surviving range.
-                for begin in range(range_begin, range_end, self.morsel_size):
-                    end = min(begin + self.morsel_size, range_end)
-                    executable(breaker.context(0), begin, end)
-                    morsels += 1
-                    if state.limit_satisfied():
-                        state.early_terminated = True
-                        stop = True
-                        break
-                if stop:
-                    break
-            merge_stats = breaker.merge()
-            if pipeline.finish is not None:
-                pipeline.finish()
-            elapsed = time.perf_counter() - start
-            timings.execution += elapsed
-            timings.breaker_partitions = max(timings.breaker_partitions,
-                                             merge_stats.partitions)
-            timings.breaker_partials += merge_stats.partial_entries
-            timings.breaker_merge += merge_stats.merge_seconds
-            pipeline_stats.append(PipelineExecution(
-                name=pipeline.name, rows=rows, morsels=morsels,
-                seconds=elapsed, mode_history=[mode],
-                ir_instructions=pipeline.function.instruction_count(),
-                breaker_partitions=merge_stats.partitions,
-                breaker_partial_entries=merge_stats.partial_entries,
-                merge_seconds=merge_stats.merge_seconds,
-                chunks_scanned=scan.chunks_scanned,
-                chunks_pruned=scan.chunks_pruned))
-
-        return self._assemble_result(generated, planning, timings, mode,
-                                     pipeline_stats)
 
     def _tier_for(self, function, index: int, mode: str,
                   tiers: Optional[dict],
@@ -1104,7 +1000,6 @@ class Database:
         rows = runtime.finish_output(sink)
         rows = strip_sort_keys(rows, sink)
         state = generated.state
-        timings.breaker_locks += state.lock_acquisitions
         # Annotate the pipeline stats with the operator chain and sink-side
         # cardinalities while the execution state is still populated (the
         # caller resets it right after assembling the result).
@@ -1138,46 +1033,45 @@ class Database:
             query_trace=query_trace)
 
     # ------------------------------------------------------------------ #
-    def _execute_baseline(self, sql: str, mode: str, params=None,
-                          options: Optional[ExecOptions] = None
-                          ) -> QueryResult:
-        from .prepared import referenced_tables
+    def _execute_baseline(self, sql: str, opts: ExecOptions,
+                          bindings: list) -> list[QueryResult]:
+        """Baseline-mode execution: plan once, dispatch per binding.
 
-        opts = options if options is not None else ExecOptions(mode=mode)
-        bound, planning, timings = self.prepare(sql)
-        values = bind_parameter_values(bound.parameters, params)
-        # Baselines re-plan per call, so the probe sits behind the front
-        # end; the key uses the literal normalized text (baselines do not
-        # auto-parameterize, so differing constants differ textually).
-        result_cache = self._usable_result_cache(opts)
-        key = versions = None
-        if result_cache is not None:
-            key = result_cache_key(normalize_sql(sql), mode, values)
-            entry = result_cache.get(key, self.catalog.table_version)
-            if entry is not None:
-                return entry.to_result()
-            versions = {name: self.catalog.table_version(name)
-                        for name in referenced_tables(planning)}
-        result = self._run_baseline(planning, timings, mode, opts, values)
-        if result_cache is not None:
-            result_cache.put(key, versions, result)
-        return result
+        Baselines re-plan per call, so the result-cache probe sits behind
+        the front end; the key uses the literal normalized text (baselines
+        do not auto-parameterize, so differing constants differ textually).
+        """
+        bound, planning, build_timings = self.prepare(sql)
+        encoded = [bind_parameter_values(bound.parameters, binding)
+                   for binding in bindings]
+        first = True
+
+        def run(values: list) -> QueryResult:
+            nonlocal first
+            timings = build_timings if first else PhaseTimings()
+            result = self._run_baseline(planning, timings, opts, values)
+            result.cached = not first
+            if result.cached:
+                result.cache_source = "plan"
+            first = False
+            return result
+
+        return self._serve_bindings(opts, plan_cache_key(sql),
+                                    referenced_tables(planning), encoded,
+                                    run)
 
     def _run_baseline(self, planning: PlanningResult, timings: PhaseTimings,
-                      mode: str, opts: ExecOptions,
-                      values: list) -> QueryResult:
+                      opts: ExecOptions, values: list) -> QueryResult:
         from .baselines import VectorizedEngine, VolcanoEngine
 
+        mode = opts.mode
         if mode == "volcano":
             engine = VolcanoEngine(
                 self.catalog, use_pruning=opts.use_pruning,
-                breaker_partitions=self.breaker_partitions_for(opts),
-                use_partitioned_breakers=opts.use_partitioned_breakers,
-                use_topk_breaker=opts.use_topk_breaker)
+                breaker_partitions=self.breaker_partitions_for(opts))
         else:
             engine = VectorizedEngine(self.catalog,
-                                      use_pruning=opts.use_pruning,
-                                      use_topk_breaker=opts.use_topk_breaker)
+                                      use_pruning=opts.use_pruning)
         start = time.perf_counter()
         rows = engine.execute(planning.physical, values)
         timings.execution = time.perf_counter() - start

@@ -1,14 +1,13 @@
 """Unified execution options for every query entry point.
 
 One :class:`ExecOptions` value describes *how* a statement executes --
-execution mode, thread budget, tracing, plan-cache usage and
-auto-parameterization -- and is accepted by all five call sites:
-``Database.execute``, ``Database.submit``, ``Session``, ``PreparedQuery``
-and ``QueryScheduler.submit``.  The historical per-call keyword arguments
-(``mode=``, ``threads=``, ``collect_trace=``, ``use_cache=``) remain as a
-thin back-compat shim: every call site resolves them *on top of* an
-optional ``options=`` value via :meth:`ExecOptions.resolve`, with explicit
-keywords winning.
+execution mode, thread budget, tracing, cache usage and
+auto-parameterization -- and it is the only way to say so: ``Database``,
+``Session``, ``PreparedQuery`` and ``QueryScheduler`` entry points take
+``options=ExecOptions(...)`` and nothing else.  :meth:`ExecOptions.merged`
+is the single merge, for the two callers that override a base value: a
+session's per-call ``**overrides`` on its defaults, and the wire
+protocol's per-request ``options`` dict on the connection's session.
 
 What a statement executes *with* -- the bind-parameter values -- is
 deliberately not part of :class:`ExecOptions`: parameters vary per call,
@@ -51,17 +50,6 @@ class ExecOptions:
     #: aggregation).  ``None`` uses the database's worker count rounded up
     #: to a power of two; explicit values are rounded up likewise.
     breaker_partitions: Optional[int] = None
-    #: ``False`` disables per-worker breaker partials and restores the
-    #: historical single-table path (one shared hash table per breaker,
-    #: aggregate updates guarded by a counted fallback lock); results are
-    #: identical either way.
-    use_partitioned_breakers: bool = True
-    #: ``False`` disables the top-k output breaker for ORDER BY + LIMIT
-    #: queries and restores the historical sort-then-slice finish (collect
-    #: every row, sort, cut).  The escape hatch exists for measuring the
-    #: breaker's win (benchmarks/bench_topk.py); results are identical
-    #: either way.
-    use_topk_breaker: bool = True
     #: Telemetry level of this execution: ``"off"`` records nothing,
     #: ``"basic"`` (the default) updates the database's metrics registry
     #: and attaches a lifecycle :class:`repro.telemetry.QueryTrace` to the
@@ -81,86 +69,30 @@ class ExecOptions:
     verify_ir: Optional[bool] = None
 
     @classmethod
-    def resolve(cls, options: Optional["ExecOptions"] = None,
-                **overrides) -> "ExecOptions":
-        """Merge legacy keyword overrides onto ``options`` (or the defaults).
-
-        Overrides that are ``None`` (the shim's "not given" marker) are
-        ignored, so ``resolve(opts)`` returns ``opts`` unchanged and
-        ``resolve(None, mode="volcano")`` equals
-        ``ExecOptions(mode="volcano")``.
-        """
-        base = options if options is not None else cls()
-        if not isinstance(base, ExecOptions):
+    def of(cls, options: Optional["ExecOptions"]) -> "ExecOptions":
+        """``options`` itself, or the defaults when an entry point got none."""
+        if options is None:
+            return cls()
+        if not isinstance(options, ExecOptions):
             raise ExecutionError(
                 f"options must be an ExecOptions, got "
-                f"{type(base).__name__}; pass mode/threads/... as keywords "
-                f"instead")
+                f"{type(options).__name__}; build one with "
+                f"ExecOptions(mode=..., threads=..., ...)")
+        return options
+
+    def merged(self, **overrides) -> "ExecOptions":
+        """This options value with the non-``None`` overrides applied.
+
+        An override naming no :class:`ExecOptions` field is an
+        :class:`~repro.errors.ExecutionError` (over the wire: a typed
+        ERROR frame), never a silently ignored key.
+        """
         supplied = {key: value for key, value in overrides.items()
                     if value is not None}
         if not supplied:
-            return base
-        unknown = set(supplied) - {f.name for f in dataclasses.fields(cls)}
+            return self
+        unknown = set(supplied) - {f.name for f in dataclasses.fields(self)}
         if unknown:
             raise ExecutionError(
                 f"unknown execution option(s) {sorted(unknown)}")
-        return dataclasses.replace(base, **supplied)
-
-    def merged(self, **overrides) -> "ExecOptions":
-        """This options value with non-``None`` overrides applied."""
-        return ExecOptions.resolve(self, **overrides)
-
-
-class OptionsAccessors:
-    """Read-only legacy accessors for classes carrying an ``options`` field.
-
-    ``QueryTicket`` and ``Session`` historically exposed the execution
-    options as individual attributes; this mixin keeps those working on top
-    of the authoritative :class:`ExecOptions` value.
-    """
-
-    options: ExecOptions
-
-    @property
-    def mode(self) -> str:
-        return self.options.mode
-
-    @property
-    def threads(self) -> int:
-        return self.options.threads
-
-    @property
-    def collect_trace(self) -> bool:
-        return self.options.collect_trace
-
-    @property
-    def use_cache(self) -> bool:
-        return self.options.use_cache
-
-    @property
-    def use_result_cache(self) -> bool:
-        return self.options.use_result_cache
-
-    @property
-    def use_pruning(self) -> bool:
-        return self.options.use_pruning
-
-    @property
-    def breaker_partitions(self) -> Optional[int]:
-        return self.options.breaker_partitions
-
-    @property
-    def use_partitioned_breakers(self) -> bool:
-        return self.options.use_partitioned_breakers
-
-    @property
-    def use_topk_breaker(self) -> bool:
-        return self.options.use_topk_breaker
-
-    @property
-    def telemetry(self) -> str:
-        return self.options.telemetry
-
-    @property
-    def verify_ir(self) -> Optional[bool]:
-        return self.options.verify_ir
+        return dataclasses.replace(self, **supplied)

@@ -19,9 +19,9 @@ Because the artifacts are bound to a single ``QueryState``, executions of one
 from many threads is safe, and distinct prepared queries execute fully
 concurrently.  Each execution itself remains morsel-parallel, drawing its
 workers from the database's shared pool (see :mod:`repro.scheduler`) rather
-than spawning threads.  ``Database.execute`` never blocks on a busy entry: it uses
-:meth:`PreparedQuery.execute_nowait` and falls back to an independent cold
-build when another thread holds the cached entry.
+than spawning threads.  ``Database`` never blocks on a busy entry: it
+executes with ``block=False`` and falls back to an independent cold build
+when another thread holds the cached entry.
 
 Stale plans are detected through the catalog's per-table version counters:
 an ``insert`` or DDL on a referenced table invalidates the entry (the plan
@@ -36,23 +36,13 @@ from dataclasses import replace
 from typing import Optional
 
 from .adaptive import AdaptiveExecutor, StaticParallelExecutor
-from .cache import normalize_sql
-from .engine import ENGINE_MODES, PhaseTimings, QueryResult, _hint_type_tag
+from .cache import plan_cache_key
+from .engine import ENGINE_MODES, PhaseTimings, QueryResult, \
+    referenced_tables
 from .errors import ExecutionError, ParameterError
 from .options import ExecOptions
 from .parameters import ParameterSpec, bind_parameter_values
-from .plan.physical import TableSource
 from .result_cache import result_cache_key
-
-
-def referenced_tables(planning) -> frozenset[str]:
-    """The lower-cased names of all base tables a physical plan reads."""
-    names = set()
-    for pipeline in planning.physical.pipelines:
-        source = pipeline.source
-        if isinstance(source, TableSource):
-            names.add(source.table.name.lower())
-    return frozenset(names)
 
 
 class PreparedQuery:
@@ -80,15 +70,11 @@ class PreparedQuery:
         #: between generation and capture would stamp a stale plan as valid.
         self._catalog_version = catalog_version
         self._referenced = referenced_tables(planning)
-        #: The plan-cache key of this statement: normalized SQL plus the
-        #: auto-parameterization hint-type tag.  Also the first component
-        #: of this statement's result-cache keys, which is what keeps
-        #: ``a = 2`` and ``a = 2.0`` on separate cached results even when
-        #: both normalize to ``a = ?``.
-        self.plan_key = normalize_sql(sql)
-        if parameter_hints is not None:
-            self.plan_key += _hint_type_tag(parameter_hints)
-        #: Number of completed ``execute`` calls.
+        #: The plan-cache key of this statement; also the first component
+        #: of its result-cache keys.
+        self.plan_key = plan_cache_key(sql, parameter_hints)
+        #: Number of bindings served (executed, or answered from the
+        #: result cache).
         self.executions = 0
         self._lock = threading.RLock()
         self._first_execution = True
@@ -130,199 +116,82 @@ class PreparedQuery:
         self._first_execution = True
 
     # ------------------------------------------------------------------ #
-    def execute(self, mode: Optional[str] = None,
-                threads: Optional[int] = None,
-                collect_trace: Optional[bool] = None,
-                cost_model=None,
-                policy=None,
-                options: Optional[ExecOptions] = None,
-                params=None) -> QueryResult:
+    def execute(self, options: Optional[ExecOptions] = None, params=None,
+                cost_model=None, policy=None,
+                block: bool = True) -> Optional[QueryResult]:
         """Execute the prepared query in any compiled-engine mode.
 
-        ``params`` supplies the bind-parameter values of this execution (a
-        sequence for positional ``?`` statements, a mapping for ``:name``
-        statements).  ``cost_model`` / ``policy`` override the adaptive
-        policy inputs for this execution (adaptive mode only).  The first
-        execution after (re)preparation reports the full build timings;
-        later executions report zero for parse/bind/plan/codegen and only
-        pay compilation for tiers not compiled yet.
+        :meth:`execute_many` with the single binding ``params`` (a sequence
+        for positional ``?`` statements, a mapping for ``:name``
+        statements); see there for ``cost_model`` / ``policy`` / ``block``.
         """
-        opts = ExecOptions.resolve(options, mode=mode, threads=threads,
-                                   collect_trace=collect_trace)
-        self._check_mode(opts.mode)
-        with self._lock:
-            return self._execute_locked(opts, cost_model, policy, params)
+        results = self.execute_many([params], options=options,
+                                    cost_model=cost_model, policy=policy,
+                                    block=block)
+        return None if results is None else results[0]
 
-    def execute_nowait(self, mode: Optional[str] = None,
-                       threads: Optional[int] = None,
-                       collect_trace: Optional[bool] = None,
-                       cost_model=None,
-                       policy=None,
-                       options: Optional[ExecOptions] = None,
-                       params=None) -> Optional[QueryResult]:
-        """Like :meth:`execute`, but returns ``None`` instead of blocking
-        when another thread is currently executing this entry.
-
-        ``Database.execute`` uses this to keep concurrent callers of the
-        same statement independent: the loser of the race falls back to a
-        cold build rather than waiting for the cached entry's state.
-        """
-        opts = ExecOptions.resolve(options, mode=mode, threads=threads,
-                                   collect_trace=collect_trace)
-        self._check_mode(opts.mode)
-        if not self._lock.acquire(blocking=False):
-            return None
-        try:
-            return self._execute_locked(opts, cost_model, policy, params)
-        finally:
-            self._lock.release()
-
-    def execute_many(self, bindings, mode: Optional[str] = None,
-                     threads: Optional[int] = None,
-                     options: Optional[ExecOptions] = None,
-                     cost_model=None, policy=None) -> list[QueryResult]:
+    def execute_many(self, bindings, options: Optional[ExecOptions] = None,
+                     cost_model=None, policy=None,
+                     block: bool = True) -> Optional[list[QueryResult]]:
         """Execute one prepared shape for every binding in ``bindings``.
 
         Returns one :class:`QueryResult` per binding, in order.  The whole
         batch runs as a single fused pass over this entry's prepared
         artifacts: validity is checked once, every binding is encoded up
-        front (so a bad binding fails *before* any execution), and the
-        per-binding executions share the plan, the generated IR, compiled
-        tiers and adaptive handles -- each binding only pays parameter
-        rebinding plus sargable re-pruning of the shared scan.  With the
-        result cache enabled, identical bindings within the batch are
-        deduplicated (one execution, shared rows) and previously cached
-        bindings skip execution entirely.
-        """
-        opts = ExecOptions.resolve(options, mode=mode, threads=threads)
-        self._check_mode(opts.mode)
-        with self._lock:
-            return self._execute_many_locked(opts, cost_model, policy,
-                                             list(bindings))
+        front (so a bad binding fails *before* any execution and leaves the
+        entry fully reusable), and the per-binding executions share the
+        plan, the generated IR, compiled tiers and adaptive handles -- each
+        binding only pays parameter rebinding plus sargable re-pruning of
+        the shared scan.  With the result cache enabled, identical bindings
+        within the batch are deduplicated (one execution, shared rows) and
+        previously cached bindings skip execution entirely.
 
-    def execute_many_nowait(self, bindings,
-                            options: Optional[ExecOptions] = None,
-                            cost_model=None, policy=None
-                            ) -> Optional[list[QueryResult]]:
-        """Like :meth:`execute_many`, but ``None`` when the entry is busy."""
-        opts = ExecOptions.resolve(options)
-        self._check_mode(opts.mode)
-        if not self._lock.acquire(blocking=False):
+        ``cost_model`` / ``policy`` override the adaptive policy inputs
+        (adaptive mode only).  The first execution after (re)preparation
+        reports the full build timings; later ones report zero for
+        parse/bind/plan/codegen and only pay compilation for tiers not
+        compiled yet.
+
+        ``block=False`` returns ``None`` instead of waiting when another
+        thread is currently executing this entry.  ``Database`` uses this
+        to keep concurrent callers of the same statement independent: the
+        loser of the race falls back to a cold build rather than waiting
+        for the cached entry's state.
+        """
+        opts = ExecOptions.of(options)
+        if opts.mode not in ENGINE_MODES:
+            raise ExecutionError(
+                f"unknown execution mode {opts.mode!r} for a prepared "
+                f"query; expected one of {ENGINE_MODES}")
+        bindings = list(bindings)
+        if not self._lock.acquire(blocking=block):
             return None
         try:
-            return self._execute_many_locked(opts, cost_model, policy,
-                                             list(bindings))
+            if not self.is_valid():
+                self._rebuild()
+            encoded = [bind_parameter_values(self.parameters, binding)
+                       for binding in bindings]
+            results = self.database._serve_bindings(
+                opts, self.plan_key, self._referenced, encoded,
+                lambda values: self._run_bound(opts, cost_model, policy,
+                                               values))
+            self.executions += len(results)
+            return results
         finally:
             self._lock.release()
 
-    def _execute_many_locked(self, opts: ExecOptions, cost_model, policy,
-                             bindings: list) -> list[QueryResult]:
-        if not bindings:
-            return []
-        if not self.is_valid():
-            self._rebuild()
-        # Encode every binding before executing any of them: a malformed
-        # binding fails the whole batch up front instead of after a prefix
-        # of it already ran.
-        encoded = [bind_parameter_values(self.parameters, binding)
-                   for binding in bindings]
-        result_cache = self._usable_result_cache(opts)
-        results: list[Optional[QueryResult]] = [None] * len(bindings)
-        if result_cache is None:
-            # No reuse layer: still fused (one validity check, shared
-            # artifacts), but every binding executes for real.
-            for index, values in enumerate(encoded):
-                results[index] = self._run_bound(opts, cost_model, policy,
-                                                 values)
-            return results
-        # Group identical bindings: the first occurrence executes (or is
-        # served from the cache), the rest share its materialized rows.
-        groups: dict[tuple, list[int]] = {}
-        for index, values in enumerate(encoded):
-            key = result_cache_key(self.plan_key, opts.mode, values)
-            groups.setdefault(key, []).append(index)
-        table_version = self.database.catalog.table_version
-        for key, indices in groups.items():
-            entry = result_cache.get(key, table_version)
-            if entry is not None:
-                self.executions += 1
-                result = entry.to_result()
-            else:
-                versions = self._snapshot_versions()
-                result = self._run_bound(opts, cost_model, policy,
-                                         encoded[indices[0]])
-                result_cache.put(key, versions, result)
-            results[indices[0]] = result
-            for duplicate in indices[1:]:
-                results[duplicate] = self._share_result(result)
-        return results
-
-    @staticmethod
-    def _share_result(result: QueryResult) -> QueryResult:
-        """A result sharing another's rows (deduplicated batch binding)."""
-        shared = QueryResult(
-            column_names=list(result.column_names),
-            column_types=list(result.column_types),
-            rows=list(result.rows),
-            mode=result.mode,
-            timings=PhaseTimings(),
-            early_terminated=result.early_terminated)
-        shared.cached = True
-        shared.cache_source = "result"
-        return shared
-
-    @staticmethod
-    def _check_mode(mode: str) -> None:
-        if mode not in ENGINE_MODES:
-            raise ExecutionError(
-                f"unknown execution mode {mode!r} for a prepared query; "
-                f"expected one of {ENGINE_MODES}")
-
-    # ------------------------------------------------------------------ #
-    # result-cache integration
-    # ------------------------------------------------------------------ #
-    def _usable_result_cache(self, opts: ExecOptions):
-        """The database's result cache if this execution may use it.
-
-        Executions that exist to *observe* execution (trace collection,
-        per-morsel telemetry, operator-stat collection for EXPLAIN
-        ANALYZE) must run for real, so they bypass the cache in both
-        directions.  ``use_cache=False`` -- the cold-measurement escape
-        hatch -- implies the result cache off as well.
-        """
-        result_cache = getattr(self.database, "result_cache", None)
-        if result_cache is None or not result_cache.enabled:
-            return None
-        if not opts.use_cache or not opts.use_result_cache:
-            return None
-        if opts.collect_trace or opts.collect_operator_stats \
-                or opts.telemetry == "trace":
-            return None
-        return result_cache
-
-    def _snapshot_versions(self) -> dict[str, int]:
-        """Per-table catalog versions of every referenced table, *now*.
-
-        Taken before execution starts reading: a concurrent mutation that
-        completes mid-scan bumps the versions afterwards, so the entry we
-        store can only be keyed to an older snapshot and later lookups
-        miss (never serve rows the mutation may have influenced).
-        """
-        catalog = self.database.catalog
-        return {name: catalog.table_version(name)
-                for name in self._referenced}
-
     def cached_result(self, options: Optional[ExecOptions] = None,
-                      params=None, **overrides) -> Optional[QueryResult]:
+                      params=None) -> Optional[QueryResult]:
         """A result-cache hit for this statement + bindings, or ``None``.
 
         Lock-free probe: never executes, never builds, never blocks on a
-        busy entry.  Used by ``Database.execute`` when the cached entry is
+        busy entry.  Used by ``Database`` when the cached entry is
         mid-execution on another thread, and by the network server to
         serve hot reads without consuming a scheduler admission slot.
         """
-        opts = ExecOptions.resolve(options, **overrides)
-        result_cache = self._usable_result_cache(opts)
+        opts = ExecOptions.of(options)
+        database = self.database
+        result_cache = database._usable_result_cache(opts)
         if result_cache is None or not self.is_valid():
             return None
         try:
@@ -330,33 +199,10 @@ class PreparedQuery:
         except ParameterError:
             return None  # let the execution path raise the real error
         key = result_cache_key(self.plan_key, opts.mode, values)
-        entry = result_cache.get(key, self.database.catalog.table_version)
+        entry = result_cache.get(key, database.catalog.table_version)
         if entry is None:
             return None
         return entry.to_result()
-
-    def _execute_locked(self, opts: ExecOptions, cost_model,
-                        policy, params) -> QueryResult:
-        if not self.is_valid():
-            self._rebuild()
-        # Bind parameter values against the (possibly re-prepared) specs
-        # before touching any state, so arity/type errors leave the entry
-        # fully reusable.
-        values = bind_parameter_values(self.parameters, params)
-        result_cache = self._usable_result_cache(opts)
-        key = versions = None
-        if result_cache is not None:
-            key = result_cache_key(self.plan_key, opts.mode, values)
-            entry = result_cache.get(key,
-                                     self.database.catalog.table_version)
-            if entry is not None:
-                self.executions += 1
-                return entry.to_result()
-            versions = self._snapshot_versions()
-        result = self._run_bound(opts, cost_model, policy, values)
-        if result_cache is not None:
-            result_cache.put(key, versions, result)
-        return result
 
     def _run_bound(self, opts: ExecOptions, cost_model, policy,
                    values: list) -> QueryResult:
@@ -372,13 +218,11 @@ class PreparedQuery:
         # serve any partition count: generated code reads the partition
         # lists by identity and sizes masks per call).
         self.generated.state.configure_breakers(
-            partitions=database.breaker_partitions_for(opts),
-            use_partitioned=opts.use_partitioned_breakers)
+            partitions=database.breaker_partitions_for(opts))
         # Resolve LIMIT against the just-bound parameters and choose the
         # output strategy (top-k breaker / early termination / plain
         # collection) for this execution.
-        self.generated.state.configure_output(
-            self.generated.output_sink, use_topk=opts.use_topk_breaker)
+        self.generated.state.configure_output(self.generated.output_sink)
         self.generated.state.collect_operator_stats = \
             opts.collect_operator_stats
 
@@ -389,18 +233,12 @@ class PreparedQuery:
                 cost_model=cost_model, policy=policy, handles=self._handles,
                 use_pruning=opts.use_pruning, verify_ir=opts.verify_ir)
             result = executor.execute(self.generated, self.planning, timings)
-        elif opts.threads > 1:
+        else:
             executor = StaticParallelExecutor(
                 database, mode=mode, num_threads=opts.threads,
                 collect_trace=opts.collect_trace, tiers=self._tiers,
                 use_pruning=opts.use_pruning, verify_ir=opts.verify_ir)
             result = executor.execute(self.generated, self.planning, timings)
-        else:
-            result = database._execute_static(
-                self.generated, self.planning, timings, mode,
-                tiers=self._tiers, use_pruning=opts.use_pruning,
-                verify_ir=opts.verify_ir)
-        self.executions += 1
         result.cached = not first
         if result.cached:
             result.cache_source = "plan"

@@ -30,7 +30,7 @@ from dataclasses import dataclass, replace
 from typing import Callable, Optional
 
 from ..errors import AdmissionError, QueryCancelledError, SchedulerError
-from ..options import ExecOptions, OptionsAccessors
+from ..options import ExecOptions
 from .pool import TaskSource, WorkerPool
 
 
@@ -42,7 +42,7 @@ class TicketState(enum.Enum):
     CANCELLED = "cancelled"
 
 
-class QueryTicket(OptionsAccessors):
+class QueryTicket:
     """Handle to one submitted query; resolves to a ``QueryResult``."""
 
     def __init__(self, scheduler: "QueryScheduler", sql: str,
@@ -170,7 +170,8 @@ class QueryTicket(OptionsAccessors):
         self._run_callbacks()
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return (f"<QueryTicket {self._state.value} mode={self.mode!r} "
+        return (f"<QueryTicket {self._state.value} "
+                f"mode={self.options.mode!r} "
                 f"sql={self.sql[:40]!r}>")
 
 
@@ -239,30 +240,24 @@ class QueryScheduler(TaskSource):
             return self._running
 
     # ------------------------------------------------------------------ #
-    def submit(self, sql: str, mode: Optional[str] = None,
-               threads: Optional[int] = None,
-               collect_trace: Optional[bool] = None,
-               use_cache: Optional[bool] = None,
-               session=None, block: bool = True,
+    def submit(self, sql: str, session=None, block: bool = True,
                timeout: Optional[float] = None,
                options: Optional[ExecOptions] = None,
                params=None, bindings=None) -> QueryTicket:
         """Queue ``sql`` for execution and return its ticket immediately.
 
-        ``options`` carries the execution options (legacy keywords override
-        individual fields); ``params`` supplies bind-parameter values.
-        ``bindings`` submits a whole ``execute_many`` batch as one unit:
-        the batch occupies a single admission slot and the ticket resolves
-        to the ordered result list instead of a single result.
+        ``options`` carries the execution options; ``params`` supplies
+        bind-parameter values.  ``bindings`` submits a whole
+        ``execute_many`` batch as one unit: the batch occupies a single
+        admission slot and the ticket resolves to the ordered result list
+        instead of a single result.
         Invalid modes are rejected here (synchronously) rather than when
         the query eventually runs.  A full admission queue blocks the
         caller until space frees up (``timeout`` bounds the wait), or
         rejects at once with :class:`AdmissionError` when ``block=False``.
         """
-        opts = ExecOptions.resolve(options, mode=mode, threads=threads,
-                                   collect_trace=collect_trace,
-                                   use_cache=use_cache)
-        self._database._validate_options(sql, opts)
+        opts = ExecOptions.of(options)
+        self._database._validate_options(opts)
         ticket = QueryTicket(self, sql, opts, params, session,
                              bindings=bindings)
         deadline = None if timeout is None else time.monotonic() + timeout
@@ -325,7 +320,10 @@ class QueryScheduler(TaskSource):
 
     # ------------------------------------------------------------------ #
     def _run(self, ticket: QueryTicket) -> None:
-        result = None
+        # A single submission is a one-element batch from here on; only the
+        # ticket's resolved value differs (the result vs. the result list).
+        batched = ticket.bindings is not None
+        results: list = []
         error: Optional[BaseException] = None
         observe = (self._queue_seconds is not None
                    and ticket.options.telemetry != "off")
@@ -334,18 +332,17 @@ class QueryScheduler(TaskSource):
             if observe:
                 self._queue_seconds.observe(
                     ticket.started_at - ticket.submitted_at)
-            queue_seconds = ticket.started_at - ticket.submitted_at
-            if ticket.bindings is not None:
-                result = self._database.execute_many(
+            if batched:
+                results = self._database.execute_many(
                     ticket.sql, ticket.bindings, options=ticket.options)
-                # The whole batch waited together; stamp the shared queue
-                # time on each result so latency accounting stays visible.
-                for item in result:
-                    item.timings.queue = queue_seconds
             else:
-                result = self._database.execute(
-                    ticket.sql, options=ticket.options, params=ticket.params)
-                result.timings.queue = queue_seconds
+                results = [self._database.execute(
+                    ticket.sql, options=ticket.options,
+                    params=ticket.params)]
+            # A batch waited together; stamp the shared queue time on each
+            # result so latency accounting stays visible.
+            for result in results:
+                result.timings.queue = ticket.started_at - ticket.submitted_at
         except BaseException as exc:
             error = exc
         # All bookkeeping happens *before* the ticket event fires, so a
@@ -362,13 +359,11 @@ class QueryScheduler(TaskSource):
         if session is not None:
             if error is not None:
                 session._record_failure()
-            elif ticket.bindings is not None:
-                for item in result:
-                    session._record_result(item)
             else:
-                session._record_result(result)
+                for result in results:
+                    session._record_result(result)
         if error is None:
-            ticket._resolve(result)
+            ticket._resolve(results if batched else results[0])
         else:
             ticket._fail(error)
         if observe and ticket.finished_at is not None:

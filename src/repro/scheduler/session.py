@@ -16,7 +16,7 @@ from dataclasses import dataclass, replace
 from typing import Optional
 
 from ..errors import SchedulerError
-from ..options import ExecOptions, OptionsAccessors
+from ..options import ExecOptions
 
 
 @dataclass
@@ -36,22 +36,15 @@ class SessionStats:
     run_seconds: float = 0.0
 
 
-class Session(OptionsAccessors):
+class Session:
     """One client's view of a :class:`repro.Database`."""
 
-    def __init__(self, database, mode: Optional[str] = None,
-                 threads: Optional[int] = None,
-                 collect_trace: Optional[bool] = None,
-                 use_cache: Optional[bool] = None,
-                 name: str = "",
+    def __init__(self, database, name: str = "",
                  options: Optional[ExecOptions] = None):
         self.database = database
         #: The session's default execution options; per-call overrides are
-        #: resolved on top of this value.
-        self.options = ExecOptions.resolve(options, mode=mode,
-                                           threads=threads,
-                                           collect_trace=collect_trace,
-                                           use_cache=use_cache)
+        #: merged on top of this value.
+        self.options = ExecOptions.of(options)
         self.name = name or f"session-{id(self):x}"
         self._lock = threading.Lock()
         self._stats = SessionStats()
@@ -192,5 +185,5 @@ class Session(OptionsAccessors):
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         stats = self.stats
-        return (f"<Session {self.name} mode={self.mode!r} "
+        return (f"<Session {self.name} mode={self.options.mode!r} "
                 f"submitted={stats.submitted} completed={stats.completed}>")

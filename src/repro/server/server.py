@@ -277,20 +277,18 @@ class _Connection:
                 request_id, ProtocolError(
                     f"request id {request_id} is already in flight")))
             return
-        execute_and_stream = (self._execute_many_and_stream if batch
-                              else self._execute_and_stream)
         task = asyncio.get_running_loop().create_task(
-            self._run_request(message, execute_and_stream))
+            self._run_request(message, batch))
         self._inflight[request_id] = _Inflight(task)
         task.add_done_callback(
             lambda _t: self._inflight.pop(request_id, None))
 
-    async def _run_request(self, message, execute_and_stream) -> None:
+    async def _run_request(self, message, batch: bool) -> None:
         server = self._server
         started = time.perf_counter()
         server._m_in_flight.inc()
         try:
-            await execute_and_stream(message)
+            await self._execute_and_stream(message, batch)
         except (ConnectionError, OSError):
             pass  # peer gone; the read loop's cleanup handles the rest
         except ProtocolError as exc:
@@ -314,7 +312,9 @@ class _Connection:
         except ReproError:
             return None
 
-    async def _execute_and_stream(self, message: protocol.Execute) -> None:
+    async def _execute_and_stream(self, message, batch: bool) -> None:
+        """Serve one EXECUTE (``batch=False``: the one binding
+        ``message.params``) or EXECUTE_MANY (``message.bindings``)."""
         server = self._server
         if self._closing:
             await self._try_send_error(message.request_id, SchedulerError(
@@ -322,17 +322,34 @@ class _Connection:
             return
         try:
             sql = self._resolve_sql(message)
+            if batch and not message.bindings:
+                raise ProtocolError("EXECUTE_MANY carries no bindings")
+            bindings = message.bindings if batch else [message.params]
             options = self._session.options.merged(**message.options)
-            cached = self._probe_result_cache(sql, message.params, options)
-            if cached is not None:
+            # Admission-free fast path: when *every* binding is answerable
+            # from the engine's result cache, serve the whole request on
+            # the loop thread without touching the scheduler.
+            results = []
+            for binding in bindings:
+                cached = self._probe_result_cache(sql, binding, options)
+                if cached is None:
+                    break
+                results.append(cached)
+            else:
                 server._m_result_cache_serves.inc()
-                self._session._record_submitted()
-                self._session._record_result(cached)
-                await self._stream_result(message, cached)
+                for result in results:
+                    self._session._record_submitted()
+                    self._session._record_result(result)
+                await self._stream_results(message, results, batch)
                 return
-            ticket = server._database.submit(
-                sql, options=options, params=message.params,
-                session=self._session, block=False)
+            if batch:
+                ticket = server._database.submit_many(
+                    sql, bindings, options=options,
+                    session=self._session, block=False)
+            else:
+                ticket = server._database.submit(
+                    sql, options=options, params=message.params,
+                    session=self._session, block=False)
         except AdmissionError as exc:
             server._m_busy_rejections.inc()
             await self._send(protocol.Error(
@@ -370,149 +387,46 @@ class _Connection:
             ticket.cancel()
             raise
         try:
-            result = ticket.result(timeout=0)
+            outcome = ticket.result(timeout=0)
         except Exception as exc:
             await self._send_error(message.request_id, exc)
             return
+        await self._stream_results(message, outcome if batch else [outcome],
+                                   batch)
 
-        await self._stream_result(message, result)
-
-    def _batch_rows_for(self, message) -> int:
+    async def _stream_results(self, message, results, batch: bool) -> None:
+        """ROW_HEADER, the row batches of every result (each closed by a
+        BATCH_DONE inside an EXECUTE_MANY stream), then DONE."""
         batch_rows = message.batch_rows or self._server.batch_rows
-        return max(1, min(int(batch_rows), MAX_BATCH_ROWS))
-
-    async def _send_row_header(self, request_id: int, result) -> None:
+        batch_rows = max(1, min(int(batch_rows), MAX_BATCH_ROWS))
+        request_id = message.request_id
         await self._send(protocol.RowHeader(
             request_id=request_id,
-            column_names=result.column_names,
+            column_names=results[0].column_names,
             column_types=[sql_type.value
-                          for sql_type in result.column_types]))
-
-    async def _send_row_batches(self, request_id: int, rows,
-                                batch_rows: int) -> None:
-        for begin in range(0, len(rows), batch_rows):
-            # drain() between batches bounds server-side buffering: a slow
-            # client applies backpressure here instead of ballooning the
-            # transport buffer.
-            await self._send(protocol.RowBatch(
-                request_id=request_id,
-                rows=rows[begin:begin + batch_rows]))
-
-    async def _stream_result(self, message: protocol.Execute,
-                             result) -> None:
-        batch_rows = self._batch_rows_for(message)
-        await self._send_row_header(message.request_id, result)
-        await self._send_row_batches(message.request_id, result.rows,
-                                     batch_rows)
-        await self._send(protocol.Done(
-            request_id=message.request_id,
-            row_count=len(result.rows),
-            mode=result.mode,
-            cached=result.cached,
-            total_seconds=result.timings.total,
-            queue_seconds=result.timings.queue))
-
-    # ------------------------------------------------------------------ #
-    # EXECUTE_MANY
-    # ------------------------------------------------------------------ #
-    async def _execute_many_and_stream(
-            self, message: protocol.ExecuteMany) -> None:
-        server = self._server
-        if self._closing:
-            await self._try_send_error(message.request_id, SchedulerError(
-                "server is shutting down"))
-            return
-        try:
-            sql = self._resolve_sql(message)
-            if not message.bindings:
-                raise ProtocolError("EXECUTE_MANY carries no bindings")
-            options = self._session.options.merged(**message.options)
-            # Admission-free fast path: when *every* binding of the batch
-            # is answerable from the engine's result cache, serve the whole
-            # request on the loop thread without touching the scheduler.
-            results = []
-            for binding in message.bindings:
-                cached = self._probe_result_cache(sql, binding, options)
-                if cached is None:
-                    results = None
-                    break
-                results.append(cached)
-            if results is not None:
-                server._m_result_cache_serves.inc()
-                for result in results:
-                    self._session._record_submitted()
-                    self._session._record_result(result)
-                await self._stream_batch(message, results)
-                return
-            ticket = server._database.submit_many(
-                sql, message.bindings, options=options,
-                session=self._session, block=False)
-        except AdmissionError as exc:
-            server._m_busy_rejections.inc()
-            await self._send(protocol.Error(
-                request_id=message.request_id, code="BUSY",
-                message=str(exc),
-                retry_after_ms=server._retry_after_ms()))
-            return
-        except Exception as exc:
-            await self._send_error(message.request_id, exc)
-            return
-
-        inflight = self._inflight.get(message.request_id)
-        if inflight is not None:
-            inflight.ticket = ticket
-
-        loop = asyncio.get_running_loop()
-        future = loop.create_future()
-
-        def _resolve_future() -> None:
-            if not future.done():
-                future.set_result(None)
-
-        def _on_ticket_done(_ticket) -> None:
-            try:
-                loop.call_soon_threadsafe(_resolve_future)
-            except RuntimeError:  # loop already closed mid-shutdown
-                pass
-
-        ticket.add_done_callback(_on_ticket_done)
-        try:
-            await future
-        except asyncio.CancelledError:
-            ticket.cancel()
-            raise
-        try:
-            results = ticket.result(timeout=0)
-        except Exception as exc:
-            await self._send_error(message.request_id, exc)
-            return
-        await self._stream_batch(message, results)
-
-    async def _stream_batch(self, message: protocol.ExecuteMany,
-                            results) -> None:
-        """ROW_HEADER (ROW_BATCH* BATCH_DONE) per binding, then DONE."""
-        batch_rows = self._batch_rows_for(message)
-        request_id = message.request_id
-        await self._send_row_header(request_id, results[0])
-        total_rows = 0
-        total_seconds = 0.0
+                          for sql_type in results[0].column_types]))
         for index, result in enumerate(results):
-            await self._send_row_batches(request_id, result.rows,
-                                         batch_rows)
-            await self._send(protocol.BatchDone(
-                request_id=request_id,
-                binding_index=index,
-                row_count=len(result.rows),
-                cached=result.cached,
-                cache_source=result.cache_source or ""))
-            total_rows += len(result.rows)
-            total_seconds += result.timings.total
+            rows = result.rows
+            for begin in range(0, len(rows), batch_rows):
+                # drain() between batches bounds server-side buffering: a
+                # slow client applies backpressure here instead of
+                # ballooning the transport buffer.
+                await self._send(protocol.RowBatch(
+                    request_id=request_id,
+                    rows=rows[begin:begin + batch_rows]))
+            if batch:
+                await self._send(protocol.BatchDone(
+                    request_id=request_id,
+                    binding_index=index,
+                    row_count=len(rows),
+                    cached=result.cached,
+                    cache_source=result.cache_source or ""))
         await self._send(protocol.Done(
             request_id=request_id,
-            row_count=total_rows,
+            row_count=sum(len(result.rows) for result in results),
             mode=results[0].mode,
             cached=all(result.cached for result in results),
-            total_seconds=total_seconds,
+            total_seconds=sum(result.timings.total for result in results),
             queue_seconds=results[0].timings.queue))
 
     def _resolve_sql(self, message: protocol.Execute) -> str:

@@ -62,9 +62,6 @@ class QueryTelemetry:
         self.breaker_partials = counter(
             "breaker.partial_entries",
             "Per-worker partial entries merged by pipeline breakers")
-        self.breaker_locks = counter(
-            "breaker.lock_acquisitions",
-            "Fallback-lock acquisitions (0 on the partitioned path)")
         self.breaker_merge_seconds = histogram(
             "breaker.merge_seconds", "Per-query breaker merge seconds")
         self.tier_switches = counter(
@@ -115,8 +112,6 @@ class QueryTelemetry:
             self.chunks_pruned.inc(timings.chunks_pruned)
         if timings.breaker_partials:
             self.breaker_partials.inc(timings.breaker_partials)
-        if timings.breaker_locks:
-            self.breaker_locks.inc(timings.breaker_locks)
         if timings.breaker_merge > 0.0:
             self.breaker_merge_seconds.observe(timings.breaker_merge)
 

@@ -31,6 +31,8 @@ DECIMAL_SCALE = 10 ** DECIMAL_SCALE_DIGITS
 
 #: Epoch used for DATE columns.
 DATE_EPOCH = _dt.date(1970, 1, 1)
+_DATE_EPOCH_ORDINAL = DATE_EPOCH.toordinal()
+_date_from_ordinal = _dt.date.fromordinal
 
 #: Bounds of checked 64-bit arithmetic (paper section IV-F: overflow checking).
 INT64_MIN = -(2 ** 63)
@@ -78,8 +80,16 @@ def date_to_days(value: _dt.date | str) -> int:
 
 
 def days_to_date(days: int) -> _dt.date:
-    """Convert days since the 1970 epoch back to a :class:`datetime.date`."""
-    return DATE_EPOCH + _dt.timedelta(days=int(days))
+    """Convert days since the 1970 epoch back to a :class:`datetime.date`.
+
+    The one day-number -> date conversion (result decoding, ``extract`` and
+    date-literal arithmetic all come through here).  Days outside
+    ``date.min .. date.max`` raise :class:`OverflowError`.
+    """
+    try:
+        return _date_from_ordinal(_DATE_EPOCH_ORDINAL + int(days))
+    except ValueError as exc:
+        raise OverflowError("date value out of range") from exc
 
 
 def decimal_to_scaled(value: float | int) -> int:
@@ -134,9 +144,6 @@ def decode_internal_value(value, sql_type: SQLType):
     return value
 
 
-_DATE_EPOCH_ORDINAL = DATE_EPOCH.toordinal()
-_date_from_ordinal = _dt.date.fromordinal
-
 #: Column-at-a-time forms of :func:`decode_internal_value` for the types
 #: whose internal form differs from the user-facing one; NULL stays ``None``.
 _COLUMN_DECODERS = {
@@ -144,8 +151,7 @@ _COLUMN_DECODERS = {
         None if value is None else value / DECIMAL_SCALE
         for value in values],
     SQLType.DATE: lambda values: [
-        None if value is None
-        else _date_from_ordinal(_DATE_EPOCH_ORDINAL + value)
+        None if value is None else days_to_date(value)
         for value in values],
     SQLType.BOOL: lambda values: [
         None if value is None else bool(value) for value in values],

@@ -4,7 +4,7 @@ import datetime as dt
 
 import pytest
 
-from repro import Database, SQLType
+from repro import Database, ExecOptions, SQLType
 
 sys_path_conftest = None  # conftest handles sys.path
 
@@ -108,7 +108,7 @@ def test_all_modes_agree(sales_db, query_name):
     sql = QUERIES[query_name]
     reference = None
     for mode in ALL_MODES:
-        result = sales_db.execute(sql, mode=mode)
+        result = sales_db.execute(sql, options=ExecOptions(mode=mode))
         rows = normalized(result.rows)
         if reference is None:
             reference = rows
@@ -119,16 +119,21 @@ def test_all_modes_agree(sales_db, query_name):
 @pytest.mark.parametrize("mode", ["bytecode", "optimized", "adaptive"])
 def test_threaded_execution_agrees(sales_db, mode):
     sql = QUERIES["join-group"]
-    single = normalized(sales_db.execute(sql, mode=mode, threads=1).rows)
-    multi = normalized(sales_db.execute(sql, mode=mode, threads=4).rows)
+    single = normalized(sales_db.execute(sql,
+                                         options=ExecOptions(mode=mode,
+                                                             threads=1)).rows)
+    multi = normalized(sales_db.execute(sql,
+                                        options=ExecOptions(mode=mode,
+                                                            threads=4)).rows)
     assert single == multi
 
 
 def test_phase_timings_populated(sales_db):
     # use_cache=False: this test measures the cold path; a plan-cache hit
     # legitimately reports 0 for the parse/bind/plan/codegen/compile phases.
-    result = sales_db.execute(QUERIES["group-by"], mode="optimized",
-                              use_cache=False)
+    result = sales_db.execute(QUERIES["group-by"],
+                              options=ExecOptions(mode="optimized",
+                                                  use_cache=False))
     timings = result.timings
     assert timings.parse > 0
     assert timings.bind > 0
@@ -146,12 +151,16 @@ def test_compile_time_ordering(sales_db):
     than optimized compilation (paper Fig. 3)."""
     sql = QUERIES["join-group"]
     # use_cache=False: compile is 0 on a plan-cache hit (tiers are reused).
-    bytecode = sales_db.execute(sql, mode="bytecode",
-                                use_cache=False).timings.compile
-    unoptimized = sales_db.execute(sql, mode="unoptimized",
-                                   use_cache=False).timings.compile
-    optimized = sales_db.execute(sql, mode="optimized",
-                                 use_cache=False).timings.compile
+    bytecode = sales_db.execute(
+        sql,
+        options=ExecOptions(mode="bytecode", use_cache=False)).timings.compile
+    unoptimized = sales_db.execute(
+        sql,
+        options=ExecOptions(mode="unoptimized",
+                            use_cache=False)).timings.compile
+    optimized = sales_db.execute(
+        sql,
+        options=ExecOptions(mode="optimized", use_cache=False)).timings.compile
     assert bytecode < unoptimized < optimized
 
 
@@ -159,30 +168,35 @@ def test_execution_time_ordering(sales_db):
     """Interpretation is slower than compiled execution on a large enough
     input (paper Fig. 2 / Table II)."""
     sql = "select sum(s_amount * (1 - 0.05) + s_quantity) as v from sales"
-    bytecode = sales_db.execute(sql, mode="bytecode").timings.execution
-    optimized = sales_db.execute(sql, mode="optimized").timings.execution
+    bytecode = sales_db.execute(
+        sql, options=ExecOptions(mode="bytecode")).timings.execution
+    optimized = sales_db.execute(
+        sql, options=ExecOptions(mode="optimized")).timings.execution
     assert optimized < bytecode
 
 
 def test_pipeline_stats_reported(sales_db):
     # use_result_cache=False: pipeline stats only exist on a real
     # execution, and the shared fixture may have run this query already.
-    result = sales_db.execute(QUERIES["join-group"], mode="optimized",
-                              use_result_cache=False)
+    result = sales_db.execute(QUERIES["join-group"],
+                              options=ExecOptions(mode="optimized",
+                                                  use_result_cache=False))
     assert len(result.pipelines) >= 3
     assert all(p.ir_instructions > 0 for p in result.pipelines)
 
 
 def test_decoded_rows_returns_dates(sales_db):
     result = sales_db.execute(
-        "select s_date from sales order by s_date limit 1", mode="bytecode")
+        "select s_date from sales order by s_date limit 1",
+        options=ExecOptions(mode="bytecode"))
     decoded = result.decoded_rows()
     assert isinstance(decoded[0][0], dt.date)
 
 
 def test_unknown_mode_rejected(sales_db):
     with pytest.raises(Exception):
-        sales_db.execute("select 1 from sales", mode="quantum")
+        sales_db.execute("select 1 from sales",
+                         options=ExecOptions(mode="quantum"))
 
 
 def test_overflow_detected_in_all_engine_modes():
@@ -191,4 +205,5 @@ def test_overflow_detected_in_all_engine_modes():
     db.insert("big", [(2 ** 62,), (2 ** 62,)])
     for mode in ("bytecode", "unoptimized", "optimized"):
         with pytest.raises(Exception):
-            db.execute("select v * 4 as w from big", mode=mode)
+            db.execute("select v * 4 as w from big",
+                       options=ExecOptions(mode=mode))

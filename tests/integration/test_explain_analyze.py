@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro import BASELINE_MODES, ENGINE_MODES
+from repro import BASELINE_MODES, ENGINE_MODES, ExecOptions
 from repro.workloads import TPCH_QUERIES
 
 ALL_MODES = list(ENGINE_MODES) + list(BASELINE_MODES)
@@ -25,9 +25,9 @@ class TestExplainAnalyzeEquivalence:
     def test_row_counts_match_plain_execution(self, tpch_db_tiny, mode):
         for query_id in SAMPLE_QUERIES:
             sql = TPCH_QUERIES[query_id]
-            plain = tpch_db_tiny.execute(sql, mode=mode)
+            plain = tpch_db_tiny.execute(sql, options=ExecOptions(mode=mode))
             analyzed = tpch_db_tiny.execute(f"EXPLAIN ANALYZE {sql}",
-                                            mode=mode)
+                                            options=ExecOptions(mode=mode))
             explain = analyzed.explain
             assert explain is not None, (mode, query_id)
             assert explain.analyzed
@@ -45,7 +45,8 @@ class TestExplainAnalyzeEquivalence:
                                                       mode):
         sql = TPCH_QUERIES[6]
         before = tpch_db_tiny.metrics.get("query.count").value
-        result = tpch_db_tiny.execute(f"EXPLAIN {sql}", mode=mode)
+        result = tpch_db_tiny.execute(f"EXPLAIN {sql}",
+                                      options=ExecOptions(mode=mode))
         explain = result.explain
         assert not explain.analyzed
         assert explain.pipelines  # plan annotations with estimates only
@@ -63,7 +64,7 @@ class TestExplainAnalyzeEquivalence:
 
     def test_structured_explain_api(self, tpch_db_tiny):
         explain = tpch_db_tiny.explain(TPCH_QUERIES[6], analyze=True,
-                                       mode="optimized")
+                                       options=ExecOptions(mode="optimized"))
         assert explain.analyzed
         data = explain.to_dict()
         assert data["mode"] == "optimized"
@@ -73,7 +74,7 @@ class TestExplainAnalyzeEquivalence:
         """EXPLAIN ANALYZE routes transparently through the scheduler."""
         sql = TPCH_QUERIES[6]
         ticket = tpch_db_tiny.submit(f"EXPLAIN ANALYZE {sql}",
-                                     mode="bytecode")
+                                     options=ExecOptions(mode="bytecode"))
         result = ticket.result(timeout=120)
-        plain = tpch_db_tiny.execute(sql, mode="bytecode")
+        plain = tpch_db_tiny.execute(sql, options=ExecOptions(mode="bytecode"))
         assert result.explain.output_rows == len(plain.rows)

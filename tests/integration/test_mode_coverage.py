@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro import BASELINE_MODES, ENGINE_MODES
+from repro import BASELINE_MODES, ENGINE_MODES, ExecOptions
 from repro.workloads import TPCDS_QUERIES, TPCH_QUERIES, populate_tpcds
 
 ALL_MODES = list(ENGINE_MODES) + list(BASELINE_MODES)
@@ -39,7 +39,8 @@ def _run_workload(db, queries, mode):
     failures = []
     for query_id in sorted(queries):
         try:
-            result = db.execute(queries[query_id], mode=mode)
+            result = db.execute(queries[query_id],
+                                options=ExecOptions(mode=mode))
             assert result.rows is not None
         except Exception as exc:  # noqa: BLE001 - coverage accounting
             failures.append((query_id, f"{type(exc).__name__}: {exc}"))
@@ -122,20 +123,24 @@ def test_tpcds_static_verification_sweep(tpcds_db):
 
 def test_ordered_limit_workload_queries_agree_across_modes(tpch_db_tiny):
     """The TPC-H queries with ORDER BY + LIMIT (the top-k breaker's
-    workload surface) return identical rows in every mode, with the
-    breaker on and off."""
-    from repro.options import ExecOptions
+    workload surface) return, in every mode, exactly sort-then-slice: the
+    first k rows of the same query without its LIMIT (which sorts the
+    full result instead of keeping bounded heaps)."""
+    import re
 
+    limit_clause = re.compile(r"\s+limit\s+(\d+)\s*$", re.IGNORECASE)
     topk_queries = [number for number, sql in TPCH_QUERIES.items()
                     if "limit" in sql.lower() and "order by" in sql.lower()]
     assert len(topk_queries) >= 5  # the workload genuinely exercises top-k
     for number in topk_queries:
-        sql = TPCH_QUERIES[number]
-        reference = None
+        sql = TPCH_QUERIES[number].rstrip().rstrip(";")
+        match = limit_clause.search(sql)
+        assert match, number
+        k = int(match.group(1))
+        reference = tpch_db_tiny.execute(
+            sql[:match.start()],
+            options=ExecOptions(mode="volcano")).rows[:k]
         for mode in ALL_MODES:
-            for options in (ExecOptions(mode=mode),
-                            ExecOptions(mode=mode, use_topk_breaker=False)):
-                rows = tpch_db_tiny.execute(sql, options=options).rows
-                if reference is None:
-                    reference = rows
-                assert rows == reference, (number, mode, options)
+            rows = tpch_db_tiny.execute(
+                sql, options=ExecOptions(mode=mode)).rows
+            assert rows == reference, (number, mode)

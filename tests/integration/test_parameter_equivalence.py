@@ -17,7 +17,8 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro import BASELINE_MODES, ENGINE_MODES, Database, SQLType
+from repro import (BASELINE_MODES, ENGINE_MODES, Database, ExecOptions,
+                   SQLType)
 
 ALL_MODES = list(ENGINE_MODES) + list(BASELINE_MODES)
 
@@ -91,11 +92,14 @@ TEMPLATES = [
 def test_parameterized_equals_literal(param_db, mode, case):
     param_sql, literal_template, values = TEMPLATES[case]
     literal_sql = literal_template.format(*values)
-    literal = param_db.execute(literal_sql, mode=mode, use_cache=False)
-    parameterized = param_db.execute(param_sql, mode=mode, params=values)
+    literal = param_db.execute(literal_sql,
+                               options=ExecOptions(mode=mode, use_cache=False))
+    parameterized = param_db.execute(param_sql, options=ExecOptions(mode=mode),
+                                     params=values)
     assert normalized(parameterized.rows) == normalized(literal.rows)
     # Re-execute with the same parameters through the cached artifact.
-    again = param_db.execute(param_sql, mode=mode, params=values)
+    again = param_db.execute(param_sql, options=ExecOptions(mode=mode),
+                             params=values)
     assert normalized(again.rows) == normalized(literal.rows)
 
 
@@ -108,8 +112,8 @@ def test_rebinding_sweep_matches_literals(param_db, mode):
         literal = param_db.execute(
             f"select count(*) as c, sum(o_total) as s from orders "
             f"where o_customer = {customer} and o_total > 100",
-            mode=mode, use_cache=False)
-        bound = param_db.execute(param_sql, mode=mode,
+            options=ExecOptions(mode=mode, use_cache=False))
+        bound = param_db.execute(param_sql, options=ExecOptions(mode=mode),
                                  params=(customer, 100))
         assert normalized(bound.rows) == normalized(literal.rows)
 
@@ -127,11 +131,11 @@ def test_property_random_bindings(param_db, threshold, discount, mode):
     literal = param_db.execute(
         f"select count(*) as c from orders "
         f"where o_total > {threshold} and o_discount < {discount!r}",
-        mode=mode, use_cache=False)
+        options=ExecOptions(mode=mode, use_cache=False))
     bound = param_db.execute(
         "select count(*) as c from orders "
-        "where o_total > ? and o_discount < ?",
-        mode=mode, params=(threshold, discount))
+        "where o_total > ? and o_discount < ?", options=ExecOptions(mode=mode),
+        params=(threshold, discount))
     assert bound.rows == literal.rows
 
 
@@ -144,5 +148,5 @@ def test_auto_parameterization_matches_cold_literals(param_db):
     for _ in range(15):
         sql = shape.format(rng.randrange(20), rng.randrange(400))
         hot = param_db.execute(sql)  # auto-parameterized, cached
-        cold = param_db.execute(sql, use_cache=False)
+        cold = param_db.execute(sql, options=ExecOptions(use_cache=False))
         assert normalized(hot.rows) == normalized(cold.rows)

@@ -33,7 +33,7 @@ import time
 import pytest
 
 from repro import (BASELINE_MODES, ENGINE_MODES, ClientConnection, Database,
-                   SQLType, connect)
+                   ExecOptions, SQLType, connect)
 from repro.errors import (AuthenticationError, ProtocolError,
                           QueryCancelledError, ServerBusyError, ServerError)
 from repro.server import protocol
@@ -253,8 +253,9 @@ def outer_join_db(served_db):
 def test_null_padded_left_join_rows_cross_the_wire(outer_join_db, mode):
     db, server = outer_join_db
     bindings = [(0,), (7,), (11,)]
-    expected = [db.execute(LEFT_JOIN_SQL, params=binding, mode=mode,
-                           use_result_cache=False)
+    expected = [db.execute(LEFT_JOIN_SQL, params=binding,
+                           options=ExecOptions(mode=mode,
+                                               use_result_cache=False))
                 for binding in bindings]
     assert any(None in row for row in expected[0].rows)
     conn = connect(*server.address)
@@ -274,13 +275,68 @@ def test_null_padded_left_join_rows_cross_the_wire(outer_join_db, mode):
         conn.close()
 
 
+def test_null_padded_decimal_is_identical_in_every_mode_and_on_the_wire(
+        served_db):
+    """A DECIMAL column NULL-padded by a LEFT JOIN used to crash both
+    baselines (``None * 0.01``); all seven modes agree, in process and
+    over the wire, also when the NULL is the ORDER BY ... LIMIT winner."""
+    db, server = served_db
+    db.create_table("a", [("k", SQLType.INT64)])
+    db.create_table("b", [("k", SQLType.INT64), ("w", SQLType.DECIMAL)])
+    db.insert("a", [(1,), (2,), (3,)])
+    db.insert("b", [(1, 1.5), (3, 0.25)])
+    join = "select a.k, b.w from a left join b on a.k = b.k "
+    cases = {join + "order by a.k": [(1, 1.5), (2, None), (3, 0.25)],
+             join + "order by b.w desc limit 1": [(2, None)],
+             join + "order by b.w limit 2": [(3, 0.25), (1, 1.5)]}
+    conn = connect(*server.address)
+    try:
+        for mode in list(ENGINE_MODES) + list(BASELINE_MODES):
+            for sql, expected in cases.items():
+                local = db.execute(
+                    sql,
+                    options=ExecOptions( mode=mode, use_result_cache=False))
+                assert local.rows == expected, (mode, sql)
+                wire = conn.execute(sql, mode=mode, use_result_cache=False,
+                                    timeout=60, batch_rows=2)
+                assert wire.rows == expected, (mode, sql)
+                assert wire.decoded_rows() == local.decoded_rows()
+    finally:
+        conn.close()
+
+
+def test_removed_or_unknown_option_is_a_typed_error_frame(served_db):
+    """The wire's per-request options are ``ExecOptions`` field overrides;
+    a removed historical switch or any unknown key comes back as a typed
+    ERROR frame naming it, and the connection keeps serving."""
+    db, server = served_db
+    sql = "select count(*) as n from t"
+    conn = connect(*server.address)
+    try:
+        for option in ("use_topk_breaker", "use_partitioned_breakers",
+                       "use_batch_kernels", "morsel_size"):
+            with pytest.raises(ServerError, match=option) as info:
+                conn.execute(sql, timeout=60, **{option: False})
+            assert info.value.code == "EXECUTION"
+            with pytest.raises(ServerError, match=option) as info:
+                conn.execute_many(sql + " where a < ?", bindings=[(1,), (2,)],
+                                  timeout=60, **{option: False})
+            assert info.value.code == "EXECUTION"
+        expected = db.execute(sql).rows
+        assert conn.execute(sql, timeout=60).rows == expected
+        assert conn.execute(sql, mode="volcano", timeout=60).rows == expected
+    finally:
+        conn.close()
+
+
 def test_execute_many_streams_bindings_of_different_sizes(served_db):
     db, server = served_db
     sql = "select a, b, s from t where a < ? order by a"
     # 0 rows (no ROW_BATCH at all), one partial batch, exactly one batch,
     # several batches with a remainder.
     bindings = [(0,), (3,), (16,), (50,), (0,), (1,)]
-    expected = [db.execute(sql, params=b, use_result_cache=False).rows
+    expected = [db.execute(sql, params=b,
+                           options=ExecOptions(use_result_cache=False)).rows
                 for b in bindings]
     conn = connect(*server.address)
     try:
@@ -656,7 +712,8 @@ def test_execute_many_round_trip_matches_in_process(served_db):
     db, server = served_db
     sql = "select sum(b) as s from t where a % 10 = ?"
     bindings = [(1,), (2,), (1,), (3,)]
-    expected = [db.execute(sql, params=b, use_result_cache=False).rows
+    expected = [db.execute(sql, params=b,
+                           options=ExecOptions(use_result_cache=False)).rows
                 for b in bindings]
     db.result_cache.clear()
     conn = connect(*server.address)

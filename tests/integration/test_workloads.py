@@ -5,6 +5,7 @@ import gc
 
 import pytest
 
+from repro import ExecOptions
 from repro.workloads import (
     METADATA_QUERIES,
     TPCDS_QUERIES,
@@ -59,7 +60,8 @@ def test_tpch_query_modes_agree(tpch_db_tiny, query_number):
     sql = TPCH_QUERIES[query_number]
     reference = None
     for mode in ("optimized", "bytecode", "adaptive", "volcano"):
-        rows = normalized(tpch_db_tiny.execute(sql, mode=mode).rows)
+        rows = normalized(tpch_db_tiny.execute(
+            sql, options=ExecOptions(mode=mode)).rows)
         if reference is None:
             reference = rows
         else:
@@ -69,13 +71,16 @@ def test_tpch_query_modes_agree(tpch_db_tiny, query_number):
 @pytest.mark.parametrize("query_number", [1, 3, 5, 6, 10, 12, 14, 19, 22])
 def test_tpch_vectorized_agrees(tpch_db_tiny, query_number):
     sql = TPCH_QUERIES[query_number]
-    compiled = normalized(tpch_db_tiny.execute(sql, mode="optimized").rows)
-    vectorized = normalized(tpch_db_tiny.execute(sql, mode="vectorized").rows)
+    compiled = normalized(tpch_db_tiny.execute(
+        sql, options=ExecOptions(mode="optimized")).rows)
+    vectorized = normalized(tpch_db_tiny.execute(
+        sql, options=ExecOptions(mode="vectorized")).rows)
     assert vectorized == compiled
 
 
 def test_tpch_q1_produces_expected_groups(tpch_db):
-    result = tpch_db.execute(TPCH_QUERIES[1], mode="optimized")
+    result = tpch_db.execute(TPCH_QUERIES[1],
+                             options=ExecOptions(mode="optimized"))
     flags = {row[0] for row in result.rows}
     assert flags <= {"A", "N", "R"}
     assert len(result.column_names) == 10
@@ -84,7 +89,8 @@ def test_tpch_q1_produces_expected_groups(tpch_db):
 
 
 def test_tpch_q6_is_single_pipeline_scalar_aggregate(tpch_db):
-    result = tpch_db.execute(TPCH_QUERIES[6], mode="optimized")
+    result = tpch_db.execute(TPCH_QUERIES[6],
+                             options=ExecOptions(mode="optimized"))
     assert len(result.rows) == 1
     # scan + hash-table-scan pipelines
     assert len(result.pipelines) == 2
@@ -98,8 +104,10 @@ class TestTPCDS:
     @pytest.mark.parametrize("query_id", sorted(TPCDS_QUERIES))
     def test_queries_run_and_agree(self, tpcds_db, query_id):
         sql = TPCDS_QUERIES[query_id]
-        compiled = normalized(tpcds_db.execute(sql, mode="optimized").rows)
-        interpreted = normalized(tpcds_db.execute(sql, mode="bytecode").rows)
+        compiled = normalized(tpcds_db.execute(
+            sql, options=ExecOptions(mode="optimized")).rows)
+        interpreted = normalized(tpcds_db.execute(
+            sql, options=ExecOptions(mode="bytecode")).rows)
         assert compiled == interpreted
 
     def test_query_sizes_span_a_range(self, tpcds_db):
@@ -118,15 +126,18 @@ class TestMetadataWorkload:
     @pytest.mark.parametrize("index", range(len(METADATA_QUERIES)))
     def test_metadata_queries_agree(self, meta_db, index):
         sql = METADATA_QUERIES[index]
-        compiled = normalized(meta_db.execute(sql, mode="optimized").rows)
-        interpreted = normalized(meta_db.execute(sql, mode="bytecode").rows)
-        adaptive = normalized(meta_db.execute(sql, mode="adaptive").rows)
+        compiled = normalized(meta_db.execute(
+            sql, options=ExecOptions(mode="optimized")).rows)
+        interpreted = normalized(meta_db.execute(
+            sql, options=ExecOptions(mode="bytecode")).rows)
+        adaptive = normalized(meta_db.execute(
+            sql, options=ExecOptions(mode="adaptive")).rows)
         assert compiled == interpreted == adaptive
 
     def test_adaptive_never_compiles_tiny_queries(self, meta_db):
         """The paper's headline scenario: metadata queries stay interpreted."""
         for sql in METADATA_QUERIES:
-            result = meta_db.execute(sql, mode="adaptive")
+            result = meta_db.execute(sql, options=ExecOptions(mode="adaptive"))
             for pipeline in result.pipelines:
                 assert pipeline.mode_history == ["bytecode"]
 
@@ -149,8 +160,10 @@ class TestWideQueries:
     def test_results_consistent_across_modes(self):
         db = populate_wide_table(num_rows=300)
         sql = wide_aggregate_query(25)
-        compiled = normalized(db.execute(sql, mode="optimized").rows)
-        interpreted = normalized(db.execute(sql, mode="bytecode").rows)
+        compiled = normalized(db.execute(
+            sql, options=ExecOptions(mode="optimized")).rows)
+        interpreted = normalized(db.execute(
+            sql, options=ExecOptions(mode="bytecode")).rows)
         assert compiled == interpreted
 
     def test_bytecode_translation_faster_than_optimized_compile(self):
@@ -160,6 +173,8 @@ class TestWideQueries:
         # A full collection of the earlier tests' garbage (~50 ms) must not
         # land inside the ~12 ms translation being timed.
         gc.collect()
-        bytecode = db.execute(sql, mode="bytecode").timings.compile
-        optimized = db.execute(sql, mode="optimized").timings.compile
+        bytecode = db.execute(
+            sql, options=ExecOptions(mode="bytecode")).timings.compile
+        optimized = db.execute(
+            sql, options=ExecOptions(mode="optimized")).timings.compile
         assert bytecode < optimized

@@ -2,11 +2,12 @@
 
 The load-bearing invariant: hash-partitioning the breaker state and merging
 per-worker partials is pure bookkeeping -- a partitioned execution must
-return *exactly* the rows of the single-table path, for every execution
-mode, every partition count, any worker count, and adversarial key
-distributions (heavy duplicates, skew, multi-column keys, multi-join
-fan-out).  GROUP BY results additionally come out in ascending group-key
-order in every engine, so the comparisons below do not need to sort.
+return *exactly* the rows a plain Python dict group-by / nested-loop join
+computes, for every execution mode, every partition count, any worker
+count, and adversarial key distributions (heavy duplicates, skew,
+multi-column keys, multi-join fan-out).  GROUP BY results additionally
+come out in ascending group-key order in every engine, so the comparisons
+below do not need to sort.
 """
 
 from __future__ import annotations
@@ -37,7 +38,6 @@ def _breaker_configs(mode):
         ExecOptions(mode=mode),                              # default layout
         ExecOptions(mode=mode, breaker_partitions=1),
         ExecOptions(mode=mode, breaker_partitions=32),
-        ExecOptions(mode=mode, use_partitioned_breakers=False),
     ]
     if mode in ENGINE_MODES:
         configs.append(ExecOptions(mode=mode, threads=4))
@@ -68,7 +68,7 @@ def _expected_group_by(rows):
 
 @_SETTINGS
 @given(rows=st.lists(_row, min_size=0, max_size=120))
-def test_partitioned_group_by_matches_single_table(rows):
+def test_partitioned_group_by_matches_dict_oracle(rows):
     db = Database(morsel_size=32, workers=4)
     try:
         db.create_table("t", [("k", SQLType.INT64), ("s", SQLType.STRING),
@@ -92,7 +92,8 @@ def test_partitioned_group_by_matches_single_table(rows):
                     min_size=0, max_size=20),
        fact=st.lists(st.tuples(_skewed_key, st.integers(0, 3)),
                      min_size=0, max_size=20))
-def test_partitioned_multi_join_group_by_matches_single_table(rows, dim, fact):
+def test_partitioned_multi_join_group_by_matches_nested_loops(rows, dim,
+                                                              fact):
     db = Database(morsel_size=16, workers=4)
     try:
         db.create_table("t", [("k", SQLType.INT64), ("s", SQLType.STRING),
@@ -138,19 +139,23 @@ def test_unordered_group_by_is_deterministic_across_modes():
     db = Database(morsel_size=64, workers=4)
     try:
         db.create_table("t", [("k", SQLType.INT64), ("v", SQLType.INT64)])
-        db.insert("t", [((i * 7919) % 23, i) for i in range(2000)])
+        data = [((i * 7919) % 23, i) for i in range(2000)]
+        db.insert("t", data)
         sql = "select k, count(*), sum(v) from t group by k"
-        reference = None
+        groups: dict = {}
+        for key, value in data:
+            count, total = groups.get(key, (0, 0))
+            groups[key] = (count + 1, total + value)
+        reference = [(key, *groups[key]) for key in sorted(groups)]
         for mode in ALL_MODES:
             for options in (ExecOptions(mode=mode),
-                            ExecOptions(mode=mode, breaker_partitions=16),
-                            ExecOptions(mode=mode,
-                                        use_partitioned_breakers=False)):
-                rows = db.execute(sql, options=options).rows
-                assert rows == sorted(rows), (mode, options)
-                if reference is None:
-                    reference = rows
-                assert rows == reference, (mode, options)
+                            ExecOptions(mode=mode, breaker_partitions=1),
+                            ExecOptions(mode=mode, breaker_partitions=16)):
+                for _ in range(2):   # run after run: no result cache
+                    rows = db.execute(
+                        sql,
+                        options=options.merged( use_result_cache=False)).rows
+                    assert rows == reference, (mode, options)
     finally:
         db.close()
 
@@ -177,8 +182,8 @@ def test_null_keys_cannot_reach_breakers():
 def test_nan_keys_take_row_fallback_in_batch_kernels():
     """NaN join/group keys route the vectorized batch kernels to the
     row-at-a-time fallback (np.unique would collapse NaNs into one code,
-    but NaN keys never compare equal row-at-a-time), so both kernel paths
-    stay output-identical on every input."""
+    but NaN keys never compare equal row-at-a-time); the expected rows
+    below are what those row-at-a-time semantics give."""
     from repro.baselines import VectorizedEngine
 
     nan = float("nan")
@@ -190,21 +195,18 @@ def test_nan_keys_take_row_fallback_in_batch_kernels():
         db.insert("s", [(nan, 10), (2.0, 20), (1.0, 30)], encode=False)
         _, planning, _ = db.prepare("select t.v, s.w from t, s "
                                     "where t.k = s.k")
-        batch = VectorizedEngine(db.catalog,
-                                 use_batch_kernels=True)
-        legacy = VectorizedEngine(db.catalog,
-                                  use_batch_kernels=False)
-        assert sorted(batch.execute(planning.physical)) == \
-            sorted(legacy.execute(planning.physical)) == [(3, 30)]
+        engine = VectorizedEngine(db.catalog)
+        # NaN never equals NaN: only the 1.0 keys join.
+        assert engine.execute(planning.physical) == [(3, 30)]
 
         db.create_table("g", [("a", SQLType.INT64),
                               ("k", SQLType.FLOAT64)])
         db.insert("g", [(1, nan), (1, nan), (1, 1.0)], encode=False)
         _, planning, _ = db.prepare("select a, k, count(*) from g "
                                     "group by a, k")
-        grouped_batch = batch.execute(planning.physical)
-        grouped_legacy = legacy.execute(planning.physical)
-        assert len(grouped_batch) == len(grouped_legacy) == 3
+        # Each NaN is its own group (NaN != NaN), plus the 1.0 group.
+        grouped = engine.execute(planning.physical)
+        assert sorted(count for _, _, count in grouped) == [1, 1, 1]
 
         # NaN aggregate *arguments* also bypass the reduceat kernel: the
         # row loop keeps Python min/max semantics (first non-NaN winner).
@@ -213,9 +215,7 @@ def test_nan_keys_take_row_fallback_in_batch_kernels():
         db.insert("m", [(1, 1.0), (1, nan), (2, 3.0)], encode=False)
         _, planning, _ = db.prepare("select k, min(v), max(v) from m "
                                     "group by k")
-        minmax_batch = batch.execute(planning.physical)
-        minmax_legacy = legacy.execute(planning.physical)
-        assert minmax_batch == minmax_legacy == [(1, 1.0, 1.0),
-                                                 (2, 3.0, 3.0)]
+        assert engine.execute(planning.physical) == [(1, 1.0, 1.0),
+                                                     (2, 3.0, 3.0)]
     finally:
         db.close()

@@ -38,7 +38,6 @@ def _configs(mode):
         ExecOptions(mode=mode),
         ExecOptions(mode=mode, breaker_partitions=1),
         ExecOptions(mode=mode, breaker_partitions=32),
-        ExecOptions(mode=mode, use_partitioned_breakers=False),
     ]
     if mode in ENGINE_MODES:
         configs.append(ExecOptions(mode=mode, threads=4))
@@ -137,10 +136,11 @@ def test_all_matched_and_all_unmatched_build_sides():
                       "order by t.k, t.v")
         for mode in ALL_MODES:
             # All matched: LEFT JOIN collapses to the inner join.
-            assert db.execute(left_full, mode=mode).rows == \
-                db.execute(inner, mode=mode).rows, mode
+            assert db.execute(left_full,
+                              options=ExecOptions(mode=mode)).rows == \
+                db.execute(inner, options=ExecOptions(mode=mode)).rows, mode
             # All unmatched: every probe row survives once, NULL-padded.
-            rows = db.execute(left_empty, mode=mode).rows
+            rows = db.execute(left_empty, options=ExecOptions(mode=mode)).rows
             assert rows == [(k, v, None) for k, v in sorted(probe)], mode
     finally:
         db.close()
@@ -157,19 +157,20 @@ def test_left_join_composes_with_topk_and_aggregation_siblings():
         db.insert("s", [(k, k * 100) for k in range(0, 10, 2)])
         sql = ("select t.v, s.w from t left join s on t.k = s.k "
                "order by s.w desc, t.v limit 7")
-        reference = None
+        # Sort-then-slice in Python.  NULL orders as the largest value, so
+        # DESC puts the NULL-padded rows first (NULLS FIRST), tiebroken by
+        # ascending t.v: the seven smallest v with odd (unmatched) keys.
+        joined = [(v, (v % 10) * 100 if v % 2 == 0 else None)
+                  for v in range(100)]
+        expected = sorted(
+            joined, key=lambda row: ((0, 0) if row[1] is None
+                                     else (1, -row[1]), row[0]))[:7]
+        assert expected == [(v, None) for v in (1, 3, 5, 7, 9, 11, 13)]
         for mode in ALL_MODES:
             for options in (ExecOptions(mode=mode),
-                            ExecOptions(mode=mode, use_topk_breaker=False)):
+                            ExecOptions(mode=mode, breaker_partitions=1)):
                 rows = db.execute(sql, options=options).rows
-                if reference is None:
-                    reference = rows
-                assert rows == reference, (mode, options)
-        assert len(reference) == 7
-        # NULL orders as the largest value, so DESC puts the NULL-padded
-        # rows first (NULLS FIRST), tiebroken by ascending t.v: the seven
-        # smallest v with odd (unmatched) keys.
-        assert reference == [(v, None) for v in (1, 3, 5, 7, 9, 11, 13)]
+                assert rows == expected, (mode, options)
     finally:
         db.close()
 

@@ -16,7 +16,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro import Database, SQLType
+from repro import Database, ExecOptions, SQLType
 from repro.adaptive import MorselDispatcher
 from repro.backend import compile_optimized, compile_unoptimized
 from repro.ir import Constant, ExternFunction, Function, IRBuilder, verify_function
@@ -55,7 +55,7 @@ def test_sql_aggregate_matches_python_oracle(rows, threshold):
         db.insert("t", rows)
     sql = (f"select sum(a) as sa, count(*) as n, sum(c * 2 + b) as sc "
            f"from t where a > {threshold}")
-    result = db.execute(sql, mode="bytecode")
+    result = db.execute(sql, options=ExecOptions(mode="bytecode"))
     selected = [row for row in rows if row[0] > threshold]
     expected_sum_a = sum(row[0] for row in selected)
     expected_count = len(selected)
@@ -75,7 +75,8 @@ def test_group_by_matches_python_oracle(rows):
     if rows:
         db.insert("t", rows)
     result = db.execute("select b, count(*) as n, min(a) as mn, max(a) as mx "
-                        "from t group by b order by b", mode="bytecode")
+                        "from t group by b order by b",
+                        options=ExecOptions(mode="bytecode"))
     expected: dict[int, list] = {}
     for a, b, _ in rows:
         entry = expected.setdefault(b, [0, None, None])
@@ -99,7 +100,7 @@ def test_modes_agree_on_random_data(rows, low, high):
         db.insert("t", rows)
     sql = (f"select b, sum(a) as s from t where a between {low} and {high} "
            f"group by b order by b")
-    reference = db.execute(sql, mode="optimized").rows
+    reference = db.execute(sql, options=ExecOptions(mode="optimized")).rows
 
     def close(left, right):
         if len(left) != len(right):
@@ -113,9 +114,12 @@ def test_modes_agree_on_random_data(rows, low, high):
                     return False
         return True
 
-    assert close(db.execute(sql, mode="bytecode").rows, reference)
-    assert close(db.execute(sql, mode="volcano").rows, reference)
-    assert close(db.execute(sql, mode="adaptive").rows, reference)
+    assert close(db.execute(
+        sql, options=ExecOptions(mode="bytecode")).rows, reference)
+    assert close(db.execute(
+        sql, options=ExecOptions(mode="volcano")).rows, reference)
+    assert close(db.execute(
+        sql, options=ExecOptions(mode="adaptive")).rows, reference)
 
 
 # --------------------------------------------------------------------------- #

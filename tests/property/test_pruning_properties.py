@@ -66,7 +66,7 @@ def test_pruned_equals_unpruned_in_every_mode(values, template, constants):
            + template.format(*constants))
     expected = None
     for mode in ALL_MODES:
-        pruned = db.execute(sql, mode=mode)
+        pruned = db.execute(sql, options=ExecOptions(mode=mode))
         unpruned = db.execute(
             sql, options=ExecOptions(mode=mode, use_pruning=False))
         assert unpruned.stats["chunks_pruned"] == 0
@@ -92,11 +92,11 @@ def test_cached_plan_prunes_correctly_for_every_binding(values, bindings):
     prepared = db.prepare_query(
         "select a from t where a between ? and ?")
     for low, high in bindings:
-        result = prepared.execute(mode="bytecode", params=[low, high])
+        result = prepared.execute(options=ExecOptions(mode="bytecode"),
+                                  params=[low, high])
         oracle = sorted((v,) for v in values if low <= v <= high)
         assert sorted(result.rows) == oracle, (low, high)
         unpruned = prepared.execute(
-            mode="bytecode",
             options=ExecOptions(mode="bytecode", use_pruning=False),
             params=[low, high])
         assert sorted(unpruned.rows) == oracle

@@ -59,10 +59,10 @@ def test_execute_many_equals_uncached_execute_in_every_mode(values,
             sql, params=binding,
             options=ExecOptions(mode=mode, use_result_cache=False)).rows)
             for binding in batch]
-        fused = db.execute_many(sql, batch, mode=mode)
+        fused = db.execute_many(sql, batch, options=ExecOptions(mode=mode))
         assert [normalized(r.rows) for r in fused] == expected, mode
         # And again, now that every binding is cache-resident.
-        repeat = db.execute_many(sql, batch, mode=mode)
+        repeat = db.execute_many(sql, batch, options=ExecOptions(mode=mode))
         assert [normalized(r.rows) for r in repeat] == expected, mode
 
 

@@ -292,15 +292,31 @@ def _corrupt_impl_signature(n):
 
 
 def _corrupt_lock(n):
-    shared_lock = threading.Lock()
+    """Any lock in any ``rt_*`` extern: every sink family (the two that
+    once held a ``may_lock`` grant included), a pure extern, and the name
+    the removed fallback lock used."""
+    fallback_lock = threading.Lock()   # a lock by any name is a lock
 
-    def update(ctx, key):
-        with shared_lock:
+    def sink(ctx, key):
+        with fallback_lock:
             pass
 
-    extern = ExternFunction(f"rt_build_insert_{n}", [ptr, i64], void, update)
+    def pure(key):
+        with fallback_lock:
+            return None
+
+    families = [
+        (f"rt_build_insert_{n}", [ptr, i64], void, sink, True),
+        (f"rt_agg_update_{n}", [ptr, i64], void, sink, True),
+        ("rt_emit_row", [ptr, i64], void, sink, True),
+        (f"rt_probe_{n}", [i64], ptr, pure, False),
+    ]
+    name, arg_types, result, impl, is_sink = families[n % len(families)]
+    extern = ExternFunction(name, arg_types, result, impl,
+                            has_side_effects=is_sink)
     return (_module_with_call(
-        extern, lambda b, f: [f.args[0], b.const_i64(n)]),
+        extern, lambda b, f: ([f.args[0]] if is_sink else [])
+        + [b.const_i64(n)]),
         "lock")
 
 

@@ -5,7 +5,7 @@ from collections import Counter
 
 import pytest
 
-from repro import Database, SQLType
+from repro import Database, ExecOptions, SQLType
 from repro.adaptive import (
     AdaptivePolicy,
     Decision,
@@ -349,8 +349,10 @@ class TestExecutors:
         db.create_table("t", [("a", SQLType.INT64), ("b", SQLType.FLOAT64)])
         db.insert("t", [(i % 13, float(i)) for i in range(5000)])
         sql = "select a, sum(b) as s, count(*) as c from t group by a order by a"
-        static = db.execute(sql, mode="optimized")
-        adaptive = db.execute(sql, mode="adaptive", collect_trace=True)
+        static = db.execute(sql, options=ExecOptions(mode="optimized"))
+        adaptive = db.execute(sql,
+                              options=ExecOptions(mode="adaptive",
+                                                  collect_trace=True))
         assert adaptive.rows == static.rows
         assert adaptive.mode == "adaptive"
         assert adaptive.trace is not None
@@ -361,13 +363,14 @@ class TestExecutors:
         db.create_table("t", [("a", SQLType.INT64)])
         db.insert("t", [(i,) for i in range(3000)])
         sql = "select sum(a) as s from t"
-        result = db.execute(sql, mode="adaptive", threads=3)
+        result = db.execute(sql,
+                            options=ExecOptions(mode="adaptive", threads=3))
         assert result.rows == [(sum(range(3000)),)]
 
     def test_static_parallel_executor(self):
         db = Database(morsel_size=128)
         db.create_table("t", [("a", SQLType.INT64)])
         db.insert("t", [(i,) for i in range(2000)])
-        result = db.execute("select count(*) as c from t", mode="bytecode",
-                            threads=4)
+        result = db.execute("select count(*) as c from t",
+                            options=ExecOptions(mode="bytecode", threads=4))
         assert result.rows == [(2000,)]

@@ -208,7 +208,8 @@ def make_caller(extern, args_of):
 class TestExternContracts:
     def test_contract_lookup(self):
         assert find_contract("rt_build_insert_3").is_sink
-        assert find_contract("rt_agg_update_12").may_lock
+        assert find_contract("rt_agg_update_12").is_sink
+        assert not hasattr(find_contract("rt_emit_row"), "may_lock")
         assert find_contract("rt_probe_0").pure
         assert find_contract("rt_not_a_thing") is None
 
@@ -417,7 +418,9 @@ def make_update(state, big_lock):
 """)
         assert [f.rule for f in findings] == ["hot-path-lock"]
 
-    def test_hot_path_allows_fallback_lock(self, tmp_path):
+    def test_hot_path_has_no_sanctioned_lock(self, tmp_path):
+        # The name the removed single-table fallback used is a lock like
+        # any other.
         findings = run_lint(tmp_path, """
 def make_emit(state, fallback_lock):
     def emit(ctx, *values):
@@ -426,7 +429,7 @@ def make_emit(state, fallback_lock):
     emit.__name__ = "rt_emit_row"
     return emit
 """)
-        assert findings == []
+        assert [f.rule for f in findings] == ["hot-path-lock"]
 
     def test_stats_key_fires(self, tmp_path):
         findings = run_lint(tmp_path, """

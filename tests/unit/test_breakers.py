@@ -103,7 +103,7 @@ class TestQueryStateBreakers:
             assert len(parts) == 8
         state.configure_breakers(partitions=3)   # rounded up
         assert state.partition_count == 4
-        state.configure_breakers(use_partitioned=False)
+        state.configure_breakers()
         assert state.partition_count == 1
         for agg_id, parts in state.agg_partitions.items():
             assert parts is lists[agg_id]
@@ -134,19 +134,16 @@ class TestQueryStateBreakers:
         first = run.context(1)
         assert run.context(1) is first
         assert run.context(2) is not first
-        state.use_partitioned = False
-        assert run.context(0) is None
+        assert isinstance(run.context(0), WorkerContext)
 
 
 class TestOptionWiring:
-    def test_options_defaults_and_accessors(self):
+    def test_options_defaults_and_merge(self):
         options = ExecOptions()
         assert options.breaker_partitions is None
-        assert options.use_partitioned_breakers is True
-        merged = options.merged(breaker_partitions=6,
-                                use_partitioned_breakers=False)
+        merged = options.merged(breaker_partitions=6)
         assert merged.breaker_partitions == 6
-        assert merged.use_partitioned_breakers is False
+        assert options.breaker_partitions is None   # frozen: a new value
 
     def test_database_resolves_default_partition_count(self):
         db = Database(workers=5)
@@ -164,20 +161,26 @@ class TestOptionWiring:
         stats = result.stats
         assert stats["breaker_partitions"] == 16
         assert stats["breaker_partial_entries"] >= 9
-        assert stats["breaker_lock_acquisitions"] == 0
         assert stats["breaker_merge_seconds"] >= 0.0
         pipeline = result.pipelines[0]
         assert pipeline.breaker_partitions == 16
         assert pipeline.breaker_partial_entries >= 9
 
-    def test_escape_hatch_counts_fallback_locks(self, grouped_db):
-        result = grouped_db.execute(
-            GROUP_SQL, options=ExecOptions(
-                mode="bytecode", use_partitioned_breakers=False))
-        # No partials exist on the single-table path: partitions report 0.
-        assert result.stats["breaker_partitions"] == 0
-        assert result.stats["breaker_partial_entries"] == 0
-        assert result.stats["breaker_lock_acquisitions"] == 3000
+    def test_one_partition_equals_a_dict_group_by(self, grouped_db):
+        # breaker_partitions=1 is the degenerate layout (what the removed
+        # single-table path used to be); the reference is a plain dict.
+        groups: dict = {}
+        for i in range(3000):
+            count, total = groups.get(i % 9, (0, 0))
+            groups[i % 9] = (count + 1, total + i)
+        expected = [(k, *groups[k]) for k in sorted(groups)]
+        for threads in (1, 4):
+            result = grouped_db.execute(
+                GROUP_SQL, options=ExecOptions(
+                    mode="bytecode", threads=threads, breaker_partitions=1,
+                    use_result_cache=False))
+            assert result.rows == expected
+            assert result.stats["breaker_partitions"] == 1
 
     def test_scan_only_pipelines_report_no_partitions(self, grouped_db):
         result = grouped_db.execute(
@@ -186,18 +189,16 @@ class TestOptionWiring:
         # The output pipeline's partials are plain row buffers, not hash
         # partitions.
         assert result.stats["breaker_partitions"] == 0
-        assert result.stats["breaker_lock_acquisitions"] == 0
 
     def test_session_and_prepared_accept_breaker_options(self, grouped_db):
         session = grouped_db.session(
             options=ExecOptions(mode="bytecode", breaker_partitions=2))
-        assert session.breaker_partitions == 2
-        expected = grouped_db.execute(GROUP_SQL, mode="optimized").rows
+        assert session.options.breaker_partitions == 2
+        expected = grouped_db.execute(
+            GROUP_SQL, options=ExecOptions(mode="optimized")).rows
         assert session.execute(GROUP_SQL).rows == expected
         prepared = grouped_db.prepare_query(GROUP_SQL)
-        hot = prepared.execute(options=ExecOptions(
-            mode="adaptive", threads=2, breaker_partitions=4))
+        hot = prepared.execute(
+            options=ExecOptions(mode="adaptive", threads=2,
+                                breaker_partitions=4))
         assert hot.rows == expected
-        cold = prepared.execute(options=ExecOptions(
-            mode="adaptive", use_partitioned_breakers=False))
-        assert cold.rows == expected

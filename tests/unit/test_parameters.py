@@ -243,12 +243,13 @@ class TestExecution:
         with pytest.raises(ParameterError, match="NULL"):
             db.execute(sql, params=(None,))
         with pytest.raises(ParameterError, match="NULL"):
-            db.execute(sql, mode="volcano", params=(None,))
+            db.execute(sql, options=ExecOptions(mode="volcano"),
+                       params=(None,))
 
     def test_baseline_modes_accept_params(self, db):
         for mode in ("volcano", "vectorized"):
             result = db.execute("select count(*) as c from t where a <= ?",
-                                mode=mode, params=(7,))
+                                options=ExecOptions(mode=mode), params=(7,))
             assert result.rows == [(7,)]
 
     def test_bool_parameter(self, db):
@@ -354,18 +355,56 @@ class TestAutoParameterize:
 # ExecOptions
 # --------------------------------------------------------------------------- #
 class TestExecOptions:
-    def test_resolve_defaults_and_overrides(self):
-        assert ExecOptions.resolve(None) == ExecOptions()
+    def test_defaults_and_merge(self):
+        assert ExecOptions.of(None) == ExecOptions()
         opts = ExecOptions(mode="bytecode", threads=4)
-        assert ExecOptions.resolve(opts) is opts
-        merged = ExecOptions.resolve(opts, mode="optimized")
+        assert ExecOptions.of(opts) is opts
+        assert opts.merged() is opts
+        assert opts.merged(mode=None) is opts   # None: "not given"
+        merged = opts.merged(mode="optimized")
         assert merged.mode == "optimized" and merged.threads == 4
 
-    def test_resolve_rejects_unknown_and_bad_type(self):
-        with pytest.raises(ExecutionError, match="unknown execution option"):
-            ExecOptions.resolve(None, morsel_size=3)
+    def test_merge_rejects_unknown_and_entry_points_reject_bad_type(self, db):
+        with pytest.raises(ExecutionError, match="unknown execution option"
+                                                 r".*morsel_size"):
+            ExecOptions().merged(morsel_size=3)
         with pytest.raises(ExecutionError, match="ExecOptions"):
-            ExecOptions.resolve({"mode": "adaptive"})
+            ExecOptions.of({"mode": "adaptive"})
+        with pytest.raises(ExecutionError, match="got dict"):
+            db.execute("select count(*) as c from t",
+                       options={"mode": "adaptive"})
+
+    def test_removed_options_and_keywords_are_located_errors(self, db):
+        """Neither the historical-path switches nor the per-call keyword
+        shim exist any more; using one names the call and the keyword."""
+        sql = "select count(*) as c from t"
+        for removed in ("use_topk_breaker", "use_partitioned_breakers"):
+            with pytest.raises(TypeError, match=rf"ExecOptions.*{removed}"):
+                ExecOptions(**{removed: False})
+            with pytest.raises(ExecutionError, match=removed):
+                ExecOptions().merged(**{removed: False})
+        prepared = db.prepare_query(sql)
+        calls = {
+            "Database.execute": lambda **kw: db.execute(sql, **kw),
+            "Database.execute_many": lambda **kw: db.execute_many(
+                sql, [None], **kw),
+            "Database.submit": lambda **kw: db.submit(sql, **kw),
+            "Database.session": lambda **kw: db.session(**kw),
+            "Database.cached_result": lambda **kw: db.cached_result(
+                sql, **kw),
+            "Database.explain": lambda **kw: db.explain(sql, **kw),
+            "PreparedQuery.execute": lambda **kw: prepared.execute(**kw),
+        }
+        for name, call in calls.items():
+            for keyword in ("mode", "threads", "collect_trace", "use_cache",
+                            "use_result_cache", "telemetry"):
+                with pytest.raises(TypeError,
+                                   match=rf"{name}\(\).*'{keyword}'"):
+                    call(**{keyword: None})
+        # The database is untouched by the rejections.
+        assert db.execute(sql, options=ExecOptions(mode="volcano")
+                          ).rows == [(40,)]
+        db.close()
 
     def test_accepted_across_call_sites(self, db):
         opts = ExecOptions(mode="bytecode")
@@ -377,7 +416,7 @@ class TestExecOptions:
         with db.session(options=opts) as session:
             assert session.execute("select count(*) as c from t"
                                    ).mode == "bytecode"
-            assert session.mode == "bytecode"  # legacy accessor
+            assert session.options.mode == "bytecode"
             assert session.execute("select count(*) as c from t",
                                    mode="optimized").mode == "optimized"
         prepared = db.prepare_query("select count(*) as c from t")

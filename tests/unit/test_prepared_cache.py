@@ -58,17 +58,20 @@ class TestNormalizeSQL:
         assert multiline != single_line
 
     def test_unterminated_block_comment_never_hits_cache(self, db):
-        db.execute("select a from t", mode="bytecode")
+        db.execute("select a from t", options=ExecOptions(mode="bytecode"))
         # Lexically invalid: must raise even with the valid form cached.
         with pytest.raises(Exception):
-            db.execute("select a from t /* unterminated", mode="bytecode")
+            db.execute("select a from t /* unterminated",
+                       options=ExecOptions(mode="bytecode"))
 
     def test_comment_collision_does_not_serve_wrong_plan(self, db):
-        db.execute("select a\n-- note\nfrom t", mode="bytecode")
+        db.execute("select a\n-- note\nfrom t",
+                   options=ExecOptions(mode="bytecode"))
         # Same text on one line is a *different* query (the comment swallows
         # FROM); it must not be served from the cache but fail on its own.
         with pytest.raises(Exception):
-            db.execute("select a -- note from t", mode="bytecode")
+            db.execute("select a -- note from t",
+                       options=ExecOptions(mode="bytecode"))
 
 
 class TestPlanCache:
@@ -114,8 +117,12 @@ class TestTransparentCache:
     def test_hit_skips_frontend_phases(self, db):
         # use_result_cache=False: this test measures the *plan* cache (the
         # repeat must re-execute, just without the front-end phases).
-        first = db.execute(SQL, mode="optimized", use_result_cache=False)
-        second = db.execute(SQL, mode="optimized", use_result_cache=False)
+        first = db.execute(SQL,
+                           options=ExecOptions(mode="optimized",
+                                               use_result_cache=False))
+        second = db.execute(SQL,
+                            options=ExecOptions(mode="optimized",
+                                                use_result_cache=False))
         assert not first.cached and second.cached
         assert first.timings.parse > 0 and first.timings.compile > 0
         assert second.timings.parse == 0
@@ -127,36 +134,39 @@ class TestTransparentCache:
         assert second.rows == first.rows
 
     def test_cache_shared_across_modes(self, db):
-        db.execute(SQL, mode="optimized")
-        result = db.execute(SQL, mode="bytecode")
+        db.execute(SQL, options=ExecOptions(mode="optimized"))
+        result = db.execute(SQL, options=ExecOptions(mode="bytecode"))
         assert result.cached  # same plan entry, different tier
         assert result.timings.compile > 0  # bytecode tier not built yet
-        again = db.execute(SQL, mode="bytecode")
+        again = db.execute(SQL, options=ExecOptions(mode="bytecode"))
         assert again.timings.compile == 0
 
     def test_normalized_key_matches_reformatted_sql(self, db):
-        db.execute(SQL, mode="bytecode")
+        db.execute(SQL, options=ExecOptions(mode="bytecode"))
         reformatted = ("SELECT  a, SUM(b) AS s, COUNT(*) AS c\n"
                        "FROM t GROUP BY a ORDER BY a")
-        assert db.execute(reformatted, mode="bytecode").cached
+        assert db.execute(reformatted,
+                          options=ExecOptions(mode="bytecode")).cached
 
     def test_insert_into_referenced_table_invalidates(self, db):
-        first = db.execute(SQL, mode="optimized")
+        first = db.execute(SQL, options=ExecOptions(mode="optimized"))
         db.insert("t", [(1, 1000.0)])
-        rebuilt = db.execute(SQL, mode="optimized")
+        rebuilt = db.execute(SQL, options=ExecOptions(mode="optimized"))
         assert not rebuilt.cached
         assert rebuilt.timings.parse > 0
         assert rebuilt.rows != first.rows  # sees the new row
         assert db.plan_cache.stats.invalidations == 1
 
     def test_unrelated_insert_keeps_entry(self, db):
-        db.execute(SQL, mode="optimized")
+        db.execute(SQL, options=ExecOptions(mode="optimized"))
         db.insert("u", [(999,)])
-        assert db.execute(SQL, mode="optimized").cached
+        assert db.execute(SQL, options=ExecOptions(mode="optimized")).cached
 
     def test_use_cache_false_bypasses(self, db):
-        db.execute(SQL, mode="optimized")
-        cold = db.execute(SQL, mode="optimized", use_cache=False)
+        db.execute(SQL, options=ExecOptions(mode="optimized"))
+        cold = db.execute(SQL,
+                          options=ExecOptions(mode="optimized",
+                                              use_cache=False))
         assert not cold.cached
         assert cold.timings.parse > 0 and cold.timings.compile > 0
 
@@ -169,9 +179,9 @@ class TestTransparentCache:
         assert not db.execute(sql).cached
 
     def test_stats_counters(self, db):
-        db.execute(SQL, mode="optimized")   # miss
-        db.execute(SQL, mode="adaptive")    # hit
-        db.execute(SQL, mode="bytecode")    # hit
+        db.execute(SQL, options=ExecOptions(mode="optimized"))   # miss
+        db.execute(SQL, options=ExecOptions(mode="adaptive"))    # hit
+        db.execute(SQL, options=ExecOptions(mode="bytecode"))    # hit
         stats = db.plan_cache.stats
         assert stats.misses == 1 and stats.hits == 2
         assert stats.hit_rate == pytest.approx(2 / 3)
@@ -180,27 +190,34 @@ class TestTransparentCache:
 class TestCachedMatchesUncached:
     @pytest.mark.parametrize("mode", ENGINE_MODES)
     def test_identical_results(self, db, mode):
-        uncached = db.execute(SQL, mode=mode, use_cache=False)
-        build = db.execute(SQL, mode=mode)
-        hit = db.execute(SQL, mode=mode)
+        uncached = db.execute(SQL,
+                              options=ExecOptions(mode=mode, use_cache=False))
+        build = db.execute(SQL, options=ExecOptions(mode=mode))
+        hit = db.execute(SQL, options=ExecOptions(mode=mode))
         assert build.rows == uncached.rows
         assert hit.rows == uncached.rows
         assert hit.column_names == uncached.column_names
         assert hit.column_types == uncached.column_types
 
     def test_threaded_cached_execution(self, db):
-        reference = db.execute(SQL, mode="optimized", use_cache=False).rows
+        reference = db.execute(SQL,
+                               options=ExecOptions(mode="optimized",
+                                                   use_cache=False)).rows
         for mode in ("bytecode", "optimized", "adaptive"):
-            assert db.execute(SQL, mode=mode, threads=4).rows == reference
-            assert db.execute(SQL, mode=mode, threads=4).rows == reference
+            assert db.execute(SQL,
+                              options=ExecOptions(mode=mode,
+                                                  threads=4)).rows == reference
+            assert db.execute(SQL,
+                              options=ExecOptions(mode=mode,
+                                                  threads=4)).rows == reference
 
     def test_cached_results_do_not_alias_state(self, db):
         # A result without DISTINCT/ORDER BY/LIMIT must not alias the
         # output-row list that the next execution resets in place.
         sql = "select a, b from t where a = 3"
-        first = db.execute(sql, mode="bytecode")
+        first = db.execute(sql, options=ExecOptions(mode="bytecode"))
         snapshot = list(first.rows)
-        db.execute(sql, mode="bytecode")
+        db.execute(sql, options=ExecOptions(mode="bytecode"))
         assert first.rows == snapshot
 
 
@@ -208,8 +225,8 @@ class TestPreparedQuery:
     def test_prepare_then_execute(self, db):
         prepared = db.prepare_query(SQL)
         assert prepared.referenced_tables == {"t"}
-        first = prepared.execute(mode="optimized")
-        second = prepared.execute(mode="optimized")
+        first = prepared.execute(options=ExecOptions(mode="optimized"))
+        second = prepared.execute(options=ExecOptions(mode="optimized"))
         assert not first.cached and second.cached
         assert second.timings.parse == 0 and second.timings.compile == 0
         assert first.rows == second.rows
@@ -221,14 +238,14 @@ class TestPreparedQuery:
     def test_rejects_baseline_modes(self, db):
         prepared = db.prepare_query(SQL)
         with pytest.raises(ExecutionError):
-            prepared.execute(mode="volcano")
+            prepared.execute(options=ExecOptions(mode="volcano"))
 
     def test_held_reference_reprepares_after_insert(self, db):
         prepared = db.prepare_query(SQL)
-        before = prepared.execute(mode="bytecode")
+        before = prepared.execute(options=ExecOptions(mode="bytecode"))
         db.insert("t", [(1, 1000.0)])
         assert not prepared.is_valid()
-        after = prepared.execute(mode="bytecode")
+        after = prepared.execute(options=ExecOptions(mode="bytecode"))
         assert not after.cached       # transparently re-prepared
         assert after.rows != before.rows
         assert prepared.is_valid()
@@ -242,7 +259,8 @@ class TestPreparedQuery:
             "optimized": TierEstimate(0.0, 0.0, 8.0),
         })
         prepared = db.prepare_query(SQL)
-        first = prepared.execute(mode="adaptive", cost_model=model)
+        first = prepared.execute(options=ExecOptions(mode="adaptive"),
+                                 cost_model=model)
         switched = [p for p in first.pipelines if len(p.mode_history) > 1]
         assert switched, "expected at least one pipeline to switch tiers"
         second = prepared.execute(cost_model=model,
@@ -255,9 +273,9 @@ class TestPreparedQuery:
         assert reused, "expected a pipeline to start in a compiled tier"
         assert second.rows == first.rows
 
-    def test_execute_nowait_does_not_block_on_busy_entry(self, db):
+    def test_nonblocking_execute_does_not_block_on_busy_entry(self, db):
         prepared = db.prepare_query(SQL)
-        prepared.execute(mode="bytecode")
+        prepared.execute(options=ExecOptions(mode="bytecode"))
         entered = threading.Event()
         release = threading.Event()
 
@@ -270,23 +288,30 @@ class TestPreparedQuery:
         holder.start()
         try:
             assert entered.wait(timeout=5)
-            assert prepared.execute_nowait(mode="bytecode") is None
+            assert prepared.execute(options=ExecOptions(mode="bytecode"),
+                                    block=False) is None
+            assert prepared.execute_many(
+                [None, None], options=ExecOptions(mode="bytecode"),
+                block=False) is None
             # Database.execute must fall back to a cold build, not block
             # (use_result_cache=False: with the cache on, a busy entry is
             # instead served from the cached result -- tested separately).
-            result = db.execute(SQL, mode="bytecode",
-                                use_result_cache=False)
+            result = db.execute(SQL,
+                                options=ExecOptions(mode="bytecode",
+                                                    use_result_cache=False))
             assert not result.cached
         finally:
             release.set()
             holder.join()
-        # With the entry free again, execute_nowait succeeds.
-        assert prepared.execute_nowait(mode="bytecode") is not None
+        # With the entry free again, the non-blocking entry succeeds.
+        assert prepared.execute(options=ExecOptions(mode="bytecode"),
+                                block=False) is not None
 
     def test_profile_query_measures_cold_phases(self, db):
         from repro.adaptive.simulation import profile_query
 
-        db.execute(SQL, mode="optimized")  # warm the plan cache
+        db.execute(
+            SQL, options=ExecOptions(mode="optimized"))  # warm the plan cache
         profile = profile_query(db, SQL)
         assert profile.planning_seconds > 0
         assert profile.codegen_seconds > 0
@@ -295,14 +320,16 @@ class TestPreparedQuery:
 
     def test_concurrent_executions_are_safe(self, db):
         prepared = db.prepare_query(SQL)
-        reference = prepared.execute(mode="optimized").rows
+        reference = prepared.execute(
+            options=ExecOptions(mode="optimized")).rows
         results = []
         errors = []
 
         def run():
             try:
                 for _ in range(3):
-                    results.append(prepared.execute(mode="optimized").rows)
+                    results.append(prepared.execute(
+                        options=ExecOptions(mode="optimized")).rows)
             except Exception as exc:  # pragma: no cover - failure path
                 errors.append(exc)
 
@@ -338,17 +365,19 @@ class TestBaselineArgumentValidation:
     @pytest.mark.parametrize("mode", ["volcano", "vectorized"])
     def test_threads_rejected(self, db, mode):
         with pytest.raises(ExecutionError):
-            db.execute(SQL, mode=mode, threads=2)
+            db.execute(SQL, options=ExecOptions(mode=mode, threads=2))
 
     @pytest.mark.parametrize("mode", ["volcano", "vectorized"])
     def test_collect_trace_rejected(self, db, mode):
         with pytest.raises(ExecutionError):
-            db.execute(SQL, mode=mode, collect_trace=True)
+            db.execute(SQL, options=ExecOptions(mode=mode, collect_trace=True))
 
     @pytest.mark.parametrize("mode", ["volcano", "vectorized"])
     def test_default_arguments_still_work(self, db, mode):
-        reference = db.execute(SQL, mode="optimized", use_cache=False)
-        result = db.execute(SQL, mode=mode)
+        reference = db.execute(SQL,
+                               options=ExecOptions(mode="optimized",
+                                                   use_cache=False))
+        result = db.execute(SQL, options=ExecOptions(mode=mode))
         assert [tuple(round(v, 4) if isinstance(v, float) else v
                       for v in row) for row in result.rows] == \
             [tuple(round(v, 4) if isinstance(v, float) else v

@@ -300,3 +300,81 @@ def test_reader_expect_end_and_bounds():
         reader.u32()
     assert reader.u8() == 2
     reader.expect_end()
+
+
+# ---------------------------------------------------------------------- #
+# client-side stream consumption (no socket: the mailbox is fed by hand)
+# ---------------------------------------------------------------------- #
+class _NoConnection:
+    """What a ``PendingResult`` needs of its connection."""
+
+    def _forget(self, pending) -> None:
+        self.forgotten = pending
+
+
+@pytest.mark.parametrize("batched", [False, True])
+def test_result_timeout_mid_stream_keeps_the_frames_it_consumed(batched):
+    """``result(timeout)`` that expires between ROW_HEADER and DONE must
+    leave the next ``result()`` the header and rows it already took out of
+    the mailbox: HEADER, BATCH, (timeout), BATCH, DONE."""
+    from repro.client import (PendingBatchResult, PendingResult, _Pending)
+
+    pending = _Pending(7)
+    handle = (PendingBatchResult if batched else PendingResult)(
+        _NoConnection(), pending)
+    feed = pending.frames.put
+    feed(protocol.RowHeader(request_id=7, column_names=["a", "s"],
+                            column_types=["int64", "string"]))
+    feed(protocol.RowBatch(request_id=7, rows=[(1, "x"), (2, "y")]))
+    with pytest.raises(TimeoutError):
+        handle.result(timeout=0.05)
+    with pytest.raises(TimeoutError):   # and again, with nothing new
+        handle.result(timeout=0)
+    feed(protocol.RowBatch(request_id=7, rows=[(3, "z")]))
+    if batched:
+        feed(protocol.BatchDone(request_id=7, binding_index=0, row_count=3,
+                                cached=False, cache_source=""))
+        feed(protocol.RowBatch(request_id=7, rows=[(4, "w")]))
+        feed(protocol.BatchDone(request_id=7, binding_index=1, row_count=1,
+                                cached=True, cache_source="result"))
+    feed(protocol.Done(request_id=7, row_count=4 if batched else 3,
+                       mode="bytecode", cached=False))
+    value = handle.result(timeout=5)
+    results = value if batched else [value]
+    assert [r.rows for r in results] == (
+        [[(1, "x"), (2, "y"), (3, "z")], [(4, "w")]] if batched
+        else [[(1, "x"), (2, "y"), (3, "z")]])
+    assert all(r.column_names == ["a", "s"] and r.mode == "bytecode"
+               for r in results)
+    assert handle.result(timeout=0) is value     # resolved: no re-consume
+
+
+def test_result_timeout_is_one_deadline_not_one_per_frame():
+    """A stream that keeps trickling frames cannot stretch ``timeout``."""
+    import threading
+    import time
+
+    from repro.client import PendingResult, _Pending
+
+    pending = _Pending(1)
+    handle = PendingResult(_NoConnection(), pending)
+    pending.frames.put(protocol.RowHeader(
+        request_id=1, column_names=["a"], column_types=["int64"]))
+    stop = threading.Event()
+    give_up = time.monotonic() + 3.0   # a per-frame timeout fails, not hangs
+
+    def trickle():
+        while not stop.wait(0.02) and time.monotonic() < give_up:
+            pending.frames.put(protocol.RowBatch(request_id=1, rows=[(0,)]))
+
+    feeder = threading.Thread(target=trickle)
+    feeder.start()
+    try:
+        start = time.monotonic()
+        with pytest.raises(TimeoutError):
+            handle.result(timeout=0.2)
+        assert time.monotonic() - start < 2.0
+    finally:
+        stop.set()
+        feeder.join(timeout=5)
+    assert not feeder.is_alive()

@@ -10,7 +10,8 @@ from __future__ import annotations
 
 import pytest
 
-from repro import Database, ResultCache, SQLType, result_cache_key
+from repro import (Database, ExecOptions, ResultCache, SQLType,
+                   result_cache_key)
 from repro.errors import ExecutionError
 from repro.result_cache import CachedResult
 
@@ -153,7 +154,7 @@ class TestResultReuse:
         db = _db()
         sql = "select sum(b) as s from t"
         db.execute(sql)
-        repeat = db.execute(sql, use_result_cache=False)
+        repeat = db.execute(sql, options=ExecOptions(use_result_cache=False))
         assert repeat.cache_source != "result"
         assert db.result_cache.stats.hits == 0
 
@@ -176,8 +177,8 @@ class TestResultReuse:
         for mode in ("volcano", "vectorized"):
             db = _db()
             sql = "select count(*) as n from t where a < 10"
-            db.execute(sql, mode=mode)
-            repeat = db.execute(sql, mode=mode)
+            db.execute(sql, options=ExecOptions(mode=mode))
+            repeat = db.execute(sql, options=ExecOptions(mode=mode))
             assert repeat.cache_source == "result", mode
             assert repeat.rows == [(10,)]
 
@@ -210,8 +211,8 @@ class TestExecuteMany:
 
     def test_matches_per_binding_execute(self, simple_db):
         sql = "select sum(price) as s from items where category = ?"
-        expected = [simple_db.execute(sql, params=b,
-                                      use_result_cache=False).rows
+        expected = [simple_db.execute(
+            sql, params=b, options=ExecOptions(use_result_cache=False)).rows
                     for b in self.BINDINGS]
         simple_db.result_cache.clear()
         results = simple_db.execute_many(sql, self.BINDINGS)
@@ -237,7 +238,6 @@ class TestExecuteMany:
     def test_escape_hatch_disables_batch_dedup(self):
         db = _db()
         sql = "select b from t where a = ?"
-        from repro.options import ExecOptions
         results = db.execute_many(sql, self.BINDINGS,
                                   options=ExecOptions(
                                       use_result_cache=False))
@@ -250,8 +250,8 @@ class TestExecuteMany:
         reference = None
         for mode in ENGINE_MODES + BASELINE_MODES:
             simple_db.result_cache.clear()
-            rows = [r.rows for r in simple_db.execute_many(sql, bindings,
-                                                           mode=mode)]
+            rows = [r.rows for r in simple_db.execute_many(
+                sql, bindings, options=ExecOptions(mode=mode))]
             if reference is None:
                 reference = rows
             assert rows == reference, mode
@@ -284,6 +284,107 @@ class TestExecuteMany:
 # --------------------------------------------------------------------------- #
 # scheduler / session batch paths
 # --------------------------------------------------------------------------- #
+class TestSingleIsAOneBindingBatch:
+    """``execute(sql, params=p)`` is ``execute_many(sql, [p])[0]``: same
+    rows, same ``cached`` / ``cache_source``, and the same number of
+    plan-cache and result-cache probes, from the same state."""
+
+    MODES = ("ir-interp", "bytecode", "unoptimized", "optimized",
+             "adaptive", "volcano", "vectorized")
+    STATEMENTS = [("select count(*) as n, sum(b) as s from t where a < ?",
+                   (17,)),
+                  ("select a from t where a < 4 order by a desc", None)]
+
+    @staticmethod
+    def _observe(db, call):
+        def counters():
+            plan, result = db.plan_cache.stats, db.result_cache.stats
+            return (plan.hits, plan.misses, result.hits, result.misses)
+
+        before = counters()
+        result = call()
+        probes = tuple(b - a for a, b in zip(before, counters()))
+        return result.rows, result.cached, result.cache_source, probes
+
+    def _both(self, step, sql, params, options):
+        """Run ``step(db, call)`` against two identical fresh databases,
+        once through ``execute`` and once through ``execute_many``."""
+        single_db, batch_db = _db(), _db()
+        try:
+            single = step(single_db, lambda: single_db.execute(
+                sql, params=params, options=options))
+            batch = step(batch_db, lambda: batch_db.execute_many(
+                sql, [params], options=options)[0])
+        finally:
+            single_db.close()
+            batch_db.close()
+        assert single == batch, (options.mode, sql)
+        return single
+
+    @pytest.mark.parametrize("mode", MODES)
+    def test_cold_then_hot(self, mode):
+        def step(db, call):
+            return [self._observe(db, call) for _ in range(3)]
+
+        for sql, params in self.STATEMENTS:
+            cold, hot, hotter = self._both(step, sql, params,
+                                           ExecOptions(mode=mode))
+            assert not cold[1] and cold[2] is None
+            assert hot[1] and hot[2] == "result" and hot == hotter
+            assert hot[0] == cold[0]
+            plan_hit = self._both(step, sql, params, ExecOptions(
+                mode=mode, use_result_cache=False))
+            assert [o[3][2:] for o in plan_hit] == [(0, 0)] * 3
+            if mode not in ("volcano", "vectorized"):
+                assert [o[2] for o in plan_hit] == [None, "plan", "plan"]
+            bypass = self._both(step, sql, params, ExecOptions(
+                mode=mode, use_cache=False))
+            assert [o[1:] for o in bypass] == [(False, None, (0,) * 4)] * 3
+
+    @pytest.mark.parametrize("mode", MODES)
+    @pytest.mark.parametrize("use_result_cache", [True, False])
+    def test_busy_entry(self, mode, use_result_cache):
+        """With the cached entry held by another thread, both entry points
+        serve a hot read from the result cache, and otherwise pay the same
+        independent cold build."""
+        import threading
+
+        options = ExecOptions(mode=mode, use_result_cache=use_result_cache)
+
+        def step(db, call):
+            warm = self._observe(db, call)
+            entries = [db.plan_cache.peek(key)
+                       for key in db.plan_cache.keys()]
+            entered, release = threading.Event(), threading.Event()
+
+            def hold():
+                for prepared in entries:
+                    prepared._lock.acquire()
+                entered.set()
+                release.wait(timeout=30)
+                for prepared in entries:
+                    prepared._lock.release()
+
+            holder = threading.Thread(target=hold)
+            holder.start()
+            try:
+                assert entered.wait(timeout=30)
+                busy = self._observe(db, call)
+            finally:
+                release.set()
+                holder.join(timeout=30)
+            assert not holder.is_alive()
+            return warm, busy
+
+        for sql, params in self.STATEMENTS:
+            warm, busy = self._both(step, sql, params, options)
+            assert busy[0] == warm[0]
+            if use_result_cache:
+                assert busy[2] == "result"
+            elif mode not in ("volcano", "vectorized"):
+                assert not busy[1]        # an independent cold build
+
+
 class TestScheduledBatches:
     def test_submit_many_resolves_to_ordered_list(self):
         db = _db()

@@ -13,7 +13,7 @@ import time
 
 import pytest
 
-from repro import Database, SQLType, TicketState
+from repro import Database, ExecOptions, SQLType, TicketState
 from repro.errors import (
     AdmissionError,
     BindError,
@@ -117,9 +117,13 @@ class TestWorkerPool:
         before = threading.active_count()
         expected = [(sum(range(20_000)),)]
         for _ in range(3):
-            assert db.execute(SUM_SQL, mode="bytecode", threads=3).rows == \
+            assert db.execute(SUM_SQL,
+                              options=ExecOptions(mode="bytecode",
+                                                  threads=3)).rows == \
                 expected
-            assert db.execute(SUM_SQL, mode="adaptive", threads=2).rows == \
+            assert db.execute(SUM_SQL,
+                              options=ExecOptions(mode="adaptive",
+                                                  threads=2)).rows == \
                 expected
         # Repeated parallel executions reuse the pool: at most the pool
         # workers plus the shared compile thread ever get added.
@@ -130,15 +134,17 @@ class TestWorkerPool:
         db = _sum_db(rows=4000)
         with pytest.raises(DivisionByZeroError):
             db.execute("select sum(a / (a - a)) as s from t",
-                       mode="bytecode", threads=4)
+                       options=ExecOptions(mode="bytecode", threads=4))
         # The pool survives a failed query and serves the next one.
-        assert db.execute(SUM_SQL, mode="bytecode", threads=4).rows == \
+        assert db.execute(SUM_SQL,
+                          options=ExecOptions(mode="bytecode",
+                                              threads=4)).rows == \
             [(sum(range(4000)),)]
         db.close()
 
     def test_pool_close_is_idempotent_and_joins_workers(self):
         db = _sum_db()
-        db.execute(SUM_SQL, mode="bytecode", threads=2)
+        db.execute(SUM_SQL, options=ExecOptions(mode="bytecode", threads=2))
         pool = db.worker_pool
         assert pool.alive_workers() > 0
         pool.close()
@@ -201,9 +207,9 @@ class TestTickets:
     def test_invalid_mode_rejected_at_submit_time(self):
         db = _sum_db()
         with pytest.raises(ExecutionError):
-            db.submit(SUM_SQL, mode="warp-speed")
+            db.submit(SUM_SQL, options=ExecOptions(mode="warp-speed"))
         with pytest.raises(ExecutionError):
-            db.submit(SUM_SQL, mode="volcano", threads=2)
+            db.submit(SUM_SQL, options=ExecOptions(mode="volcano", threads=2))
         db.close()
 
     def test_cancel_pending_ticket(self):
@@ -262,7 +268,8 @@ class TestAdmissionControl:
 
     def test_max_concurrent_bounds_running_queries(self):
         db = _sum_db(rows=20_000, workers=4, max_concurrent=2)
-        tickets = [db.submit(SUM_SQL, mode="bytecode") for _ in range(10)]
+        tickets = [db.submit(
+            SUM_SQL, options=ExecOptions(mode="bytecode")) for _ in range(10)]
         for ticket in tickets:
             assert ticket.result(timeout=60).rows == [(sum(range(20_000)),)]
         stats = db.scheduler.stats
@@ -274,7 +281,9 @@ class TestAdmissionControl:
     def test_thread_count_bounded_with_many_in_flight(self):
         db = _sum_db(rows=30_000, workers=3)
         before = threading.active_count()
-        tickets = [db.submit(SUM_SQL, mode="bytecode", use_cache=False)
+        tickets = [db.submit(SUM_SQL,
+                             options=ExecOptions(mode="bytecode",
+                                                 use_cache=False))
                    for _ in range(16)]
         peak = 0
         while not all(t.done() for t in tickets):
@@ -303,7 +312,8 @@ class TestAdmissionControl:
 class TestSessions:
     def test_defaults_and_overrides(self):
         db = _sum_db()
-        session = db.session(mode="bytecode", name="client-1")
+        session = db.session(options=ExecOptions(mode="bytecode"),
+                             name="client-1")
         result = session.execute(SUM_SQL)
         assert result.mode == "bytecode"
         assert session.execute(SUM_SQL, mode="optimized").mode == "optimized"
@@ -313,7 +323,7 @@ class TestSessions:
 
     def test_stats_accumulate_across_execute_and_submit(self):
         db = _sum_db()
-        session = db.session(mode="optimized")
+        session = db.session(options=ExecOptions(mode="optimized"))
         session.execute(SUM_SQL)
         session.submit(SUM_SQL).result(timeout=30)
         # db.submit with an explicit session= must count identically.
@@ -371,7 +381,7 @@ class TestSatelliteFixes:
             return _sum_db(rows=4096)
 
         single = fresh_db()
-        single.execute(SUM_SQL, mode="bytecode")
+        single.execute(SUM_SQL, options=ExecOptions(mode="bytecode"))
         per_run = single.vm_instructions
         assert per_run > 0
 
@@ -384,8 +394,9 @@ class TestSatelliteFixes:
                 for _ in range(runs_per_thread):
                     # use_result_cache=False: every run must reach the VM
                     # for the instruction count to be exact.
-                    db.execute(SUM_SQL, mode="bytecode",
-                               use_result_cache=False)
+                    db.execute(SUM_SQL,
+                               options=ExecOptions(mode="bytecode",
+                                                   use_result_cache=False))
             except BaseException as exc:  # pragma: no cover - diagnostic
                 errors.append(exc)
 

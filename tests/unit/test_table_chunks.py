@@ -126,9 +126,10 @@ class TestZoneMaps:
                   + [(float(i),) for i in range(4, 20)])
         sql = "select count(*) as c from t where f > 1.0"
         for mode in ALL_MODES:
-            pruned = db.execute(sql, mode=mode)
-            unpruned = db.execute(
-                sql, mode=mode, options=ExecOptions(use_pruning=False))
+            pruned = db.execute(sql, options=ExecOptions(mode=mode))
+            unpruned = db.execute(sql,
+                                  options=ExecOptions(mode=mode,
+                                                      use_pruning=False))
             assert pruned.rows == unpruned.rows == [(19,)], mode
 
 
@@ -409,9 +410,11 @@ class TestChunkSurvives:
         sql = "select count(*) as c from t where f not between ? and ?"
         nan = float("nan")
         for mode in ALL_MODES:
-            pruned = db.execute(sql, mode=mode, params=[nan, nan])
-            unpruned = db.execute(sql, mode=mode, params=[nan, nan],
-                                  options=ExecOptions(use_pruning=False))
+            pruned = db.execute(sql, options=ExecOptions(mode=mode),
+                                params=[nan, nan])
+            unpruned = db.execute(sql, params=[nan, nan],
+                                  options=ExecOptions(mode=mode,
+                                                      use_pruning=False))
             assert pruned.rows == unpruned.rows, mode
 
     def test_decimal_zone_bounds_are_decoded(self):
@@ -504,7 +507,7 @@ class TestPruningEndToEnd:
         sql = "select ts, payload from events where ts between 512 and 767"
         expected = None
         for mode in ALL_MODES:
-            pruned = clustered_db.execute(sql, mode=mode)
+            pruned = clustered_db.execute(sql, options=ExecOptions(mode=mode))
             unpruned = clustered_db.execute(
                 sql, options=ExecOptions(mode=mode, use_pruning=False))
             assert sorted(pruned.rows) == sorted(unpruned.rows)
@@ -519,15 +522,19 @@ class TestPruningEndToEnd:
 
     def test_parallel_execution_prunes(self, clustered_db):
         sql = "select count(*) from events where ts < 300"
-        result = clustered_db.execute(sql, mode="optimized", threads=4)
+        result = clustered_db.execute(sql,
+                                      options=ExecOptions(mode="optimized",
+                                                          threads=4))
         assert result.rows == [(300,)]
         assert result.stats["chunks_pruned"] > 0
 
     def test_cached_plan_reprunes_per_binding(self, clustered_db):
         prepared = clustered_db.prepare_query(
             "select count(*) from events where ts between ? and ?")
-        low = prepared.execute(mode="bytecode", params=[0, 255])
-        high = prepared.execute(mode="bytecode", params=[19_000, 19_999])
+        low = prepared.execute(options=ExecOptions(mode="bytecode"),
+                               params=[0, 255])
+        high = prepared.execute(options=ExecOptions(mode="bytecode"),
+                                params=[19_000, 19_999])
         assert low.rows == [(256,)]
         assert high.rows == [(1000,)]
         assert low.timings.chunks_pruned > 0

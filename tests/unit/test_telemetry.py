@@ -197,14 +197,16 @@ class TestDatabaseTelemetry:
         db = _sample_db()
         try:
             with pytest.raises(ExecutionError):
-                db.execute("select a from t", telemetry="verbose")
+                db.execute("select a from t",
+                           options=ExecOptions(telemetry="verbose"))
         finally:
             db.close()
 
     def test_off_records_nothing(self):
         db = _sample_db()
         try:
-            result = db.execute("select sum(b) as s from t", telemetry="off")
+            result = db.execute("select sum(b) as s from t",
+                                options=ExecOptions(telemetry="off"))
             assert result.rows == [(sum(i * 2 for i in range(500)),)]
             assert db.metrics.get("query.count").value == 0
             assert result.query_trace is None
@@ -230,7 +232,7 @@ class TestDatabaseTelemetry:
         db = _sample_db()
         try:
             result = db.execute("select sum(b) as s from t",
-                                telemetry="trace")
+                                options=ExecOptions(telemetry="trace"))
             assert result.trace is not None
             assert any(event.kind == "morsel"
                        for event in result.trace.events)
@@ -238,7 +240,8 @@ class TestDatabaseTelemetry:
             # erroring (explicit collect_trace still raises -- covered by
             # the prepared-cache tests).
             baseline = db.execute("select sum(b) as s from t",
-                                  mode="volcano", telemetry="trace")
+                                  options=ExecOptions(mode="volcano",
+                                                      telemetry="trace"))
             assert baseline.trace is None
             assert baseline.query_trace is not None
         finally:
@@ -247,7 +250,8 @@ class TestDatabaseTelemetry:
     def test_vm_instruction_accounting(self):
         db = _sample_db()
         try:
-            db.execute("select sum(b) as s from t", mode="bytecode")
+            db.execute("select sum(b) as s from t",
+                       options=ExecOptions(mode="bytecode"))
             assert db.vm_instructions > 0
             assert db.metrics.flat_snapshot()["vm.instructions"] == \
                 db.vm_instructions
@@ -282,7 +286,7 @@ class TestConcurrencyCorrectness:
             for index in range(submissions):
                 tickets.append(db.submit(
                     "select sum(b) as s from t where a >= 1",
-                    mode=modes[index % len(modes)]))
+                    options=ExecOptions(mode=modes[index % len(modes)])))
                 if index % 8 == 3:
                     # Interleaved invalidation traffic: inserts bump table
                     # versions, invalidating cached plans mid-stream.
@@ -308,8 +312,13 @@ class TestConcurrencyCorrectness:
         finally:
             db.close()
 
-    def test_options_accessor_exposes_telemetry(self):
+    def test_ticket_and_session_carry_their_options(self):
         opts = ExecOptions(telemetry="off")
-        ticket_like = type("T", (), {"options": opts})()
-        from repro.options import OptionsAccessors
-        assert OptionsAccessors.telemetry.fget(ticket_like) == "off"
+        db = _sample_db()
+        try:
+            ticket = db.submit("select count(*) from t", options=opts)
+            assert ticket.options is opts
+            assert ticket.result(timeout=30).query_trace is None
+            assert db.session(options=opts).options.telemetry == "off"
+        finally:
+            db.close()

@@ -3,6 +3,8 @@
 import datetime as dt
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from repro.errors import CatalogError
 from repro.types import (
@@ -56,6 +58,47 @@ class TestDates:
 
     def test_from_string(self):
         assert date_to_days("1970-01-02") == 1
+
+    #: Day numbers of ``date.min`` / ``date.max``.
+    LOW = (dt.date.min - dt.date(1970, 1, 1)).days
+    HIGH = (dt.date.max - dt.date(1970, 1, 1)).days
+
+    @given(days=st.integers(LOW, HIGH))
+    def test_one_formula_equals_the_timedelta_form(self, days):
+        """``days_to_date`` (ordinal arithmetic) is the only day-number ->
+        date conversion; on every representable day it equals the
+        ``DATE_EPOCH + timedelta`` form it replaced, and so does the DATE
+        column decoder that now calls it."""
+        reference = dt.date(1970, 1, 1) + dt.timedelta(days=days)
+        assert days_to_date(days) == reference
+        assert decode_internal_rows([(days,)], [SQLType.DATE]) \
+            == [(reference,)]
+        assert date_to_days(reference) == days
+
+    def test_one_formula_at_the_edges_and_around_every_leap_day(self):
+        epoch = dt.date(1970, 1, 1)
+        assert days_to_date(self.LOW) == dt.date.min
+        assert days_to_date(self.HIGH) == dt.date.max
+        for year in range(dt.date.min.year, dt.date.max.year + 1):
+            first = (dt.date(year, 1, 1) - epoch).days
+            for days in (first - 1, first, first + 58, first + 59,
+                         first + 60):
+                if days >= self.LOW:
+                    assert days_to_date(days) \
+                        == epoch + dt.timedelta(days=days), days
+
+    @pytest.mark.parametrize("days", [
+        -719163, 2932897,              # one day outside date.min/date.max
+        10 ** 9, -10 ** 9,             # beyond timedelta's own range
+        10 ** 30, -10 ** 30,           # beyond a C long
+    ])
+    def test_out_of_range_days_raise_overflow_error(self, days):
+        with pytest.raises(OverflowError):
+            days_to_date(days)
+        with pytest.raises(OverflowError):
+            dt.date(1970, 1, 1) + dt.timedelta(days=days)   # as before
+        with pytest.raises(OverflowError):
+            decode_internal_rows([(days,)], [SQLType.DATE])
 
     def test_ordering_preserved(self):
         assert date_to_days("1995-01-01") < date_to_days("1996-01-01")
