@@ -16,6 +16,9 @@ This module verifies every generated module against the declared
 * the declared IR arity lies inside the contract's bounds,
 * the declared purity matches the contract (``pure`` externs must be
   declared ``has_side_effects=False`` and vice versa),
+* an inline template (:class:`repro.ir.InlineTemplate`, emitted by the
+  compiled tiers instead of the call) sits only on a pure contract, and
+  its argument placeholder count lies inside the contract's bounds,
 * sink externs receive the worker function's own first argument (the
   threaded ``state``) as their first call operand, by identity,
 * the bound Python implementation positionally accepts the declared arity
@@ -129,6 +132,23 @@ def _check_declaration(callee: ExternFunction, contract: ExternContract,
             "purity", callee.name, function_name,
             "extern is marked side-effect free but its contract does not "
             "declare it pure (CSE/DCE could drop a stateful call)"))
+
+    template = callee.inline
+    if template is not None:
+        if not contract.pure:
+            findings.append(ContractFinding(
+                "inline-purity", callee.name, function_name,
+                "inline template on an extern whose contract is not pure "
+                "(the compiled tiers would emit its effect as an "
+                "expression)"))
+        count = template.placeholders
+        if count < contract.min_args or (contract.max_args is not None
+                                         and count > contract.max_args):
+            upper = "inf" if contract.max_args is None else contract.max_args
+            findings.append(ContractFinding(
+                "inline-arity", callee.name, function_name,
+                f"inline template has {count} argument placeholder(s), "
+                f"contract allows [{contract.min_args}, {upper}]"))
 
     if contract.is_sink and (not callee.arg_types
                              or callee.arg_types[0] != ptr):

@@ -10,9 +10,10 @@ Python:
   small Python function over a register file; no IR passes.  Cheap to
   produce, noticeably faster than the bytecode interpreter.
 * :func:`compile_optimized` -- runs the full pass pipeline
-  (:mod:`repro.passes`), then emits a single specialised Python function in
-  which SSA values become local variables.  The most expensive to produce and
-  the fastest to run.
+  (:mod:`repro.passes`), then emits a single Python function with structured
+  control flow (loops, ``if``/``else``, ``break``/``continue``) in which SSA
+  values become local variables.  The most expensive to produce and the
+  fastest to run.
 
 Both tiers execute the same IR semantics as the bytecode VM (including
 overflow checks and runtime calls), so a pipeline can switch tiers between

@@ -1,14 +1,56 @@
-"""Lowering of query IR to executable Python (the "machine code" tiers)."""
+"""Lowering of query IR to executable Python (the "machine code" tiers).
+
+Both tiers turn each IR instruction into Python through one shared helper,
+:func:`_emit_instruction`, which keeps the per-row path free of generic
+machinery:
+
+* a column read ``load(gep((buffer, 0), i))`` becomes
+  ``_Kn[i >> shift][i & mask]`` over the :class:`ColumnView`'s chunk list
+  (``_Bn[i]`` over a plain intermediate list) -- no pointer tuple, no
+  ``ColumnView.__getitem__`` call;
+* wrapping ``add``/``sub``/``mul`` test the int64 range inline and call
+  ``_wrap64`` only when the result left it;
+* a pure extern carrying an :class:`InlineTemplate` (the single-key hash
+  probe, the match count, the match payload read) is emitted as that
+  expression instead of a call.
+
+The tiers differ in control flow.  ``unoptimized`` runs no passes and
+emits one small Python function per basic block over a register list,
+driven by a dispatch loop: cheap to produce.  ``optimized`` runs the pass
+pipeline and emits one function whose SSA values are locals and whose
+control flow is *structured*, following Ramsey's "Beyond Relooper" (ICFP
+2022) without the labels Python lacks, driven by the dominator tree:
+
+* a loop header becomes ``while True:``, a back edge ``continue`` and a
+  loop exit ``break``; the blocks a loop exits to follow its ``while``;
+* a successor with one forward predecessor is nested inline under its
+  ``if``/``else``; a merge block follows the construct that jumps to it;
+* the shared ``overflow.error`` block (any phi-free block ending in
+  ``unreachable``) is duplicated as an inline ``raise``, and a small loop
+  latch is duplicated in front of ``continue``, so checked arithmetic and
+  filter chains stay flat instead of nesting;
+* a comparison or overflow check used only by its block's branch is fused
+  into the ``if``.
+
+A CFG this cannot express -- irreducible, a ``break``/``continue`` across
+two loops, or deeper nesting than CPython compiles -- raises
+:class:`BackendError`; there is no second lowering to fall back to.
+"""
 
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
-from typing import Callable, Optional, Sequence
+from dataclasses import dataclass
+from typing import Callable, Optional
 
+from ..catalog.table import ColumnView
 from ..errors import BackendError
-from ..ir.analysis import reverse_postorder
-from ..ir.function import ExternFunction, Function
+from ..ir.analysis import (
+    compute_dominator_tree,
+    natural_loop_members,
+    reverse_postorder,
+)
+from ..ir.function import ExternFunction, Function, InlineTemplate
 from ..ir.instructions import (
     BinaryInst,
     BranchInst,
@@ -25,13 +67,13 @@ from ..ir.instructions import (
     StoreInst,
     UnreachableInst,
 )
-from ..ir.values import Argument, Constant, Instruction, Undef, Value
+from ..ir.values import Constant, Instruction, Undef, Value
 from ..passes import default_pipeline
-from ..vm.regalloc import allocate_registers, constant_slot
+from ..vm.regalloc import allocate_registers
 
 #: Preamble shared by all generated modules.
 _PRELUDE = """\
-from repro.errors import DivisionByZeroError, ExecutionError, OverflowError_
+from repro.errors import DivisionByZeroError, ExecutionError
 _INT64_MIN = -(1 << 63)
 _INT64_MAX = (1 << 63) - 1
 _INT64_MASK = (1 << 64) - 1
@@ -61,12 +103,19 @@ def _fdiv(a, b):
     if b == 0.0:
         raise DivisionByZeroError("float division by zero")
     return a / b
-
-def _chk(value, message):
-    if value < _INT64_MIN or value > _INT64_MAX:
-        raise OverflowError_(message)
-    return value
 """
+
+#: Inline int64 range test of one expression (literal bounds: no lookups).
+_IN_INT64 = f"{-(1 << 63)} <= {{}} <= {(1 << 63) - 1}"
+
+_ARITH_SIGN = {"add": "+", "sub": "-", "mul": "*"}
+
+_PYTHON_COMPARE = {"eq": "==", "ne": "!=", "lt": "<", "le": "<=",
+                   "gt": ">", "ge": ">="}
+
+#: A loop latch of at most this many instructions is duplicated in front of
+#: ``continue`` rather than reached by falling out of nested ``if``\ s.
+_MAX_DUPLICATED_LATCH = 6
 
 
 @dataclass
@@ -121,13 +170,18 @@ def compile_unoptimized(function: Function) -> CompiledFunction:
 
 def compile_optimized(function: Function, clone: bool = True,
                       verify: bool = None) -> CompiledFunction:
-    """Full lowering: pass pipeline, then a single specialised function."""
+    """Full lowering: pass pipeline, then one structured function."""
     start = time.perf_counter()
     target = _clone_function(function) if clone else function
     before = target.instruction_count()
     pass_stats = default_pipeline(verify=verify).run_function(target)
-    source, namespace = _lower_whole_function(target)
-    code = compile(source, f"<optimized:{function.name}>", "exec")
+    try:
+        source, namespace = _lower_whole_function(target)
+        code = compile(source, f"<optimized:{function.name}>", "exec")
+    except (SyntaxError, RecursionError) as exc:  # CPython's nesting limits
+        raise BackendError(
+            f"@{function.name}: control flow nests too deeply for Python: "
+            f"{exc}") from exc
     exec(code, namespace)
     entry = namespace[f"_entry_{_safe(function.name)}"]
     elapsed = time.perf_counter() - start
@@ -170,25 +224,103 @@ def _safe(name: str) -> str:
     return "".join(ch if ch.isalnum() or ch == "_" else "_" for ch in name)
 
 
-class _Namer:
-    """Maps IR values to Python identifiers / literals inside generated code."""
+def _local(value: Value) -> str:
+    return f"v{value.uid}"
 
-    def __init__(self):
+
+def _users(function: Function) -> dict[int, list[Instruction]]:
+    """Instructions using each instruction's result, keyed by uid."""
+    users: dict[int, list[Instruction]] = {}
+    for block in function.blocks:
+        for inst in block.instructions:
+            operands = (inst.operands if not isinstance(inst, PhiInst)
+                        else [value for value, _ in inst.incoming])
+            for operand in operands:
+                if isinstance(operand, Instruction):
+                    users.setdefault(operand.uid, []).append(inst)
+    return users
+
+
+def _column_pointer(value: Value) -> Optional[tuple]:
+    """``(buffer, offset)`` when ``value`` is a constant column pointer."""
+    if isinstance(value, Constant) and isinstance(value.value, tuple) \
+            and len(value.value) == 2:
+        buffer, offset = value.value
+        if isinstance(buffer, (ColumnView, list)) and isinstance(offset, int):
+            return buffer, offset
+    return None
+
+
+def _offset_index(index: str, offset: int) -> str:
+    return index if offset == 0 else f"({index} + {offset})"
+
+
+class _Namer:
+    """Maps IR values to Python identifiers / literals inside generated code.
+
+    Built per function: it also records how the lowering represents
+    column pointers, which :func:`_emit_instruction` reads.
+    """
+
+    def __init__(self, function: Function,
+                 users: dict[int, list[Instruction]]):
         self.namespace: dict[str, object] = {}
-        self._ptr_consts: dict[int, str] = {}
+        self._bound: dict[int, str] = {}
         self._extern_names: dict[int, str] = {}
+        #: gep uid -> ``(buffer, offset)`` for a gep off a constant column
+        #: pointer whose every user is a load: its value is the plain
+        #: element index, and the loads read the buffer directly.
+        self.direct: dict[int, tuple] = {}
+        #: Direct geps whose only user is the next instruction: folded
+        #: into that load, no value of their own.
+        self.folded: set[int] = set()
+        #: Wrapping add/sub/mul that provably need no wrap test (filled by
+        #: the optimized lowering: an op right before its overflow trap, a
+        #: counted loop's increment).
+        self.unwrapped: set[int] = set()
+        for block in function.blocks:
+            instructions = block.instructions
+            for position, inst in enumerate(instructions):
+                if not isinstance(inst, GEPInst):
+                    continue
+                pointer = _column_pointer(inst.base)
+                uses = users.get(inst.uid, [])
+                if pointer is None or not all(isinstance(user, LoadInst)
+                                              for user in uses):
+                    continue
+                self.direct[inst.uid] = pointer
+                if len(uses) == 1 and position + 1 < len(instructions) \
+                        and instructions[position + 1] is uses[0]:
+                    self.folded.add(inst.uid)
+
+    def bind(self, obj, prefix: str) -> str:
+        """The namespace name of ``obj`` (bound once, by identity)."""
+        name = self._bound.get(id(obj))
+        if name is None:
+            name = f"{prefix}{len(self._bound)}"
+            self._bound[id(obj)] = name
+            self.namespace[name] = obj
+        return name
 
     def constant(self, value: Constant) -> str:
         if value.type.is_pointer:
-            name = self._ptr_consts.get(id(value.value))
-            if name is None:
-                name = f"_C{len(self._ptr_consts)}"
-                self._ptr_consts[id(value.value)] = name
-                self.namespace[name] = value.value
-            return name
+            return self.bind(value.value, "_C")
         if value.type.is_float:
             return repr(float(value.value))
         return repr(int(value.value))
+
+    def element(self, buffer, index: str) -> str:
+        """A call-free Python expression reading ``buffer[index]``."""
+        if isinstance(buffer, ColumnView):
+            chunks, shift, mask = buffer.chunk_layout()
+            name = self.bind(chunks, "_K")
+            return f"{name}[{index} >> {shift}][{index} & {mask}]"
+        return f"{self.bind(buffer, '_B')}[{index}]"
+
+    def inline(self, template: InlineTemplate, args: list[str]) -> str:
+        names = {field: self.bind(obj, "_I")
+                 for field, obj in template.objects.items()}
+        return template.render(args, names)
 
     def extern(self, extern: ExternFunction) -> str:
         name = self._extern_names.get(id(extern))
@@ -216,7 +348,7 @@ def _lower_blockwise(function: Function) -> tuple[str, dict]:
     order = reverse_postorder(function)
     allocation = allocate_registers(function)
     scratch = allocation.num_registers
-    namer = _Namer()
+    namer = _Namer(function, _users(function))
 
     block_index = {id(block): idx for idx, block in enumerate(order)}
     lines: list[str] = []
@@ -330,82 +462,360 @@ def _constant_pool_refs(function, allocation, namer):
 
 
 # --------------------------------------------------------------------------- #
-# optimized tier: one specialised function, SSA values become locals
+# optimized tier: one structured function, SSA values become locals
 # --------------------------------------------------------------------------- #
 def _lower_whole_function(function: Function) -> tuple[str, dict]:
-    order = reverse_postorder(function)
-    namer = _Namer()
-    block_index = {id(block): idx for idx, block in enumerate(order)}
+    users = _users(function)
+    namer = _Namer(function, users)
+    body = _Structurer(function, namer, users).lower()
+    params = ", ".join(_local(arg) for arg in function.args)
+    lines = [f"def _entry_{_safe(function.name)}({params}):"] + body
+    return "\n".join(lines), _exec_namespace(namer)
 
-    def local(value: Value) -> str:
-        return f"v{value.uid}"
 
-    def ref(value: Value) -> str:
+class _Frame:
+    """An enclosing construct of the code being emitted: the ``while`` of
+    loop header ``block``, or the region that block ``block`` follows."""
+
+    __slots__ = ("block", "is_loop", "broken")
+
+    def __init__(self, block, is_loop: bool):
+        self.block = block
+        self.is_loop = is_loop
+        #: A ``break`` out of this loop was emitted (code after it runs).
+        self.broken = False
+
+
+class _Structurer:
+    """Emits one function as structured Python (see the module docstring).
+
+    Emission methods take ``ctx``, the enclosing frames innermost first,
+    and return whether control can fall off the end of what they emitted
+    -- or, for a block to emit next at the same place, the ``(block, ctx,
+    indent)`` to continue with, so that flat chains of blocks are a loop
+    here rather than a recursion.
+    """
+
+    def __init__(self, function: Function, namer: _Namer,
+                 users: dict[int, list[Instruction]]):
+        self.function = function
+        self.namer = namer
+        self.order = order = reverse_postorder(function)
+        self.rpo = rpo = {id(block): idx for idx, block in enumerate(order)}
+        preds = {block: [p for p in block_preds if id(p) in rpo]
+                 for block, block_preds in function.predecessors().items()
+                 if id(block) in rpo}
+        self.dom = dom = compute_dominator_tree(function, order, preds)
+        self.traps = {id(block) for block in order
+                      if isinstance(block.terminator, UnreachableInst)
+                      and not block.phis()}
+
+        # Edge classification: forward in-degree (merge blocks have two or
+        # more) and the natural loop of every header, from its back edges.
+        forward = dict.fromkeys(rpo, 0)
+        bodies: dict[int, set[int]] = {}
+        for block in order:
+            for succ in block.successors():
+                if rpo[id(succ)] > rpo[id(block)]:
+                    forward[id(succ)] += 1
+                    continue
+                if not dom.dominates(succ, block):
+                    raise self._unstructured(block, succ, "irreducible")
+                bodies.setdefault(id(succ), set()).update(
+                    natural_loop_members(succ, block, preds))
+        self.headers = set(bodies)
+
+        # Loop exits: a block outside a loop whose immediate dominator is in
+        # it follows that loop's ``while`` (the outermost such loop's).
+        self.follows: dict[int, list] = {}
+        exits: set[int] = set()
+        outermost_first = sorted(bodies.items(), key=lambda kv: -len(kv[1]))
+        for block in order[1:]:
+            if id(block) in self.traps:
+                continue
+            idom = id(dom.immediate_dominator(block))
+            for head, body in outermost_first:
+                if idom in body and id(block) not in body:
+                    self.follows.setdefault(head, []).append(block)
+                    exits.add(id(block))
+                    break
+        merges = {bid for bid, count in forward.items() if count >= 2}
+        merges -= self.traps
+        #: Merge blocks emitted after the region of their dominator.
+        self.merge_children = merges - exits
+        #: Blocks reached through a frame rather than nested inline.
+        self.framed = merges | exits
+
+        #: Compares / overflow checks emitted as their branch's condition.
+        self.fused: set[int] = set()
+        self.conditions: dict[int, tuple[str, bool]] = {}
+        for block in order:
+            term = block.terminator
+            if isinstance(term, CondBranchInst):
+                self._fuse_condition(block, term, users)
+                if id(block) in bodies:
+                    self._unwrap_counter(block, term, bodies[id(block)],
+                                         users)
+
+    # ------------------------------------------------------------------ #
+    def lower(self) -> list[str]:
+        self.lines: list[str] = []
+        self._finish((self.order[0], (), "    "))
+        return self.lines
+
+    def ref(self, value: Value) -> str:
         if isinstance(value, Constant):
-            return namer.constant(value)
+            return self.namer.constant(value)
         if isinstance(value, Undef):
             return "0"
-        return local(value)
+        return _local(value)
 
-    entry_name = f"_entry_{_safe(function.name)}"
-    arg_names = [f"a{i}" for i in range(len(function.args))]
-    lines = [f"def {entry_name}({', '.join(arg_names)}):"]
-    for arg, arg_name in zip(function.args, arg_names):
-        lines.append(f"    {local(arg)} = {arg_name}")
-    lines.append("    _bb = 0")
-    lines.append("    while True:")
+    def _unstructured(self, source, target, why: str) -> BackendError:
+        return BackendError(
+            f"@{self.function.name}: cannot structure the edge "
+            f"{source.name} -> {target.name} ({why})")
 
-    def phi_copy_lines(pred, succ, indent: str) -> list[str]:
+    def _unwrap_counter(self, head, term: CondBranchInst, body: set[int],
+                        users) -> None:
+        """A counted loop's ``i + 1`` cannot leave int64 where the header's
+        ``i < bound`` guards it: in a body block other than the header, so
+        the current iteration took the header's in-loop edge.  It needs no
+        wrap test."""
+        cond = term.condition
+        if not isinstance(cond, CompareInst) or cond.predicate != "lt" \
+                or not isinstance(cond.lhs, PhiInst) \
+                or cond.lhs.block is not head \
+                or id(term.true_target) not in body \
+                or id(term.false_target) in body:
+            return
+        counter = cond.lhs
+        for user in users.get(counter.uid, ()):
+            if isinstance(user, BinaryInst) and user.opcode == "add" \
+                    and user.block is not head and id(user.block) in body:
+                step = user.rhs if user.lhs is counter else user.lhs
+                if isinstance(step, Constant) and step.value == 1:
+                    self.namer.unwrapped.add(user.uid)
+
+    def _fuse_condition(self, block, term: CondBranchInst, users) -> None:
+        """Record a compare or overflow check whose only user is its own
+        block's branch as that branch's ``if`` condition."""
+        cond = term.condition
+        if not isinstance(cond, (CompareInst, OverflowCheckInst)) \
+                or cond.block is not block \
+                or len(users.get(cond.uid, ())) != 1:
+            return
+        instructions = block.instructions
+        position = instructions.index(cond)
+        if any(inst.has_side_effects for inst in instructions[position + 1:-1]):
+            return
+        self.fused.add(cond.uid)
+        lhs, rhs = self.ref(cond.lhs), self.ref(cond.rhs)
+        if isinstance(cond, CompareInst):
+            self.conditions[id(term)] = (
+                f"{lhs} {_PYTHON_COMPARE[cond.predicate]} {rhs}", True)
+            return
+        arith = instructions[position - 1] if position else None
+        if isinstance(arith, BinaryInst) \
+                and arith.opcode == cond.checked_opcode \
+                and arith.lhs is cond.lhs and arith.rhs is cond.rhs \
+                and position + 2 == len(instructions) \
+                and id(term.true_target) in self.traps:
+            # ``op; ovf.op; condbr -> trap``: the trap's range test is the
+            # wrap test, so the op needs none.
+            self.namer.unwrapped.add(arith.uid)
+            value = _local(arith)
+        else:
+            value = f"{lhs} {_ARITH_SIGN[cond.checked_opcode]} {rhs}"
+        self.conditions[id(term)] = (_IN_INT64.format(value), False)
+
+    # ------------------------------------------------------------------ #
+    def _finish(self, step) -> bool:
+        """Emit continuations until one reports whether control falls off."""
+        while not isinstance(step, bool):
+            step = self._tree(*step)
+        return step
+
+    def _tree(self, block, ctx, indent):
+        """Emit ``block``'s dominator subtree, minus what frames own."""
+        children = [child for child in self.dom.children[id(block)]
+                    if id(child) in self.merge_children]
+        if id(block) in self.headers:
+            return self._loop(block, self.follows.get(id(block), []),
+                              children, ctx, indent)
+        return self._within(block, children, ctx, indent)
+
+    def _loop(self, head, follows, children, ctx, indent):
+        if follows:
+            follow = follows[-1]
+            inner = (_Frame(follow, False),) + ctx
+            if not self._finish(self._loop(head, follows[:-1], children,
+                                           inner, indent)):
+                return False
+            return follow, ctx, indent
+        frame = _Frame(head, True)
+        self.lines.append(f"{indent}while True:")
+        if self._finish(self._within(head, children, (frame,) + ctx,
+                                     indent + "    ")):
+            raise BackendError(
+                f"@{self.function.name}: loop body of {head.name} falls "
+                f"through")
+        return frame.broken
+
+    def _within(self, block, children, ctx, indent):
+        """``block``'s code, then each merge child after the region before
+        it (innermost = lowest reverse-postorder number)."""
+        if children:
+            follow = children[-1]
+            inner = (_Frame(follow, False),) + ctx
+            if not self._finish(self._within(block, children[:-1], inner,
+                                             indent)):
+                return False
+            return follow, ctx, indent
+        lines = self.lines
+        for inst in block.instructions:
+            if isinstance(inst, PhiInst) or inst.is_terminator \
+                    or inst.uid in self.fused:
+                continue
+            lines.extend(_emit_instruction(inst, self.ref, indent, _local,
+                                           self.namer))
+        return self._terminator(block, ctx, indent)
+
+    def _terminator(self, block, ctx, indent):
+        term = block.terminator
+        if isinstance(term, BranchInst):
+            return self._branch(block, term.target, ctx, indent)
+        if isinstance(term, CondBranchInst):
+            return self._cond_branch(block, term, ctx, indent)
+        if isinstance(term, ReturnInst):
+            value = "None" if term.value is None else self.ref(term.value)
+            self.lines.append(f"{indent}return {value}")
+            return False
+        if isinstance(term, UnreachableInst):
+            self.lines.append(
+                f"{indent}raise ExecutionError('unreachable code reached')")
+            return False
+        raise BackendError(f"unsupported terminator {term.opcode!r}")
+
+    def _cond_branch(self, block, term: CondBranchInst, ctx, indent):
+        text, positive = self.conditions.get(
+            id(term), (self.ref(term.condition), True))
+        taken = text if positive else f"not ({text})"
+        not_taken = f"not ({text})" if positive else text
+        yes, no = term.true_target, term.false_target
+        inner = indent + "    "
+        lines = self.lines
+        # An arm that always jumps away lets the other one continue flat.
+        if self._jumps(block, no, ctx):
+            lines.append(f"{indent}if {not_taken}:")
+            self._finish(self._branch(block, no, ctx, inner))
+            return self._branch(block, yes, ctx, indent)
+        if self._jumps(block, yes, ctx):
+            lines.append(f"{indent}if {taken}:")
+            self._finish(self._branch(block, yes, ctx, inner))
+            return self._branch(block, no, ctx, indent)
+        yes_lines, yes_falls = self._capture(block, yes, ctx, inner)
+        if not yes_falls:
+            lines.append(f"{indent}if {taken}:")
+            lines.extend(yes_lines)
+            return self._branch(block, no, ctx, indent)
+        no_lines, no_falls = self._capture(block, no, ctx, inner)
+        if not no_falls:
+            lines.append(f"{indent}if {not_taken}:")
+            lines.extend(no_lines)
+            lines.extend(line[4:] for line in yes_lines)
+        elif yes_lines:
+            lines.append(f"{indent}if {taken}:")
+            lines.extend(yes_lines)
+            if no_lines:
+                lines.append(f"{indent}else:")
+                lines.extend(no_lines)
+        elif no_lines:
+            lines.append(f"{indent}if {not_taken}:")
+            lines.extend(no_lines)
+        return True
+
+    def _capture(self, source, target, ctx, indent) -> tuple[list[str], bool]:
+        saved, self.lines = self.lines, []
+        falls = self._finish(self._branch(source, target, ctx, indent))
+        captured, self.lines = self.lines, saved
+        return captured, falls
+
+    def _jumps(self, source, target, ctx) -> bool:
+        """Whether the edge is emitted as a jump (never falls through)."""
+        if id(target) in self.traps \
+                or self.rpo[id(target)] <= self.rpo[id(source)]:
+            return True
+        if id(target) not in self.framed:
+            return False
+        if self._duplicable(target, ctx):
+            return True
+        for frame in ctx:
+            if frame.is_loop:
+                return True  # ``break``
+            if frame.block is target:
+                return False
+        return False
+
+    def _duplicable(self, block, ctx) -> bool:
+        """A small latch branching back to the innermost loop's header."""
+        term = block.terminator
+        if not isinstance(term, BranchInst) or id(block) in self.headers \
+                or len(block.instructions) > _MAX_DUPLICATED_LATCH:
+            return False
+        loop = next((frame for frame in ctx if frame.is_loop), None)
+        return loop is not None and term.target is loop.block
+
+    def _branch(self, source, target, ctx, indent):
+        self.lines.extend(self._phi_copies(source, target, indent))
+        if id(target) in self.traps:
+            return self._within(target, [], ctx, indent)
+        if self.rpo[id(target)] <= self.rpo[id(source)]:
+            loop = next((frame for frame in ctx if frame.is_loop), None)
+            if loop is None or loop.block is not target:
+                raise self._unstructured(source, target,
+                                         "continue across a loop")
+            self.lines.append(f"{indent}continue")
+            return False
+        if id(target) not in self.framed:
+            return target, ctx, indent
+        if self._duplicable(target, ctx):
+            return self._within(target, [], ctx, indent)
+        loops, skipped, exited = 0, False, None
+        for frame in ctx:
+            if frame.is_loop:
+                loops += 1
+                exited = frame
+            elif frame.block is target:
+                break
+            elif loops:
+                raise self._unstructured(source, target,
+                                         "break past a merge block")
+            else:
+                skipped = True
+        else:
+            raise self._unstructured(source, target, "no enclosing region")
+        if loops == 0:
+            if skipped:
+                raise self._unstructured(source, target,
+                                         "exit past a merge block")
+            return True
+        if loops > 1:
+            raise self._unstructured(source, target, "break across loops")
+        exited.broken = True
+        self.lines.append(f"{indent}break")
+        return False
+
+    def _phi_copies(self, pred, succ, indent: str) -> list[str]:
         copies = []
         for phi in succ.phis():
             incoming = phi.incoming_for(pred)
             if isinstance(incoming, Undef):
                 continue
-            dst = local(phi)
-            src = ref(incoming)
+            dst = _local(phi)
+            src = self.ref(incoming)
             if src != dst:
                 copies.append((dst, src))
         return _ordered_copy_lines(copies, indent, "_tmp", lambda n: n)
-
-    for idx, block in enumerate(order):
-        keyword = "if" if idx == 0 else "elif"
-        lines.append(f"        {keyword} _bb == {idx}:")
-        body: list[str] = []
-        indent = "            "
-        for inst in block.instructions:
-            if isinstance(inst, PhiInst):
-                continue
-            if isinstance(inst, BranchInst):
-                body.extend(phi_copy_lines(block, inst.target, indent))
-                body.append(f"{indent}_bb = {block_index[id(inst.target)]}")
-                body.append(f"{indent}continue")
-            elif isinstance(inst, CondBranchInst):
-                body.append(f"{indent}if {ref(inst.condition)}:")
-                body.extend(phi_copy_lines(block, inst.true_target,
-                                           indent + "    "))
-                body.append(f"{indent}    _bb = "
-                            f"{block_index[id(inst.true_target)]}")
-                body.append(f"{indent}else:")
-                body.extend(phi_copy_lines(block, inst.false_target,
-                                           indent + "    "))
-                body.append(f"{indent}    _bb = "
-                            f"{block_index[id(inst.false_target)]}")
-                body.append(f"{indent}continue")
-            elif isinstance(inst, ReturnInst):
-                if inst.value is None:
-                    body.append(f"{indent}return None")
-                else:
-                    body.append(f"{indent}return {ref(inst.value)}")
-            elif isinstance(inst, UnreachableInst):
-                body.append(f"{indent}raise ExecutionError("
-                            f"'unreachable code reached')")
-            else:
-                body.extend(_emit_instruction(inst, ref, indent, local, namer))
-        if not body:
-            body.append(f"{indent}pass")
-        lines.extend(body)
-
-    return "\n".join(lines), _exec_namespace(namer)
 
 
 # --------------------------------------------------------------------------- #
@@ -421,9 +831,12 @@ def _emit_instruction(inst: Instruction, ref, indent: str, dst, namer: _Namer
         op = inst.opcode
         simple = {"fadd": "+", "fsub": "-", "fmul": "*",
                   "and": "&", "or": "|", "xor": "^"}
-        if op in ("add", "sub", "mul"):
-            sign = {"add": "+", "sub": "-", "mul": "*"}[op]
-            return [f"{indent}{target} = _wrap64({lhs} {sign} {rhs})"]
+        if op in _ARITH_SIGN:
+            line = f"{indent}{target} = {lhs} {_ARITH_SIGN[op]} {rhs}"
+            if inst.uid in namer.unwrapped:
+                return [line]
+            return [line, f"{indent}if not {_IN_INT64.format(target)}: "
+                          f"{target} = _wrap64({target})"]
         if op in simple:
             return [f"{indent}{target} = {lhs} {simple[op]} {rhs}"]
         if op == "sdiv":
@@ -444,15 +857,13 @@ def _emit_instruction(inst: Instruction, ref, indent: str, dst, namer: _Namer
 
     if isinstance(inst, OverflowCheckInst):
         lhs, rhs = ref(inst.lhs), ref(inst.rhs)
-        sign = {"add": "+", "sub": "-", "mul": "*"}[inst.checked_opcode]
+        sign = _ARITH_SIGN[inst.checked_opcode]
         return [f"{indent}{target} = 1 if not "
-                f"(_INT64_MIN <= {lhs} {sign} {rhs} <= _INT64_MAX) else 0"]
+                f"({_IN_INT64.format(f'{lhs} {sign} {rhs}')}) else 0"]
 
     if isinstance(inst, CompareInst):
-        python_op = {"eq": "==", "ne": "!=", "lt": "<", "le": "<=",
-                     "gt": ">", "ge": ">="}[inst.predicate]
-        return [f"{indent}{target} = 1 if {ref(inst.lhs)} {python_op} "
-                f"{ref(inst.rhs)} else 0"]
+        return [f"{indent}{target} = 1 if {ref(inst.lhs)} "
+                f"{_PYTHON_COMPARE[inst.predicate]} {ref(inst.rhs)} else 0"]
 
     if isinstance(inst, CastInst):
         source = ref(inst.value)
@@ -474,11 +885,24 @@ def _emit_instruction(inst: Instruction, ref, indent: str, dst, namer: _Namer
                 f"{ref(inst.condition)} else {ref(inst.else_value)}"]
 
     if isinstance(inst, GEPInst):
+        pointer = namer.direct.get(inst.uid)
+        if pointer is not None:
+            if inst.uid in namer.folded:
+                return []
+            return [f"{indent}{target} = "
+                    f"{_offset_index(ref(inst.index), pointer[1])}"]
         return [f"{indent}_p = {ref(inst.base)}",
                 f"{indent}{target} = (_p[0], _p[1] + {ref(inst.index)})"]
 
     if isinstance(inst, LoadInst):
-        return [f"{indent}_p = {ref(inst.pointer)}",
+        gep = inst.pointer
+        pointer = namer.direct.get(gep.uid)
+        if pointer is not None:
+            buffer, offset = pointer
+            index = (_offset_index(ref(gep.index), offset)
+                     if gep.uid in namer.folded else ref(gep))
+            return [f"{indent}{target} = {namer.element(buffer, index)}"]
+        return [f"{indent}_p = {ref(gep)}",
                 f"{indent}{target} = _p[0][_p[1]]"]
 
     if isinstance(inst, StoreInst):
@@ -490,8 +914,11 @@ def _emit_instruction(inst: Instruction, ref, indent: str, dst, namer: _Namer
         if not isinstance(callee, ExternFunction):
             raise BackendError(
                 "direct IR-to-IR calls are not supported by the backend")
-        args = ", ".join(ref(a) for a in inst.args)
-        call = f"{namer.extern(callee)}({args})"
+        args = [ref(a) for a in inst.args]
+        if callee.inline is not None:
+            call = namer.inline(callee.inline, args)
+        else:
+            call = f"{namer.extern(callee)}({', '.join(args)})"
         if inst.has_result:
             return [f"{indent}{target} = {call}"]
         return [f"{indent}{call}"]

@@ -14,8 +14,10 @@ expensive list-to-numpy conversions of the rows that did not change.
 Generated query code reads columns through ``(buffer, offset)`` pointers
 where the buffer is a :class:`ColumnView` -- a stable object that resolves a
 global row index to ``chunks[index >> shift][index & mask]`` (chunk sizes
-are powers of two).  The view's identity survives every insert, so cached
-plans stay valid until the catalog's version counters invalidate them.
+are powers of two); the compiled tiers emit that expression inline over
+the view's chunk list.  The view's and the chunk list's identities survive
+every insert, so cached plans stay valid until the catalog's version
+counters invalidate them.
 
 Thread model: writers serialize on the table lock; readers never take it
 for element access (rows below the published row count are fully written
@@ -63,8 +65,14 @@ class ColumnView:
         self._shift = table._chunk_shift
         self._mask = table._chunk_mask
 
-    # -- element access (the generated-code hot path) -------------------- #
+    # -- element access ---------------------------------------------------- #
     def __getitem__(self, index):
+        """One element by global row index (negative counts from the end).
+
+        This is the IR interpreter's and the bytecode VM's column read.  The
+        compiled tiers do not call it per row: they index the chunk list
+        from :meth:`chunk_layout` in the generated code directly.
+        """
         if isinstance(index, slice):
             return self.to_list()[index]
         if index < 0:
@@ -72,6 +80,11 @@ class ColumnView:
             if index < 0:
                 raise IndexError("column index out of range")
         return self._chunks[index >> self._shift][index & self._mask]
+
+    def chunk_layout(self) -> tuple[list, int, int]:
+        """``(chunks, shift, mask)``: row ``i`` is ``chunks[i >> shift][i &
+        mask]``.  The chunk list is the stable one that grows in place."""
+        return self._chunks, self._shift, self._mask
 
     def __len__(self) -> int:
         return self._table.num_rows

@@ -295,12 +295,15 @@ class CodeGenerator:
         probe_extern = ExternFunction(
             probe_impl.__name__,
             [ir_type_of(key.result_type) for key in probe.probe_keys],
-            ptr, probe_impl, has_side_effects=False)
+            ptr, probe_impl, has_side_effects=False,
+            inline=(self.runtime.probe_inline(probe.join_id)
+                    if len(probe.probe_keys) == 1 else None))
         matches = builder.call(probe_extern, key_values, "matches")
 
         count_extern = self._cached_extern(
             ("match_count",), "rt_match_count", [ptr], i64,
-            QueryRuntime.match_count, pure=True)
+            QueryRuntime.match_count, pure=True,
+            inline=QueryRuntime.MATCH_COUNT_INLINE)
         match_count = builder.call(count_extern, [matches], "match_count")
 
         # LEFT OUTER JOIN with residuals: a per-probe-row flag cell records
@@ -342,7 +345,8 @@ class CodeGenerator:
             getters[column.column] = ExternFunction(
                 f"rt_match_get_{probe.join_id}_{position}",
                 [ptr, i64], ir_type_of(column.result_type),
-                getter_impl, has_side_effects=False)
+                getter_impl, has_side_effects=False,
+                inline=QueryRuntime.match_getter_inline(position))
         payload_columns = {column.column for column in probe.payload_columns}
         parent_resolver = resolver_stack[-1]
 
@@ -506,10 +510,11 @@ class CodeGenerator:
                                    pure=True)
 
     def _cached_extern(self, key: tuple, name: str, arg_types, return_type,
-                       impl, pure: bool = False) -> ExternFunction:
+                       impl, pure: bool = False,
+                       inline=None) -> ExternFunction:
         extern = self._extern_cache.get(key)
         if extern is None:
             extern = ExternFunction(name, arg_types, return_type, impl,
-                                    has_side_effects=not pure)
+                                    has_side_effects=not pure, inline=inline)
             self._extern_cache[key] = extern
         return extern

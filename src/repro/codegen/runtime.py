@@ -33,6 +33,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
 
 from ..errors import ExecutionError
+from ..ir.function import InlineTemplate
 from ..plan.physical import (
     AggregateSink,
     AggregateSpec,
@@ -570,9 +571,17 @@ class QueryRuntime:
         probe.__name__ = f"rt_probe_{join_id}"
         return probe
 
+    def probe_inline(self, join_id: int) -> InlineTemplate:
+        """:meth:`make_probe`'s single-key body as an inline template."""
+        return InlineTemplate("{P}[hash({0}) & (len({P}) - 1)].get({0}, {E})",
+                              P=self.state.join_partitions[join_id], E=[])
+
     @staticmethod
     def match_count(matches) -> int:
         return len(matches)
+
+    #: :meth:`match_count` as an inline template.
+    MATCH_COUNT_INLINE = InlineTemplate("len({0})")
 
     # ---- outer-join probe support ---------------------------------------- #
     # A LEFT OUTER JOIN probe with residual predicates needs to know, after
@@ -604,6 +613,11 @@ class QueryRuntime:
             return matches[row][column_index]
         get.__name__ = f"rt_match_get_{column_index}"
         return get
+
+    @staticmethod
+    def match_getter_inline(column_index: int) -> InlineTemplate:
+        """:meth:`make_match_getter`'s body as an inline template."""
+        return InlineTemplate(f"{{0}}[{{1}}][{column_index}]")
 
     # ---- aggregation ----------------------------------------------------- #
     def make_agg_update(self, sink: AggregateSink) -> Callable:
@@ -840,7 +854,9 @@ class ExternContract:
     per-worker breaker state and therefore must receive the worker
     function's threaded ``state`` argument first (the PR 5 invariant);
     ``pure`` means the extern must be declared side-effect free (and vice
-    versa).  No extern may take a lock.
+    versa); only a pure extern may carry an inline template, and the
+    template's argument placeholders must fit ``min_args``/``max_args``.
+    No extern may take a lock.
     """
 
     pattern: str

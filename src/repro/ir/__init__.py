@@ -35,7 +35,8 @@ from .instructions import (
     ReturnInst,
     UnreachableInst,
 )
-from .function import BasicBlock, Function, Module, ExternFunction
+from .function import (BasicBlock, Function, Module, ExternFunction,
+                       InlineTemplate)
 from .builder import IRBuilder
 from .verifier import verify_function, verify_module
 from .printer import print_function, print_module
@@ -53,7 +54,7 @@ __all__ = [
     "BinaryInst", "OverflowCheckInst", "CompareInst", "CastInst",
     "SelectInst", "GEPInst", "LoadInst", "StoreInst", "CallInst", "PhiInst",
     "BranchInst", "CondBranchInst", "ReturnInst", "UnreachableInst",
-    "BasicBlock", "Function", "Module", "ExternFunction",
+    "BasicBlock", "Function", "Module", "ExternFunction", "InlineTemplate",
     "IRBuilder",
     "verify_function", "verify_module",
     "print_function", "print_module",

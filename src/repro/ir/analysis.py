@@ -345,13 +345,12 @@ def find_loops(function: Function,
     # that can reach the head via the back edge] -- computed from the natural
     # loop membership (all blocks that reach the back-edge source without
     # passing through the head).
+    preds = function.predecessors()
     for tail, head in back_edges:
         if head is entry:
             continue  # already covered by the root pseudo loop
         loop = loops_by_head.get(id(head))
-        members = _natural_loop_members(head, tail, function)
-        indices = [rpo_index[m] for m in members if m in
-                   {id(b) for b in order} or True]
+        members = natural_loop_members(head, tail, preds)
         member_indices = [rpo_index[bid] for bid in members if bid in rpo_index]
         first = min(member_indices + [rpo_index[id(head)]])
         last = max(member_indices + [rpo_index[id(head)]])
@@ -395,14 +394,14 @@ def find_loops(function: Function,
     return info
 
 
-def _natural_loop_members(head: BasicBlock, tail: BasicBlock,
-                          function: Function) -> set[int]:
+def natural_loop_members(head: BasicBlock, tail: BasicBlock,
+                         preds: dict) -> set[int]:
     """Blocks of the natural loop defined by back edge ``tail -> head``.
 
-    Standard worklist walk over predecessors starting from the back edge
-    source, stopping at the head.  Returns block ids.
+    Standard worklist walk over predecessors (``preds``, the function's
+    predecessor map) starting from the back edge source, stopping at the
+    head.  Returns block ids.
     """
-    preds = function.predecessors()
     members: set[int] = {id(head), id(tail)}
     worklist = [tail]
     while worklist:

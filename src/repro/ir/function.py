@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import itertools
+import string
 from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 from ..errors import IRError
@@ -77,27 +78,65 @@ class BasicBlock:
         return f"<BasicBlock {self.name} ({len(self.instructions)} insts)>"
 
 
+class InlineTemplate:
+    """A Python expression the compiled tiers emit instead of an extern call.
+
+    ``{0}``, ``{1}``, ... stand for the call's arguments; every other
+    ``{name}`` field names one of ``objects``, which the lowering binds into
+    the generated module's namespace.  Arguments are plain names, literals
+    or register reads, so a template may repeat one cheaply.  The IR
+    interpreter and the bytecode VM keep calling ``python_impl``, so the
+    template must compute the same value -- which is why only pure externs
+    may carry one (:mod:`repro.analysis.extern_contracts` checks it).
+    """
+
+    __slots__ = ("expression", "objects")
+
+    def __init__(self, expression: str, **objects):
+        self.expression = expression
+        self.objects = objects
+
+    @property
+    def placeholders(self) -> int:
+        """Number of distinct argument placeholders (``{0}``, ``{1}``, ...)."""
+        return len({field for _, field, _, _ in
+                    string.Formatter().parse(self.expression)
+                    if field is not None and field.isdigit()})
+
+    def render(self, args: Sequence[str], names: dict) -> str:
+        """The expression over argument expressions ``args``; ``names`` maps
+        each object field to its namespace name."""
+        return self.expression.format(*args, **names)
+
+    def __repr__(self) -> str:  # pragma: no cover - cosmetic
+        return f"<inline {self.expression!r}>"
+
+
 class ExternFunction:
     """A declaration of a runtime (C++-equivalent) function callable from IR.
 
     ``python_impl`` is the Python callable implementing the runtime function;
     it receives already-decoded operand values.  Externs with
     ``has_side_effects=False`` (pure string predicates, hash computations) may
-    be eliminated by DCE and deduplicated by CSE.
+    be eliminated by DCE and deduplicated by CSE.  ``inline`` optionally
+    gives the compiled tiers an :class:`InlineTemplate` to emit in place of
+    the call.
     """
 
     __slots__ = ("name", "arg_types", "return_type", "python_impl",
-                 "has_side_effects")
+                 "has_side_effects", "inline")
 
     def __init__(self, name: str, arg_types: Sequence[IRType],
                  return_type: IRType,
                  python_impl: Optional[Callable] = None,
-                 has_side_effects: bool = True):
+                 has_side_effects: bool = True,
+                 inline: Optional[InlineTemplate] = None):
         self.name = name
         self.arg_types = tuple(arg_types)
         self.return_type = return_type
         self.python_impl = python_impl
         self.has_side_effects = has_side_effects
+        self.inline = inline
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         args = ", ".join(str(t) for t in self.arg_types)

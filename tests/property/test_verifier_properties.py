@@ -10,9 +10,11 @@ hypothesis chooses to plant it:
   register indices out of range, reads of never-written registers, writes
   to read-only constant slots, falling off the end of the code array,
   malformed call descriptors),
-* the extern-contract checker over six classes (undeclared externs,
+* the extern-contract checker over eight classes (undeclared externs,
   sinks without the threaded state, purity mismatches, declared arity
-  outside the contract, impl signature drift, locks in hot-path impls).
+  outside the contract, impl signature drift, locks in hot-path impls,
+  inline templates on side-effecting externs, inline templates whose
+  placeholders fall outside the contract's arity).
 
 The workers being corrupted are themselves randomly shaped: a count loop
 over ``begin..end`` with a hypothesis-chosen arithmetic chain feeding a
@@ -30,7 +32,8 @@ from hypothesis import strategies as st
 
 from repro.analysis import check_extern_contracts, verify_bytecode
 from repro.errors import BytecodeVerificationError, IRVerificationError
-from repro.ir import Constant, ExternFunction, Function, IRBuilder, verify_function
+from repro.ir import (Constant, ExternFunction, Function, IRBuilder,
+                      InlineTemplate, verify_function)
 from repro.ir.function import Module
 from repro.ir.instructions import CallInst, PhiInst, ReturnInst
 from repro.ir.types import i1, i64, ptr, void
@@ -320,6 +323,36 @@ def _corrupt_lock(n):
         "lock")
 
 
+def _corrupt_inline_impure(n):
+    """An inline template on any side-effecting extern: a sink, or one of
+    the outer-join flag helpers whose effects must not be dropped."""
+    families = [
+        (f"rt_build_insert_{n}", [ptr, i64], void, True),
+        (f"rt_agg_update_{n}", [ptr, i64], void, True),
+        ("rt_emit_row", [ptr, i64], void, True),
+        ("rt_flag_set", [ptr], void, False),
+    ]
+    name, arg_types, result, is_sink = families[n % len(families)]
+    extern = ExternFunction(name, arg_types, result,
+                            lambda *args: None, has_side_effects=True,
+                            inline=InlineTemplate("{0}.append({1})"
+                                                  if len(arg_types) > 1
+                                                  else "{0}.clear()"))
+    return (_module_with_call(
+        extern, lambda b, f: [f.args[0] if is_sink else Constant(ptr, None)]
+        + [b.const_i64(n)] * (len(arg_types) - 1)),
+        "inline-purity")
+
+
+def _corrupt_inline_arity(n):
+    """A pure extern whose template reads more arguments than it has."""
+    extern = ExternFunction("rt_match_count", [ptr], i64, len,
+                            has_side_effects=False,
+                            inline=InlineTemplate(f"len({{0}}) + {{{1 + n % 3}}}"))
+    return (_module_with_call(extern, lambda b, f: [Constant(ptr, None)]),
+            "inline-arity")
+
+
 EXTERN_MUTATIONS = {
     "undeclared-extern": _corrupt_undeclared,
     "sink-state": _corrupt_sink_state,
@@ -327,6 +360,8 @@ EXTERN_MUTATIONS = {
     "arity": _corrupt_arity,
     "impl-signature": _corrupt_impl_signature,
     "lock": _corrupt_lock,
+    "inline-impure": _corrupt_inline_impure,
+    "inline-arity": _corrupt_inline_arity,
 }
 
 

@@ -16,7 +16,8 @@ from repro.analysis import (
 from repro.analysis.lint import lint_file, lint_paths
 from repro.analysis.lint.rules import ALL_RULES
 from repro.errors import BytecodeVerificationError, IRVerificationError
-from repro.ir import Constant, ExternFunction, Function, IRBuilder, verify_function
+from repro.ir import (Constant, ExternFunction, Function, IRBuilder,
+                      InlineTemplate, verify_function)
 from repro.ir.types import f64, i1, i64, ptr, void
 from repro.passes import PassManager
 from repro.vm import allocate_registers, translate_function
@@ -281,6 +282,50 @@ class TestExternContracts:
             lambda b, f: [f.args[0], b.const_i64(1), b.const_i64(2)]))
         rules = {f.rule for f in check_extern_contracts(module)}
         assert "lock" in rules
+
+    def test_inline_template_on_impure_extern_is_flagged(self):
+        extern = ExternFunction("rt_flag_set", [ptr], void,
+                                lambda cell: None,
+                                inline=InlineTemplate("{0}.clear()"))
+        module = build_module(make_caller(
+            extern, lambda b, f: [Constant(ptr, None)]))
+        rules = {f.rule for f in check_extern_contracts(module)}
+        assert rules == {"inline-purity"}
+
+    def test_inline_placeholders_outside_contract_are_flagged(self):
+        extern = ExternFunction("rt_match_get_0_1", [ptr, i64], i64,
+                                lambda matches, row: 0,
+                                has_side_effects=False,
+                                inline=InlineTemplate("{0}[1]"))
+        module = build_module(make_caller(
+            extern, lambda b, f: [Constant(ptr, None), b.const_i64(0)]))
+        rules = {f.rule for f in check_extern_contracts(module)}
+        assert rules == {"inline-arity"}
+
+    def test_runtime_templates_compute_what_the_impls_do(self):
+        from repro.codegen.runtime import QueryRuntime
+
+        class _State:
+            join_partitions = {0: [{1: [(1, "a")], 3: [(3, "b")]},
+                                   {2: [(2, "c"), (2, "d")]}]}
+
+        runtime = QueryRuntime(_State())
+        probe, template = runtime.make_probe(0, 1), runtime.probe_inline(0)
+        getter = QueryRuntime.make_match_getter(1)
+        get_template = QueryRuntime.match_getter_inline(1)
+        names = {field: f"_o_{field}" for field in template.objects}
+        scope = {names[field]: obj for field, obj in template.objects.items()}
+        for key in (1, 2, 3, 4):
+            scope["k"] = key
+            matches = eval(template.render(["k"], names), scope)
+            assert matches == probe(key)
+            scope["m"] = matches
+            assert eval(QueryRuntime.MATCH_COUNT_INLINE.render(["m"], {}),
+                        scope) == QueryRuntime.match_count(matches)
+            for row in range(len(matches)):
+                scope["r"] = row
+                assert eval(get_template.render(["m", "r"], {}), scope) \
+                    == getter(matches, row)
 
     def test_real_query_modules_are_clean(self, tpch_db_tiny):
         generated, _, _ = tpch_db_tiny.generate(

@@ -4,8 +4,15 @@ import pytest
 
 from repro.backend import compile_optimized, compile_unoptimized
 from repro.backend.cost_model import CostModel, default_cost_model
-from repro.ir import Constant, ExternFunction, Function, IRBuilder, verify_function
+from repro.catalog.schema import Column, TableSchema
+from repro.catalog.table import Table
+from repro.codegen.runtime import QueryRuntime
+from repro.errors import BackendError, ExecutionError
+from repro.ir import (Constant, ExternFunction, Function, InlineTemplate,
+                      IRBuilder, UnreachableInst, verify_function)
 from repro.ir.types import i1, i64, ptr, void
+from repro.types import SQLType
+from repro.workloads import TPCDS_QUERIES, TPCH_QUERIES, populate_tpcds
 from repro.passes import (
     CommonSubexpressionEliminationPass,
     ConstantFoldingPass,
@@ -14,7 +21,7 @@ from repro.passes import (
     SimplifyCFGPass,
     default_pipeline,
 )
-from repro.vm import VirtualMachine, translate_function
+from repro.vm import IRInterpreter, VirtualMachine, translate_function
 
 
 def make_redundant_function():
@@ -173,6 +180,322 @@ class TestBackends:
         function, _ = self._accumulating_function()
         assert compile_unoptimized(function).tier == "unoptimized"
         assert compile_optimized(function).tier == "optimized"
+
+
+def _loop(builder, function, name, begin, end):
+    """Open ``for i in [begin, end)``; returns (i, exit block, close)."""
+    head = builder.new_block(f"{name}.head")
+    body = builder.new_block(f"{name}.body")
+    exit_block = builder.new_block(f"{name}.exit")
+    preheader = builder.block
+    builder.br(head)
+    builder.set_block(head)
+    index = builder.phi(i64, name)
+    index.add_incoming(begin, preheader)
+    builder.condbr(builder.cmp("lt", index, end), body, exit_block)
+    builder.set_block(body)
+
+    def close(latch=None):
+        if latch is not None:
+            builder.set_block(latch)
+        index.add_incoming(builder.add(index, builder.const_i64(1)),
+                           builder.block)
+        builder.br(head)
+        builder.set_block(exit_block)
+    return index, exit_block, close
+
+
+def make_swap_loops(out):
+    """Nested loops: the inner one swaps two phis every iteration (a copy
+    cycle on its back edge) and exits onto the outer latch."""
+    sink = ExternFunction("collect", [i64], void, out.append)
+    function = Function("swap", [ptr, i64, i64], ["state", "begin", "end"])
+    b = IRBuilder(function)
+    i, _, close_outer = _loop(b, function, "outer", function.args[1],
+                              function.args[2])
+    seed = b.add(b.mul(i, b.const_i64(2)), b.const_i64(1))
+    preheader = b.block
+    inner_head = b.new_block("inner.head")
+    inner_body = b.new_block("inner.body")
+    outer_latch = b.new_block("outer.latch")
+    b.br(inner_head)
+    b.set_block(inner_head)
+    j, x, y = b.phi(i64, "j"), b.phi(i64, "x"), b.phi(i64, "y")
+    j.add_incoming(b.const_i64(0), preheader)
+    x.add_incoming(i, preheader)
+    y.add_incoming(seed, preheader)
+    b.condbr(b.cmp("lt", j, b.const_i64(3)), inner_body, outer_latch)
+    b.set_block(inner_body)
+    b.call(sink, [b.sub(x, y)])
+    j.add_incoming(b.add(j, b.const_i64(1)), inner_body)
+    x.add_incoming(y, inner_body)
+    y.add_incoming(x, inner_body)
+    b.br(inner_head)
+    b.set_block(outer_latch)
+    b.call(sink, [x])
+    b.call(sink, [y])
+    close_outer()
+    b.ret()
+    return function
+
+
+def make_case_diamond(out, column, side):
+    """``p = x < 5 ? x * 10 : x + side[i]`` merging into a phi, then a
+    second filter on ``p``; ``x`` reads a chunked column through one gep
+    used by loads on both arms of the diamond."""
+    sink = ExternFunction("collect", [i64], void, out.append)
+    function = Function("case", [ptr, i64, i64], ["state", "begin", "end"])
+    b = IRBuilder(function)
+    i, _, close = _loop(b, function, "scan", function.args[1],
+                        function.args[2])
+    element = b.gep(b.const_ptr((column, 0)), i)
+    x = b.load(i64, element)
+    then_block, else_block = b.new_block("case.then"), b.new_block("case.else")
+    merge, emit2 = b.new_block("case.merge"), b.new_block("emit2")
+    latch = b.new_block("scan.latch")
+    b.condbr(b.cmp("lt", x, b.const_i64(5)), then_block, else_block)
+    b.set_block(then_block)
+    tens = b.mul(b.load(i64, element), b.const_i64(10))
+    b.br(merge)
+    b.set_block(else_block)
+    other = b.load(i64, b.gep(b.const_ptr((side, 0)), i))
+    plus = b.add(b.load(i64, element), other)
+    b.br(merge)
+    b.set_block(merge)
+    p = b.phi(i64, "p")
+    p.add_incoming(tens, then_block)
+    p.add_incoming(plus, else_block)
+    b.call(sink, [p])
+    b.condbr(b.cmp("gt", p, b.const_i64(50)), emit2, latch)
+    b.set_block(emit2)
+    b.call(sink, [b.sub(p, b.const_i64(50))])
+    b.br(latch)
+    close(latch)
+    b.ret()
+    return function
+
+
+def make_probe_loop(out, keys, table):
+    """Scan ``keys``; skip key 7 (a filter edge onto the outer latch);
+    probe ``table`` through inline-template externs; for every match emit
+    the *checked* sum ``match + key``, whose overflow edge leads to the
+    shared ``overflow.error`` block.  The exhausted probe loop exits onto
+    the outer latch too."""
+    sink = ExternFunction("collect", [i64], void, out.append)
+    empty: list = []
+    probe = ExternFunction(
+        "rt_probe_0", [i64], ptr, lambda key: table.get(key, empty),
+        has_side_effects=False,
+        inline=InlineTemplate("{T}.get({0}, {E})", T=table, E=empty))
+    count = ExternFunction("rt_match_count", [ptr], i64, len,
+                           has_side_effects=False,
+                           inline=InlineTemplate("len({0})"))
+    get = ExternFunction("rt_match_get_0_0", [ptr, i64], i64,
+                         lambda matches, row: matches[row][0],
+                         has_side_effects=False,
+                         inline=InlineTemplate("{0}[{1}][0]"))
+    function = Function("probe", [ptr, i64, i64], ["state", "begin", "end"])
+    b = IRBuilder(function)
+    error = function.add_block("overflow.error")
+    IRBuilder(function, error).call(
+        ExternFunction("rt_raise_overflow", [], void,
+                       QueryRuntime.raise_overflow), [])
+    error.append(UnreachableInst())
+    i, _, close_outer = _loop(b, function, "scan", function.args[1],
+                              function.args[2])
+    outer_latch = b.new_block("scan.latch")
+    key = b.load(i64, b.gep(b.const_ptr((keys, 0)), i))
+    probing = b.new_block("probe")
+    b.condbr(b.cmp("ne", key, b.const_i64(7)), probing, outer_latch)
+    b.set_block(probing)
+    matches = b.call(probe, [key])
+    n = b.call(count, [matches])
+    k, _, close_inner = _loop(b, function, "match", b.const_i64(0), n)
+    total = b.checked_add(b.call(get, [matches, k]), key, error)
+    b.call(sink, [total])
+    close_inner()
+    b.br(outer_latch)
+    close_outer(outer_latch)
+    b.ret()
+    return function
+
+
+def run_every_tier(function, out, args):
+    """``(emitted values, outcome)`` of the IR interpreter and both compiled
+    tiers; an ExecutionError's outcome is whether it names overflow."""
+    runners = {"ir-interp": lambda *a: IRInterpreter().execute(function, a),
+               "unoptimized": compile_unoptimized(function),
+               "optimized": compile_optimized(function)}
+    results = {}
+    for tier, run in runners.items():
+        out.clear()
+        try:
+            outcome = ("returned", run(*args))
+        except ExecutionError as exc:
+            outcome = ("raised", "overflow" in str(exc))
+        results[tier] = (list(out), outcome)
+    return results
+
+
+def assert_tiers_agree(function, out, args):
+    results = run_every_tier(function, out, args)
+    assert results["unoptimized"] == results["ir-interp"]
+    assert results["optimized"] == results["ir-interp"]
+    return results["ir-interp"]
+
+
+def chunked_column(values, chunk_rows=4):
+    table = Table(TableSchema("t", [Column("a", SQLType.INT64)]),
+                  chunk_rows=chunk_rows)
+    table.insert_rows([(value,) for value in values], encode=False)
+    return table.column_data("a")
+
+
+class TestStructuredLowering:
+    def test_nested_loops_with_a_phi_swap_cycle(self):
+        out = []
+        function = make_swap_loops(out)
+        emitted, _ = assert_tiers_agree(function, out, [None, 2, 6])
+        assert emitted[:5] == [-3, 3, -3, 5, 2]
+        source = compile_optimized(function).source
+        assert "_tmp" in source  # the swap is a copy cycle
+        assert source.count("while True:") == 2
+
+    def test_case_diamond_merging_into_a_phi(self):
+        out = []
+        values = [0, 3, 4, 5, 9, 12, 1, 7, 2, 40, 6]
+        column = chunked_column(values)
+        side = [10 * v for v in range(len(values))]
+        function = make_case_diamond(out, column, side)
+        emitted, _ = assert_tiers_agree(function, out, [None, 0, len(values)])
+        assert emitted[:3] == [0, 30, 40]
+        source = compile_optimized(function).source
+        # Column reads index the chunk list (chunk_rows=4), the side list
+        # directly; no pointer tuple is built or dereferenced.
+        assert " >> 2][" in source and " & 3]" in source
+        assert "_p" not in source and "_bb" not in source
+
+    def test_checked_add_in_a_probe_loop_reaches_the_overflow_block(self):
+        out = []
+        keys = [1, 7, 2, 3, 1]
+        table = {1: [(10,), (20,)], 3: [(5,)], 7: [(1,)]}
+        function = make_probe_loop(out, keys, table)
+        emitted, outcome = assert_tiers_agree(function, out, [None, 0, 5])
+        assert emitted == [11, 21, 8, 11, 21]
+        assert outcome == ("returned", None)
+        source = compile_optimized(function).source
+        assert "rt_probe" not in source and "len(" in source
+        assert "raise ExecutionError" in source
+
+        table[3] = [((1 << 63) - 2,)]
+        emitted, outcome = assert_tiers_agree(function, out, [None, 0, 5])
+        assert emitted == [11, 21]
+        assert outcome == ("raised", True)
+
+    def test_inner_loop_exit_lands_on_the_outer_latch(self):
+        out = []
+        keys = [7, 1, 3]
+        function = make_probe_loop(out, keys, {1: [(4,), (5,)], 3: []})
+        source = compile_optimized(function).source
+        # The filter edge continues the scan loop; the exhausted probe loop
+        # breaks out to the latch that follows it.
+        assert "break" in source and "continue" in source
+        emitted, _ = assert_tiers_agree(function, out, [None, 0, 3])
+        assert emitted == [5, 6]
+
+    def test_counter_increment_before_its_guard_still_wraps(self):
+        """``i + 1`` skips its wrap test only behind the header's ``i <
+        bound``; in the header itself it runs before the guard."""
+        function = Function("selfloop", [i64], ["start"], i64)
+        b = IRBuilder(function)
+        entry, head, done = b.block, b.new_block("head"), b.new_block("done")
+        b.br(head)
+        b.set_block(head)
+        i = b.phi(i64, "i")
+        following = b.add(i, b.const_i64(1))
+        i.add_incoming(function.args[0], entry)
+        i.add_incoming(following, head)
+        b.condbr(b.cmp("lt", i, b.const_i64(5)), head, done)
+        IRBuilder(function, done).ret(following)
+        limit = (1 << 63) - 1
+        for tier in (compile_unoptimized(function), compile_optimized(function)):
+            assert tier(limit) == -(1 << 63)
+            assert tier(2) == 6
+
+    def test_nesting_past_cpython_limits_is_a_backend_error(self):
+        out = []
+        function = Function("deep", [ptr, i64, i64], ["state", "begin", "end"])
+        b = IRBuilder(function)
+        closers = []
+        for depth in range(21):  # CPython compiles at most 20 nested loops
+            index, _, close = _loop(b, function, f"l{depth}",
+                                    b.const_i64(0), function.args[2])
+            closers.append(close)
+        b.call(ExternFunction("collect", [i64], void, out.append), [index])
+        for close in reversed(closers):
+            close()
+        b.ret()
+        with pytest.raises(BackendError, match="nests too deeply"):
+            compile_optimized(function)
+
+    def test_irreducible_cfg_is_a_backend_error(self):
+        function = Function("irreducible", [i1], ["c"], i64)
+        b = IRBuilder(function)
+        left, right = b.new_block("left"), b.new_block("right")
+        b.condbr(function.args[0], left, right)
+        IRBuilder(function, left).br(right)
+        IRBuilder(function, right).condbr(function.args[0], left,
+                                          b.new_block("done"))
+        IRBuilder(function, function.blocks[-1]).ret(b.const_i64(1))
+        with pytest.raises(BackendError, match="irreducible"):
+            compile_optimized(function)
+
+    def test_break_across_two_loops_is_a_backend_error(self):
+        out = []
+        sink = ExternFunction("collect", [i64], void, out.append)
+        function = Function("escape", [ptr, i64, i64],
+                            ["state", "begin", "end"])
+        b = IRBuilder(function)
+        i, done, close_outer = _loop(b, function, "outer", function.args[1],
+                                     function.args[2])
+        j, _, close_inner = _loop(b, function, "inner", b.const_i64(0), i)
+        stay = b.new_block("stay")
+        b.condbr(b.cmp("eq", j, b.const_i64(3)), done, stay)
+        b.set_block(stay)
+        b.call(sink, [j])
+        close_inner()
+        close_outer()
+        b.ret()
+        with pytest.raises(BackendError, match="cannot structure"):
+            compile_optimized(function)
+        compile_unoptimized(function)(None, 0, 6)  # the blockwise tier is fine
+        assert out[-1] == 2
+
+
+class TestWorkloadLowering:
+    """Every TPC-H and TPC-DS worker lowers to structured code."""
+
+    @staticmethod
+    def _optimized_sources(db, queries):
+        for number in sorted(queries):
+            generated, _, _ = db.generate(queries[number])
+            for function in generated.module.worker_functions():
+                yield number, function.name, compile_optimized(function).source
+
+    def _check(self, db, queries):
+        count = 0
+        for number, worker, source in self._optimized_sources(db, queries):
+            count += 1
+            assert "_bb" not in source, (number, worker)
+            assert "_p[0][_p[1]]" not in source, (number, worker)
+        return count
+
+    def test_tpch_workers(self, tpch_db_tiny):
+        assert self._check(tpch_db_tiny, TPCH_QUERIES) >= len(TPCH_QUERIES)
+
+    def test_tpcds_workers(self):
+        db = populate_tpcds(fact_rows=50)
+        assert self._check(db, TPCDS_QUERIES) >= len(TPCDS_QUERIES)
 
 
 class TestCostModel:
