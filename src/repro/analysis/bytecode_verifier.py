@@ -11,8 +11,8 @@ flat instruction list is well formed along *every* path:
 * jump targets are absolute instruction indices inside the code list,
 * execution can never fall off the end of the code,
 * every register operand addresses a slot of the register file, and no
-  instruction overwrites the reserved constant slots (0/1) or a pooled
-  constant slot,
+  instruction or argument overwrites the reserved constant slots (0/1) or a
+  pooled constant slot,
 * call descriptors are structurally valid ``(impl, arg_slots)`` pairs,
 * a forward dataflow over the instruction-level CFG proves that every
   register read is preceded by a write (or frame initialisation: reserved
@@ -91,6 +91,11 @@ def verify_bytecode(function: BytecodeFunction) -> None:
         if not (0 <= slot < num_registers):
             _fail(f"argument slot {slot} outside the register file "
                   f"(size {num_registers})", function)
+        if slot < RESERVED_SLOTS or slot in constant_slots:
+            # The frame writes arguments after constants; the VM's handlers
+            # capture constant-slot values when they are built.
+            _fail(f"argument slot {slot} overwrites a read-only constant "
+                  f"slot", function)
 
     #: Slots no instruction may ever write: the reserved 0/1 cells and the
     #: pooled constants (both initialised once per frame, read-only after).

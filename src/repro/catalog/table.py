@@ -15,9 +15,10 @@ Generated query code reads columns through ``(buffer, offset)`` pointers
 where the buffer is a :class:`ColumnView` -- a stable object that resolves a
 global row index to ``chunks[index >> shift][index & mask]`` (chunk sizes
 are powers of two); the compiled tiers emit that expression inline over
-the view's chunk list.  The view's and the chunk list's identities survive
-every insert, so cached plans stay valid until the catalog's version
-counters invalidate them.
+the view's chunk list, and the bytecode VM evaluates it in the handler of a
+constant-pointer ``load_idx``.  The view's and the chunk list's identities
+survive every insert, so cached plans stay valid until the catalog's
+version counters invalidate them.
 
 Thread model: writers serialize on the table lock; readers never take it
 for element access (rows below the published row count are fully written
@@ -69,9 +70,10 @@ class ColumnView:
     def __getitem__(self, index):
         """One element by global row index (negative counts from the end).
 
-        This is the IR interpreter's and the bytecode VM's column read.  The
-        compiled tiers do not call it per row: they index the chunk list
-        from :meth:`chunk_layout` in the generated code directly.
+        This is the IR interpreter's column read, and the bytecode VM's
+        through a pointer held in a register.  The compiled tiers and the
+        VM's constant-pointer ``load_idx`` do not call it per row: they
+        index the chunk list from :meth:`chunk_layout` directly.
         """
         if isinstance(index, slice):
             return self.to_list()[index]

@@ -8,7 +8,8 @@ implements the paper's loop-aware algorithm (Fig. 10-12).
 Public entry points:
 
 * :func:`translate_function` -- IR function -> :class:`BytecodeFunction`.
-* :class:`VirtualMachine` -- the dispatch-loop interpreter.
+* :class:`VirtualMachine` -- the threaded-code interpreter (one prebuilt
+  handler per instruction, see :mod:`repro.vm.interpreter`).
 * :class:`repro.vm.ir_interpreter.IRInterpreter` -- the deliberately naive
   direct IR walker standing in for LLVM's built-in interpreter (the slowest
   point in paper Fig. 2).

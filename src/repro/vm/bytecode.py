@@ -30,6 +30,12 @@ class BytecodeFunction:
     block_offsets:
         Map from basic-block name to the instruction index of its first
         opcode (used by tests and the disassembler).
+    handlers:
+        The threaded code the VM runs, built from ``code`` and
+        ``constant_slots`` by :func:`repro.vm.interpreter.build_handlers`
+        (eagerly by the translator, else on first execution).  Not an
+        ``__init__`` field, so a ``dataclasses.replace`` copy starts without
+        handlers and builds its own from its own ``code``.
     """
 
     name: str
@@ -39,6 +45,8 @@ class BytecodeFunction:
     arg_slots: list[int]
     block_offsets: dict[str, int] = field(default_factory=dict)
     source_instruction_count: int = 0
+    handlers: Optional[tuple] = field(default=None, init=False, repr=False,
+                                      compare=False)
 
     # ------------------------------------------------------------------ #
     # frames

@@ -2,7 +2,8 @@
 
 Every bytecode instruction is a 5-tuple ``(op, a1, a2, a3, lit)``:
 
-* ``op``  -- the :class:`Opcode` (an ``IntEnum``, so dispatch compares ints),
+* ``op``  -- the :class:`Opcode` (an ``IntEnum``; the VM looks it up once,
+  when it builds the instruction's handler),
 * ``a1``  -- usually the destination register slot,
 * ``a2``/``a3`` -- operand register slots (or branch targets),
 * ``lit`` -- an immediate literal (constants, call descriptors, jump targets).
@@ -11,9 +12,9 @@ The encoding is deliberately fixed length, mirroring the paper's design: the
 interpreter never has to decode variable-length operands, and the translated
 function is a flat Python list that stays cache friendly.
 
-Opcodes are statically typed (``ADD_I64`` vs ``ADD_F64``), so the dispatch
-loop never inspects operand types at runtime -- the second property the paper
-calls out as essential for a fast interpreter.
+Opcodes are statically typed (``ADD_I64`` vs ``ADD_F64``), so no handler
+inspects operand types at runtime -- the second property the paper calls out
+as essential for a fast interpreter.
 """
 
 from __future__ import annotations

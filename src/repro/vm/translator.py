@@ -7,7 +7,10 @@ The translation follows Fig. 9 of the paper:
 * iterate over the blocks in reverse postorder and translate instructions
   one by one, skipping instructions that are *subsumed* by a fused opcode,
 * propagate values into phi nodes at the end of each predecessor block,
-* patch branch targets once the final layout is known.
+* patch branch targets once the final layout is known,
+* build the VM's threaded handlers for the finished code
+  (:func:`repro.vm.interpreter.build_handlers`), so that cost is part of
+  translation rather than of the first morsel.
 
 Two fusions from Section IV-F are implemented:
 
@@ -44,6 +47,7 @@ from ..ir.instructions import (
 )
 from ..ir.values import Argument, Constant, Instruction, Undef, Value
 from .bytecode import BytecodeFunction
+from .interpreter import build_handlers
 from .opcodes import (
     BCInstruction,
     BINARY_TO_OPCODE,
@@ -309,6 +313,7 @@ def translate_function(function: Function,
         block_offsets=block_offsets,
         source_instruction_count=stats.ir_instructions,
     )
+    bytecode.handlers = build_handlers(code, constant_slots)
     stats.bytecode_instructions = len(code)
     stats.num_registers = num_registers
     stats.translation_seconds = time.perf_counter() - start_time

@@ -150,18 +150,17 @@ def test_compile_time_ordering(sales_db):
     """Bytecode translation is cheaper than unoptimized, which is cheaper
     than optimized compilation (paper Fig. 3)."""
     sql = QUERIES["join-group"]
-    # use_cache=False: compile is 0 on a plan-cache hit (tiers are reused).
-    bytecode = sales_db.execute(
-        sql,
-        options=ExecOptions(mode="bytecode", use_cache=False)).timings.compile
-    unoptimized = sales_db.execute(
-        sql,
-        options=ExecOptions(mode="unoptimized",
-                            use_cache=False)).timings.compile
-    optimized = sales_db.execute(
-        sql,
-        options=ExecOptions(mode="optimized", use_cache=False)).timings.compile
-    assert bytecode < unoptimized < optimized
+
+    def compile_seconds(mode):
+        # use_cache=False: compile is 0 on a plan-cache hit (tiers are
+        # reused).  Best of three: one ~1 ms sample is at the mercy of a
+        # garbage collection landing inside it.
+        return min(sales_db.execute(
+            sql, options=ExecOptions(mode=mode, use_cache=False)
+        ).timings.compile for _ in range(3))
+
+    assert compile_seconds("bytecode") < compile_seconds("unoptimized") \
+        < compile_seconds("optimized")
 
 
 def test_execution_time_ordering(sales_db):

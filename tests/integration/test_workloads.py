@@ -5,13 +5,15 @@ import gc
 
 import pytest
 
-from repro import ExecOptions
+from repro import Database, ExecOptions
+from repro.vm import translate_function
 from repro.workloads import (
     METADATA_QUERIES,
     TPCDS_QUERIES,
     TPCH_QUERIES,
     populate_metadata,
     populate_tpcds,
+    populate_tpch,
     populate_wide_table,
     wide_aggregate_query,
 )
@@ -39,8 +41,6 @@ class TestTPCHDatagen:
         assert sizes["partsupp"] == 4 * sizes["part"]
 
     def test_deterministic(self):
-        from repro.workloads import populate_tpch
-
         a = populate_tpch(scale_factor=0.01, seed=5)
         b = populate_tpch(scale_factor=0.01, seed=5)
         assert a.catalog.table("lineitem").column_data("l_quantity") == \
@@ -94,6 +94,29 @@ def test_tpch_q6_is_single_pipeline_scalar_aggregate(tpch_db):
     assert len(result.rows) == 1
     # scan + hash-table-scan pipelines
     assert len(result.pipelines) == 2
+
+
+def test_tpch_bytecode_exact_counts():
+    """The exact counts the benchmark harness reports for the TPC-H 22 at
+    SF 0.05 (``vm.instructions``, ``vm.bytecode_instructions``,
+    ``vm.registers``).  They repeat bit for bit, so a change to the
+    translator, the allocator or the VM that moves one shows here."""
+    db = populate_tpch(Database(workers=2), scale_factor=0.05)
+    try:
+        options = ExecOptions(mode="bytecode", threads=1, use_cache=False)
+        before = db.vm_instructions
+        for number in sorted(TPCH_QUERIES):
+            db.execute(TPCH_QUERIES[number], options=options)
+        assert db.vm_instructions - before == 131_500
+        translations = [translate_function(pipeline.function)[1]
+                        for number in sorted(TPCH_QUERIES)
+                        for pipeline in db.generate(
+                            TPCH_QUERIES[number])[0].pipelines]
+        assert sum(stats.bytecode_instructions
+                   for stats in translations) == 2_176
+        assert sum(stats.num_registers for stats in translations) == 1_606
+    finally:
+        db.close()
 
 
 class TestTPCDS:

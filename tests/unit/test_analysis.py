@@ -141,6 +141,16 @@ class TestBytecodeVerifier:
                            match="read-only constant slot"):
             verify_bytecode(with_code(bytecode, code))
 
+    def test_rejects_argument_in_a_constant_slot(self):
+        bytecode = translated()
+        victim = bytecode.constant_slots[0][0]
+        for arg_slots in ([victim] + bytecode.arg_slots[1:],
+                          [1] + bytecode.arg_slots[1:]):
+            with pytest.raises(BytecodeVerificationError,
+                               match="argument slot .* read-only constant"):
+                verify_bytecode(dataclasses.replace(bytecode,
+                                                    arg_slots=arg_slots))
+
     def test_error_carries_function_offset_and_instruction(self):
         bytecode = translated()
         code = list(bytecode.code)

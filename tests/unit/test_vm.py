@@ -1,12 +1,19 @@
 """Unit tests for the bytecode VM: liveness, register allocation, translation,
 interpretation and fusion."""
 
+import dataclasses
+
 import pytest
 
-from repro.errors import DivisionByZeroError, OverflowError_
+from repro.catalog.schema import Column, TableSchema
+from repro.catalog.table import ColumnView, Table
+from repro.errors import DivisionByZeroError, OverflowError_, VMError
 from repro.ir import Constant, ExternFunction, Function, IRBuilder, verify_function
 from repro.ir.types import f64, i64, ptr, void
+from repro.types import SQLType
 from repro.vm import (
+    BCInstruction,
+    BytecodeFunction,
     IRInterpreter,
     VirtualMachine,
     allocate_registers,
@@ -14,6 +21,7 @@ from repro.vm import (
     disassemble,
     translate_function,
 )
+from repro.vm.interpreter import build_handlers
 from repro.vm.opcodes import Opcode
 from repro.vm.regalloc import RESERVED_SLOTS
 
@@ -234,7 +242,21 @@ class TestInterpretation:
         bytecode, _ = translate_function(function)
         vm = VirtualMachine()
         vm.execute(bytecode, [(list(range(10)), 0), 0, 10])
-        assert vm.instructions_executed > 10
+        # Entry (mov, br), nine per row (compare, branch, seven body
+        # instructions), then the last compare, branch and the RET.
+        assert vm.instructions_executed == 2 + 9 * 10 + 3
+
+    def test_counter_counts_the_instruction_that_raises(self):
+        function = Function("div", [i64, i64], ["a", "b"], i64)
+        builder = IRBuilder(function)
+        builder.ret(builder.div(function.args[0], function.args[1]))
+        bytecode, _ = translate_function(function)
+        vm = VirtualMachine()
+        vm.execute(bytecode, [7, 2])
+        assert vm.instructions_executed == 2  # sdiv, ret_val
+        with pytest.raises(DivisionByZeroError):
+            vm.execute(bytecode, [7, 0])
+        assert vm.instructions_executed == 3  # + the sdiv that raised
 
     def test_float_arithmetic(self):
         function = Function("fmix", [f64, f64], ["a", "b"], f64)
@@ -244,3 +266,147 @@ class TestInterpretation:
         builder.ret(scaled)
         bytecode, _ = translate_function(function)
         assert VirtualMachine().execute(bytecode, [3.0, 5.0]) == pytest.approx(4.0)
+
+
+def make_add_function():
+    function = Function("add", [i64, i64], ["a", "b"], i64)
+    builder = IRBuilder(function)
+    builder.ret(builder.add(function.args[0], function.args[1]))
+    return function
+
+
+class TestThreadedDispatch:
+    def test_every_opcode_has_a_handler(self):
+        for op in Opcode:
+            lit = ((len, (2,)) if op in (Opcode.CALL, Opcode.CALL_VOID)
+                   else 8)
+            (handler,) = build_handlers([BCInstruction(op, 2, 2, 2, lit)],
+                                        [])
+            assert callable(handler), op
+
+    def test_unknown_opcode_raises_vm_error(self):
+        bytecode, _ = translate_function(make_add_function())
+        broken = dataclasses.replace(
+            bytecode, code=[BCInstruction(255, 0, 0, 0, None)])
+        with pytest.raises(VMError, match="unknown opcode 255"):
+            VirtualMachine().execute(broken, [1, 2])
+        with pytest.raises(VMError):
+            build_handlers(broken.code, broken.constant_slots)
+
+    def test_translation_builds_the_handlers(self):
+        bytecode, _ = translate_function(make_add_function())
+        assert len(bytecode.handlers) == len(bytecode.code)
+
+    def test_replaced_function_runs_its_own_code(self):
+        bytecode, _ = translate_function(make_add_function())
+        code = [inst._replace(op=int(Opcode.SUB_I64))
+                if inst.op == Opcode.ADD_I64 else inst
+                for inst in bytecode.code]
+        subtract = dataclasses.replace(bytecode, code=code)
+        assert subtract.handlers is None
+        vm = VirtualMachine()
+        assert vm.execute(subtract, [7, 2]) == 5
+        assert vm.execute(bytecode, [7, 2]) == 9
+        assert len(subtract.handlers) == len(code)
+
+    def test_hand_built_function_builds_handlers_on_first_execution(self):
+        function = BytecodeFunction(
+            name="const", num_registers=3, constant_slots=[], arg_slots=[],
+            code=[BCInstruction(int(Opcode.LOAD_CONST), 2, 0, 0, "x"),
+                  BCInstruction(int(Opcode.RET_VAL), 2, 0, 0, None)])
+        assert function.handlers is None
+        assert VirtualMachine().execute(function) == "x"
+        assert function.handlers is not None
+
+    def test_void_return(self):
+        function = Function("nothing", [], [], void)
+        IRBuilder(function).ret()
+        bytecode, _ = translate_function(function)
+        vm = VirtualMachine()
+        assert vm.execute(bytecode) is None
+        assert vm.instructions_executed == 1
+
+
+def chunked_column(values, chunk_rows=4):
+    table = Table(TableSchema("t", [Column("a", SQLType.INT64)]),
+                  chunk_rows=chunk_rows)
+    table.insert_rows([(value,) for value in values], encode=False)
+    return table, table.column_data("a")
+
+
+def make_column_scan(pointer, out):
+    """``for i in [begin, end): out.append(load(gep(pointer, i)))`` with a
+    constant pointer, or the ``buf`` argument when ``pointer`` is None."""
+    function = Function("scan", [ptr, i64, i64], ["buf", "begin", "end"],
+                        void)
+    builder = IRBuilder(function)
+    base = (builder.const_ptr(pointer) if pointer is not None
+            else function.args[0])
+    index, _, _, close = builder.count_loop(function.args[1],
+                                            function.args[2])
+    value = builder.load(i64, builder.gep(base, index))
+    builder.call(ExternFunction("collect", [i64], void, out.append), [value])
+    close()
+    builder.ret()
+    return function
+
+
+class TestColumnReads:
+    """``load_idx`` over a ColumnView with four rows per chunk, compared
+    with the IR interpreter (which reads through ``ColumnView[i]``)."""
+
+    @staticmethod
+    def run_both(function, args, out):
+        bytecode, _ = translate_function(function)
+        assert Opcode.LOAD_IDX in {inst.op for inst in bytecode.code}
+        out.clear()
+        VirtualMachine().execute(bytecode, args)
+        vm_values = list(out)
+        out.clear()
+        IRInterpreter().execute(function, args)
+        assert vm_values == out
+        return vm_values
+
+    @staticmethod
+    def forbid_getitem(monkeypatch):
+        def fail(view, index):
+            raise AssertionError("constant column read called __getitem__")
+        monkeypatch.setattr(ColumnView, "__getitem__", fail)
+
+    def test_constant_pointer_reads_across_chunk_boundaries(self,
+                                                            monkeypatch):
+        out = []
+        _, view = chunked_column([10 * i for i in range(11)])
+        function = make_column_scan((view, 0), out)
+        bytecode, _ = translate_function(function)
+        self.forbid_getitem(monkeypatch)
+        VirtualMachine().execute(bytecode, [None, 1, 11])
+        assert out == [10 * i for i in range(1, 11)]
+        monkeypatch.undo()
+        assert self.run_both(function, [None, 1, 11], out) == out
+
+    def test_constant_pointer_with_a_nonzero_offset(self):
+        out = []
+        _, view = chunked_column(list(range(100, 110)))
+        function = make_column_scan((view, 3), out)
+        assert self.run_both(function, [None, 0, 7], out) == \
+            list(range(103, 110))
+
+    def test_reads_rows_appended_after_translation(self):
+        out = []
+        table, view = chunked_column(list(range(6)))
+        function = make_column_scan((view, 0), out)
+        bytecode, _ = translate_function(function)
+        table.insert_rows([(value,) for value in range(6, 14)], encode=False)
+        out.clear()
+        VirtualMachine().execute(bytecode, [None, 0, 14])
+        assert out == list(range(14))
+        assert self.run_both(function, [None, 4, 14], out) == \
+            list(range(4, 14))
+
+    def test_register_held_pointer(self):
+        out = []
+        _, view = chunked_column(list(range(20, 30)))
+        function = make_column_scan(None, out)
+        assert self.run_both(function, [(view, 2), 0, 8], out) == \
+            list(range(22, 30))
