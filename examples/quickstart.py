@@ -91,8 +91,9 @@ def main() -> None:
           f"execute {rerun.timings.execution * 1000:.2f} ms")
     stats = db.plan_cache.stats
     print(f"plan cache: {stats.hits} hits / {stats.lookups} lookups "
-          f"({stats.hit_rate:.0%}); an insert into 'orders' or 'customers' "
-          f"would invalidate the entry")
+          f"({stats.hit_rate:.0%}); a small insert into 'orders' or "
+          f"'customers' keeps the entry, one that grows a table by more "
+          f"than a tenth re-plans it")
 
     # --- bind parameters: one plan for a whole query shape ------------------
     # Placeholders (? positional, :name named) keep literals out of the
@@ -117,7 +118,8 @@ def main() -> None:
     # the plan is resolved and validated once, every binding is encoded
     # up front, and identical bindings are deduplicated.  Repeated
     # identical reads are served from the semantic result cache
-    # (invalidated by catalog versions, so an insert is always visible);
+    # (invalidated by catalog data versions, so an insert is always
+    # visible);
     # ExecOptions(use_result_cache=False) forces real execution.
     batch = db.execute_many(
         "select count(*) as n from orders where o_customer < ?",

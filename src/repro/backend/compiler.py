@@ -105,6 +105,11 @@ def _fdiv(a, b):
     return a / b
 """
 
+#: The prelude's definitions, executed once; every generated module starts
+#: from a copy.
+_PRELUDE_NAMESPACE: dict[str, object] = {}
+exec(compile(_PRELUDE, "<backend-prelude>", "exec"), _PRELUDE_NAMESPACE)
+
 #: Inline int64 range test of one expression (literal bounds: no lookups).
 _IN_INT64 = f"{-(1 << 63)} <= {{}} <= {(1 << 63) - 1}"
 
@@ -172,7 +177,7 @@ def compile_optimized(function: Function, clone: bool = True,
                       verify: bool = None) -> CompiledFunction:
     """Full lowering: pass pipeline, then one structured function."""
     start = time.perf_counter()
-    target = _clone_function(function) if clone else function
+    target = function.clone() if clone else function
     before = target.instruction_count()
     pass_stats = default_pipeline(verify=verify).run_function(target)
     try:
@@ -191,30 +196,6 @@ def compile_optimized(function: Function, clone: bool = True,
         instructions_before=before,
         instructions_after=target.instruction_count(),
         pass_seconds=pass_stats.total_seconds)
-
-
-# --------------------------------------------------------------------------- #
-# cloning (the optimizer mutates IR; the bytecode tier must keep the original)
-# --------------------------------------------------------------------------- #
-def _clone_function(function: Function) -> Function:
-    """Deep-copy an IR function so passes do not disturb other tiers."""
-    import copy
-
-    # The IR graph is self-contained apart from extern python_impl callables
-    # and pointer constants, both of which must be shared, not copied.  The
-    # containing module is excluded so cloning one worker does not deep-copy
-    # every other function of the query.
-    memo: dict[int, object] = {}
-    if function.module is not None:
-        memo[id(function.module)] = None
-    for block in function.blocks:
-        for inst in block.instructions:
-            if isinstance(inst, CallInst):
-                memo[id(inst.callee)] = inst.callee
-            for operand in inst.operands:
-                if isinstance(operand, Constant) and operand.type.is_pointer:
-                    memo[id(operand.value)] = operand.value
-    return copy.deepcopy(function, memo)
 
 
 # --------------------------------------------------------------------------- #
@@ -335,8 +316,7 @@ class _Namer:
 
 
 def _exec_namespace(namer: _Namer) -> dict:
-    namespace: dict[str, object] = {}
-    exec(compile(_PRELUDE, "<backend-prelude>", "exec"), namespace)
+    namespace = dict(_PRELUDE_NAMESPACE)
     namespace.update(namer.namespace)
     return namespace
 

@@ -8,12 +8,16 @@ analysis, planning, code generation and tier compilation on every call.
 consults it transparently and :meth:`repro.engine.Database.prepare_query`
 exposes it explicitly.
 
-Entries are invalidated through the catalog's version counters: every DDL
-operation and every ``insert`` bumps the version of the affected table, and
-an entry whose referenced-table versions no longer match is dropped on
-lookup (a stale plan could carry outdated cardinality estimates, and a
-dropped/recreated table would leave the generated code pointing at orphaned
-column buffers).
+Entries are invalidated through the catalog's per-table *plan* versions:
+every DDL operation, and every ``insert`` that refreshes the table's
+statistics (it grew by more than
+:data:`repro.catalog.catalog.STATISTICS_DRIFT` since they were computed),
+bumps the plan version of the affected table, and an entry referencing a
+table whose plan version moved past the entry's build snapshot is dropped
+on lookup (a dropped/recreated table would leave the generated code
+pointing at orphaned column buffers; a refresh may change join order).  A
+smaller ``insert`` keeps the entry: its code reads the appended rows on the
+next execution.
 """
 
 from __future__ import annotations
@@ -273,7 +277,7 @@ class PlanCache:
     """A thread-safe LRU cache of prepared queries keyed by normalized SQL.
 
     Entries must provide an ``is_valid()`` predicate (duck-typed); an entry
-    that reports itself invalid -- because a referenced table's catalog
+    that reports itself invalid -- because a referenced table's plan
     version changed -- is dropped on lookup and counted as an invalidation.
     A capacity of 0 disables the cache entirely.
     """

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import threading
 
-from typing import Iterable, Optional, Sequence
+from typing import Optional, Sequence
 
 from ..errors import CatalogError
 from ..types import SQLType
@@ -12,36 +12,63 @@ from .schema import TableSchema
 from .statistics import TableStatistics, compute_table_statistics
 from .table import Table
 
+#: An append refreshes a table's statistics (and so re-plans the queries
+#: that read it) once the table has grown by more than this fraction of the
+#: row count the statistics were computed at -- PostgreSQL's default
+#: ``autovacuum_analyze_scale_factor``.  A table without statistics, or
+#: whose statistics saw it empty, refreshes on every append.
+STATISTICS_DRIFT = 0.1
+
 
 class Catalog:
     """Holds every table of a database instance.
 
-    Every DDL operation and every statistics invalidation bumps a global
-    version counter and records the new value for the affected table.  Cached
-    query plans snapshot the versions of the tables they reference and drop
-    out of the plan cache when any of them changes (see :mod:`repro.cache`).
+    Each table carries two versions, both values of one global, monotonically
+    increasing counter:
+
+    * the **data version** moves on every append and every DDL.  The result
+      cache keys its entries to it (:meth:`table_version`), so no cached
+      result outlives a change to the rows it was computed from;
+    * the **plan version** moves on DDL and whenever the table's statistics
+      refresh (:data:`STATISTICS_DRIFT`).  Prepared plans snapshot the
+      global counter before they are built and stay valid while no
+      referenced table's plan version exceeds it (:meth:`plan_version`).
+
+    An append below the drift threshold therefore keeps every cached plan,
+    its generated code and its compiled tiers: they read the table through
+    stable column views and take row counts and scan ranges per execution
+    (see :mod:`repro.catalog.table`), and statistics feed only estimates.
     """
 
     def __init__(self):
         self._tables: dict[str, Table] = {}
         self._statistics: dict[str, TableStatistics] = {}
-        #: Global, monotonically increasing DDL/statistics counter.
+        #: Global, monotonically increasing change counter.
         self.version = 0
-        #: Per-table version: the global counter value of its last change.
+        #: Per-table data version: the counter value of its last change.
         self._versions: dict[str, int] = {}
+        #: Per-table plan version: the counter value of its last DDL or
+        #: statistics refresh.
+        self._plan_versions: dict[str, int] = {}
         #: Guards the read-modify-write of the version counters: concurrent
-        #: inserts losing an increment would let a stale cached plan pass
-        #: its validity check.
+        #: inserts losing an increment would let a stale cached plan or
+        #: result pass its validity check.
         self._version_lock = threading.Lock()
 
-    def _bump_version(self, key: str) -> None:
+    def _bump_version(self, key: str, plan: bool) -> None:
         with self._version_lock:
             self.version += 1
             self._versions[key] = self.version
+            if plan:
+                self._plan_versions[key] = self.version
 
     def table_version(self, name: str) -> int:
-        """The version counter of one table (0 if it never existed)."""
+        """The data version of one table (0 if it never existed)."""
         return self._versions.get(name.lower(), 0)
+
+    def plan_version(self, name: str) -> int:
+        """The plan version of one table (0 if it never existed)."""
+        return self._plan_versions.get(name.lower(), 0)
 
     # ------------------------------------------------------------------ #
     # DDL
@@ -65,17 +92,22 @@ class Catalog:
             raise CatalogError(f"table {table.name!r} already exists")
         self._tables[key] = table
         # Every data mutation of the table (row inserts *and* bulk column
-        # appends) must invalidate its statistics and bump its version so
-        # cached plans drop out; routing the notification through the table
-        # itself means no mutation path can forget to do so.
-        table._on_change = lambda key=key: self._table_data_changed(key)
-        self._bump_version(key)
+        # appends) must bump its data version so cached results drop out;
+        # routing the notification through the table itself means no
+        # mutation path can forget to do so.
+        table._on_change = lambda: self._table_data_changed(key, table)
+        self._bump_version(key, plan=True)
         return table
 
-    def _table_data_changed(self, key: str) -> None:
-        """A registered table's data changed: invalidate derived state."""
-        self._statistics.pop(key, None)
-        self._bump_version(key)
+    def _table_data_changed(self, key: str, table: Table) -> None:
+        """Rows were appended: bump the data version, and refresh the
+        statistics (bumping the plan version) once they drifted."""
+        stats = self._statistics.get(key)
+        drifted = stats is None or table.num_rows - stats.num_rows \
+            > stats.num_rows * STATISTICS_DRIFT
+        if drifted:
+            self._statistics.pop(key, None)
+        self._bump_version(key, plan=drifted)
 
     def drop_table(self, name: str) -> None:
         key = name.lower()
@@ -84,7 +116,7 @@ class Catalog:
         self._tables[key]._on_change = None
         del self._tables[key]
         self._statistics.pop(key, None)
-        self._bump_version(key)
+        self._bump_version(key, plan=True)
 
     # ------------------------------------------------------------------ #
     # lookup
@@ -107,21 +139,12 @@ class Catalog:
     # ------------------------------------------------------------------ #
     # statistics
     # ------------------------------------------------------------------ #
-    def statistics(self, name: str, refresh: bool = False) -> TableStatistics:
+    def statistics(self, name: str) -> TableStatistics:
+        """The table's statistics, computed on first use after a refresh."""
         key = name.lower()
-        table = self.table(name)
         cached = self._statistics.get(key)
-        if cached is not None and not refresh and cached.num_rows == table.num_rows:
+        if cached is not None:
             return cached
-        stats = compute_table_statistics(table)
+        stats = compute_table_statistics(self.table(name))
         self._statistics[key] = stats
         return stats
-
-    def invalidate_statistics(self, name: Optional[str] = None) -> None:
-        if name is None:
-            self._statistics.clear()
-            for key in self._tables:
-                self._bump_version(key)
-        else:
-            self._statistics.pop(name.lower(), None)
-            self._bump_version(name.lower())

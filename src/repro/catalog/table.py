@@ -17,8 +17,10 @@ global row index to ``chunks[index >> shift][index & mask]`` (chunk sizes
 are powers of two); the compiled tiers emit that expression inline over
 the view's chunk list, and the bytecode VM evaluates it in the handler of a
 constant-pointer ``load_idx``.  The view's and the chunk list's identities
-survive every insert, so cached plans stay valid until the catalog's
-version counters invalidate them.
+survive every insert, and sealing a chunk appends to that list in place, so
+a cached plan keeps reading every row across appends: the catalog bumps a
+table's *plan* version only on DDL and on a statistics refresh, and its
+*data* version (which the result cache reads) on every append.
 
 Thread model: writers serialize on the table lock; readers never take it
 for element access (rows below the published row count are fully written
@@ -161,9 +163,10 @@ class Table:
         #: Serializes writers and row-count snapshots.
         self._lock = threading.RLock()
         #: Invoked after every data mutation; the owning catalog installs a
-        #: callback that bumps the table's version counter and invalidates
-        #: its statistics, so *every* mutation path (``insert_rows`` and
-        #: ``append_columns`` alike) flows through the same invalidation.
+        #: callback that bumps the table's data version (and, once its
+        #: statistics drifted, refreshes them), so *every* mutation path
+        #: (``insert_rows`` and ``append_columns`` alike) flows through the
+        #: same notification.
         self._on_change: Optional[Callable[[], None]] = None
 
     # ------------------------------------------------------------------ #
@@ -216,8 +219,8 @@ class Table:
         """Bulk-append pre-encoded column data (used by the data generators).
 
         Routes through the same change notification as ``insert_rows``, so
-        the catalog's per-table version is bumped and cached plans or
-        statistics can never survive a bulk append.
+        the catalog's per-table data version is bumped and no cached result
+        survives a bulk append.
         """
         lengths = {len(values) for values in columns.values()}
         if len(lengths) > 1:

@@ -32,7 +32,9 @@ entries, so re-executions skip parse/bind/plan/codegen entirely and reuse
 bytecode translations and compiled tiers.  ``prepare_query`` exposes the
 same machinery explicitly; ``ExecOptions(use_cache=False)`` bypasses it
 for cold-path measurements.  Entries are invalidated through the catalog's
-per-table version counters (bumped by ``insert`` and DDL).
+per-table plan versions (bumped by DDL, and by an ``insert`` that refreshes
+the table's statistics); cached results key on the data versions, which
+every ``insert`` bumps.
 
 Concurrent serving goes through :mod:`repro.scheduler`: a database owns one
 shared :class:`~repro.scheduler.WorkerPool` (all parallel executions draw
@@ -514,19 +516,19 @@ class Database:
         """Drop a table.
 
         Routes through the catalog's version counters: the drop bumps the
-        table's version, which invalidates its statistics and every cached
-        plan that references it (the plan cache drops such entries on the
+        table's data and plan versions, which invalidates its statistics,
+        every cached result and every cached plan that references it (the plan cache drops such entries on the
         next lookup; a directly held ``PreparedQuery`` re-prepares -- and
         then fails its bind against the missing table).
         """
         self.catalog.drop_table(name)
 
     def insert(self, table_name: str, rows, encode: bool = True) -> int:
-        # Version bumping / statistics invalidation happens inside the table
+        # Version bumping / statistics refresh happens inside the table
         # itself (the catalog installs a change callback on registration),
         # so every mutation path -- including a failed batch that appended a
         # prefix of its rows, and bulk ``append_columns`` -- invalidates
-        # cached plans the same way.
+        # cached results (and, past the drift threshold, plans) the same way.
         table = self.catalog.table(table_name)
         return table.insert_rows(rows, encode=encode)
 

@@ -8,8 +8,26 @@ from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 from ..errors import IRError
 from .types import IRType, void
-from .values import Argument, Instruction, Value
+from .values import Argument, Constant, Instruction, Value
 from .instructions import BranchInst, CondBranchInst, PhiInst
+
+
+#: type -> every ``__slots__`` attribute along its MRO (the IR classes have
+#: no ``__dict__``), so a shallow copy is one ``setattr`` per slot.
+_SLOTS: dict[type, tuple[str, ...]] = {}
+
+
+def _shallow_copy(obj):
+    cls = type(obj)
+    slots = _SLOTS.get(cls)
+    if slots is None:
+        slots = _SLOTS[cls] = tuple(
+            slot for klass in cls.__mro__
+            for slot in getattr(klass, "__slots__", ()))
+    copy = object.__new__(cls)
+    for slot in slots:
+        setattr(copy, slot, getattr(obj, slot))
+    return copy
 
 
 class BasicBlock:
@@ -198,6 +216,56 @@ class Function:
     def instruction_count(self) -> int:
         """Total number of instructions (the paper's query-size metric)."""
         return sum(len(block) for block in self.blocks)
+
+    def clone(self) -> "Function":
+        """A structural copy that passes may rewrite without touching this
+        function (whose bytecode and unoptimized tier keep running).
+
+        Blocks, arguments, instructions and non-pointer constants are new
+        objects keeping their names and uids (the clone prints the same);
+        operands, phi incomings and branch targets are remapped onto them.
+        Call targets, pointer constants (runtime objects) and IR types are
+        shared.  The clone belongs to no module, so cloning one worker does
+        not copy the rest of the query.
+        """
+        clone = _shallow_copy(self)
+        clone.module = None
+        copies: dict[int, Value] = {}
+        clone.args = []
+        for arg in self.args:
+            copies[id(arg)] = copied = _shallow_copy(arg)
+            clone.args.append(copied)
+        blocks: dict[int, BasicBlock] = {}
+        clone.blocks = []
+        for block in self.blocks:
+            new_block = BasicBlock(block.name, function=clone)
+            blocks[id(block)] = new_block
+            clone.blocks.append(new_block)
+            for inst in block.instructions:
+                copies[id(inst)] = copied = _shallow_copy(inst)
+                copied.block = new_block
+                new_block.instructions.append(copied)
+
+        def remap(value: Value) -> Value:
+            copied = copies.get(id(value))
+            if copied is None:
+                if isinstance(value, Constant) and value.type.is_pointer:
+                    return value
+                copies[id(value)] = copied = _shallow_copy(value)
+            return copied
+
+        for block in clone.blocks:
+            for inst in block.instructions:
+                inst.operands = [remap(op) for op in inst.operands]
+                if isinstance(inst, PhiInst):
+                    inst.incoming = [(remap(value), blocks[id(pred)])
+                                     for value, pred in inst.incoming]
+                elif isinstance(inst, BranchInst):
+                    inst.target = blocks[id(inst.target)]
+                elif isinstance(inst, CondBranchInst):
+                    inst.true_target = blocks[id(inst.true_target)]
+                    inst.false_target = blocks[id(inst.false_target)]
+        return clone
 
     def predecessors(self) -> dict[BasicBlock, list[BasicBlock]]:
         """Map each block to the list of blocks that branch to it."""

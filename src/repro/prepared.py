@@ -23,10 +23,14 @@ than spawning threads.  ``Database`` never blocks on a busy entry: it
 executes with ``block=False`` and falls back to an independent cold build
 when another thread holds the cached entry.
 
-Stale plans are detected through the catalog's per-table version counters:
-an ``insert`` or DDL on a referenced table invalidates the entry (the plan
-cache drops it; a directly held ``PreparedQuery`` transparently re-prepares
-itself on the next ``execute``).
+Stale plans are detected through the catalog's per-table *plan* versions:
+DDL on a referenced table, or an append that refreshes its statistics (see
+:data:`repro.catalog.catalog.STATISTICS_DRIFT`), invalidates the entry (the
+plan cache drops it; a directly held ``PreparedQuery`` transparently
+re-prepares itself on the next ``execute``).  A smaller append keeps the
+entry and every artifact above: the generated code reads the table through
+stable column views, and row counts and scan ranges are taken per execution.
+Cached *results* key on the data version instead, which every append moves.
 """
 
 from __future__ import annotations
@@ -64,8 +68,8 @@ class PreparedQuery:
         #: reported by the first execution, skipped by every later one.
         self.build_timings = build_timings
         #: Global catalog version snapshotted *before* the plan was built.
-        #: A referenced table whose version exceeds this changed during or
-        #: after the build window, so the plan is stale either way; taking
+        #: A referenced table whose plan version exceeds this changed during
+        #: or after the build window, so the plan is stale either way; taking
         #: the snapshot first closes the race in which a concurrent change
         #: between generation and capture would stamp a stale plan as valid.
         self._catalog_version = catalog_version
@@ -96,13 +100,19 @@ class PreparedQuery:
         return self.planning.physical.parameters
 
     def is_valid(self) -> bool:
-        """Whether no referenced table changed since this plan was built."""
+        """Whether no plan input changed since this plan was built.
+
+        Reads the referenced tables' plan versions: DDL and statistics
+        refreshes invalidate, appends below the drift threshold do not
+        (the plan reads the appended rows on its next execution).
+        """
         catalog = self.database.catalog
-        return all(catalog.table_version(name) <= self._catalog_version
+        return all(catalog.plan_version(name) <= self._catalog_version
                    for name in self._referenced)
 
     def _rebuild(self) -> None:
-        """Re-prepare after a referenced table changed (data or DDL)."""
+        """Re-prepare after DDL on, or a statistics refresh of, a referenced
+        table; drops every cached bytecode translation and compiled tier."""
         catalog_version = self.database.catalog.version
         generated, planning, timings = self.database.generate(
             self.sql, self.parameter_hints)

@@ -7,10 +7,12 @@ key, the execution mode and the type-qualified bound parameter values -- to
 the materialized rows of a previous execution, so a repeated identical read
 returns without touching the scanner, the breakers or the worker pool.
 
-Correctness rides on the catalog's per-table version counters, exactly like
-plan-cache invalidation: every entry stores a snapshot of the versions of
-all referenced tables taken *before* its execution started, and a lookup
-only hits when every referenced table still has that version.  Tables bump
+Correctness rides on the catalog's per-table *data* versions, which every
+append and every DDL bumps (plan-cache entries read the plan versions,
+which an append below the statistics drift threshold leaves alone): every
+entry stores a snapshot of the data versions of all referenced tables taken
+*before* its execution started, and a lookup only hits when every
+referenced table still has that version.  Tables bump
 their version *after* appended rows become visible
 (:meth:`repro.catalog.table.Table._data_changed` runs after the append
 completes), so the pre-execution snapshot is conservative: a mutation that
@@ -109,8 +111,8 @@ class CachedResult:
     column_types: list
     rows: list[tuple]
     mode: str
-    #: Referenced table name -> catalog version *before* the execution that
-    #: produced these rows started reading.
+    #: Referenced table name -> catalog data version *before* the execution
+    #: that produced these rows started reading.
     table_versions: dict[str, int]
     early_terminated: bool = False
     nbytes: int = 0
@@ -183,7 +185,7 @@ class ResultCache:
             table_version: Callable[[str], int]) -> Optional[CachedResult]:
         """The cached result for ``key``, or ``None`` on miss/invalidation.
 
-        ``table_version`` maps a table name to its *current* catalog
+        ``table_version`` maps a table name to its *current* catalog data
         version; an entry whose stored snapshot no longer matches is
         dropped and counted as an invalidation.
         """
@@ -206,7 +208,7 @@ class ResultCache:
             result) -> bool:
         """Admit one result under ``key``; returns whether it was cached.
 
-        ``table_versions`` is the pre-execution version snapshot of every
+        ``table_versions`` is the pre-execution data-version snapshot of every
         table the query read; ``result`` is the finished
         :class:`repro.engine.QueryResult`.  Oversized results (row count or
         estimated bytes above the per-entry bounds) are rejected.

@@ -7,9 +7,11 @@ inserting into one of the queried tables.  The assertions check the three
 properties the scheduler subsystem must preserve under contention:
 
 * every query returns the correct result (reads of the mutated table see a
-  prefix-consistent, monotonically growing row count -- a stale plan-cache
-  entry would violate monotonicity),
-* the plan cache invalidates correctly while readers race the writer,
+  prefix-consistent, monotonically growing row count -- a stale cached
+  result would violate monotonicity),
+* cached plans survive appends below the statistics drift threshold and
+  keep reading every appended row while readers race the writer, and the
+  plan cache invalidates correctly once the appends cross it,
 * the machine-wide thread count stays bounded by the shared pool (plus the
   compile thread), no matter how many queries are in flight.
 """
@@ -28,6 +30,9 @@ CLIENTS = 4
 RUNS_PER_CLIENT = 12
 WRITER_BATCHES = 24
 BATCH_ROWS = 10
+#: Rows ``events`` starts with: the writer's batches stay below a tenth of
+#: it for a while (plans survive), then cross it (statistics refresh).
+INITIAL_EVENTS = 1000
 
 
 @pytest.fixture()
@@ -39,13 +44,16 @@ def stress_db():
     db.insert("items", [(i, i % 7, float(i) * 0.5) for i in range(8000)])
     db.create_table("events", [("seq", SQLType.INT64),
                                ("kind", SQLType.INT64)])
+    db.insert("events", [(i, i % 3) for i in range(INITIAL_EVENTS)])
     yield db
     db.close()
 
 
 ITEM_SQL = ("select category, sum(price) as total, count(*) as n "
             "from items group by category order by category")
-EVENT_SQL = "select count(*) as c from events"
+#: The predicate matches every row; it makes planning read (and cache) the
+#: table's statistics, so appends below the drift threshold keep the plan.
+EVENT_SQL = "select count(*) as c from events where kind >= 0"
 MODES = ("adaptive", "optimized", "bytecode")
 
 
@@ -54,8 +62,16 @@ def test_concurrent_stress_across_modes_with_interleaved_inserts(stress_db):
     expected_items = db.execute(ITEM_SQL,
                                 options=ExecOptions(mode="optimized",
                                                     use_cache=False)).rows
+    # Plan, bytecode and compiled tiers of the event count exist before the
+    # writer starts: the concurrent reads below run surviving plans.
+    for mode in MODES:
+        assert db.execute(EVENT_SQL, options=ExecOptions(mode=mode)).rows \
+            == [(INITIAL_EVENTS,)]
     start_threads = threading.active_count()
     errors: list[BaseException] = []
+    #: Plan-cache hits that read appended rows before the appends crossed
+    #: the drift threshold: the warm-up plan, outliving appends.
+    surviving_plan_reads = [0]
     peak_threads = [0]
     writer_done = threading.Event()
 
@@ -64,7 +80,7 @@ def test_concurrent_stress_across_modes_with_interleaved_inserts(stress_db):
 
     def writer() -> None:
         try:
-            seq = 0
+            seq = INITIAL_EVENTS
             for batch in range(WRITER_BATCHES):
                 rows = [(seq + i, (seq + i) % 3) for i in range(BATCH_ROWS)]
                 db.insert("events", rows)
@@ -93,17 +109,21 @@ def test_concurrent_stress_across_modes_with_interleaved_inserts(stress_db):
     def event_reader() -> None:
         # The events table grows concurrently: counts must be multiples of
         # the batch size (insert_rows is atomic per batch here) and must
-        # never go backwards -- a stale cached plan would re-read an old
+        # never go backwards -- a stale cached result would re-serve an old
         # snapshot and break monotonicity.
         try:
             last = 0
             while not writer_done.is_set():
                 for mode in MODES:
-                    (count,), = db.execute(EVENT_SQL,
-                                           options=ExecOptions(mode=mode)).rows
+                    result = db.execute(EVENT_SQL,
+                                        options=ExecOptions(mode=mode))
+                    (count,), = result.rows
                     assert count % BATCH_ROWS == 0, count
                     assert count >= last, (count, last)
                     last = count
+                    if result.cache_source == "plan" and INITIAL_EVENTS \
+                            < count <= INITIAL_EVENTS + INITIAL_EVENTS // 10:
+                        surviving_plan_reads[0] += 1
         except BaseException as exc:
             record_error(exc)
 
@@ -139,10 +159,12 @@ def test_concurrent_stress_across_modes_with_interleaved_inserts(stress_db):
         assert not thread.is_alive(), "stress client hung"
 
     assert not errors, errors[:3]
+    # The concurrent reads really exercised plans that outlived appends.
+    assert surviving_plan_reads[0] > 0
 
-    # Final state: all writer batches are visible to a fresh query in every
-    # mode -- the plan cache cannot have survived the last invalidation.
-    total = WRITER_BATCHES * BATCH_ROWS
+    # Final state: all writer batches are visible to a query in every mode,
+    # whether its plan survived the last appends or was rebuilt.
+    total = INITIAL_EVENTS + WRITER_BATCHES * BATCH_ROWS
     for mode in MODES:
         assert db.execute(EVENT_SQL,
                           options=ExecOptions(mode=mode)).rows == [(total,)]

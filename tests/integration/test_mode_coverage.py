@@ -80,7 +80,6 @@ def test_tpcds_mode_coverage(tpcds_db, mode):
 def _static_verify_module(module, label):
     from repro.analysis import (check_extern_contracts, verify_allocation,
                                 verify_bytecode)
-    from repro.backend.compiler import _clone_function
     from repro.ir import verify_function
     from repro.passes import default_pipeline
     from repro.vm import allocate_registers, translate_function
@@ -97,7 +96,7 @@ def _static_verify_module(module, label):
         # The optimized tier's clone must stay verifiable after every pass
         # (the pipeline re-verifies per pass with verify=True) and still
         # translate to clean bytecode afterwards.
-        clone = _clone_function(function)
+        clone = function.clone()
         default_pipeline(verify=True).run_function(clone)
         verify_function(clone)
         optimized_bytecode, _ = translate_function(clone)

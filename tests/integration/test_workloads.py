@@ -117,22 +117,31 @@ def bytecode_fingerprint(functions) -> str:
     return digest.hexdigest()[:16]
 
 
+def _bytecode_counts(db):
+    """Executed VM instructions, IR instructions and breaker partial
+    entries of the TPC-H 22 in bytecode mode, plan-cache-cold, one thread
+    (how the benchmark harness counts them)."""
+    options = ExecOptions(mode="bytecode", threads=1, use_cache=False)
+    before = db.vm_instructions
+    results = [db.execute(TPCH_QUERIES[number], options=options)
+               for number in sorted(TPCH_QUERIES)]
+    return (db.vm_instructions - before,
+            sum(result.ir_instructions for result in results),
+            sum(result.timings.breaker_partials for result in results))
+
+
 def test_tpch_bytecode_exact_counts():
     """The exact counts the benchmark harness reports for the TPC-H 22 at
     SF 0.05 (``vm.instructions``, ``codegen.ir_instructions``,
-    ``vm.bytecode_instructions``, ``vm.registers``, ``passes.ir_removed``),
-    and a fingerprint of the bytecode itself.  They repeat bit for bit, so
-    a change to code generation, the passes, the translator, the allocator
-    or the VM that moves one shows here."""
+    ``runtime.breaker_partials``, ``vm.bytecode_instructions``,
+    ``vm.registers``, ``passes.ir_removed``) and SF 0.5
+    (``vm.instructions``, ``runtime.breaker_partials``), and a fingerprint
+    of the bytecode itself.  They repeat bit for bit, so a change to code
+    generation, the passes, the translator, the allocator, the breakers or
+    the VM that moves one shows here."""
     db = populate_tpch(Database(workers=2), scale_factor=0.05)
     try:
-        options = ExecOptions(mode="bytecode", threads=1, use_cache=False)
-        before = db.vm_instructions
-        ir_instructions = sum(
-            db.execute(TPCH_QUERIES[number], options=options).ir_instructions
-            for number in sorted(TPCH_QUERIES))
-        assert db.vm_instructions - before == 131_500
-        assert ir_instructions == 2_604
+        assert _bytecode_counts(db) == (131_500, 2_604, 762)
         workers = [pipeline.function for number in sorted(TPCH_QUERIES)
                    for pipeline in db.generate(
                        TPCH_QUERIES[number])[0].pipelines]
@@ -145,6 +154,12 @@ def test_tpch_bytecode_exact_counts():
         compiled = [compile_optimized(worker) for worker in workers]
         assert sum(function.instructions_before - function.instructions_after
                    for function in compiled) == 260
+    finally:
+        db.close()
+    db = populate_tpch(Database(workers=2), scale_factor=0.5)
+    try:
+        vm_instructions, _, breaker_partials = _bytecode_counts(db)
+        assert (vm_instructions, breaker_partials) == (1_159_953, 5_749)
     finally:
         db.close()
 

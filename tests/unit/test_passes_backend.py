@@ -9,7 +9,8 @@ from repro.catalog.table import Table
 from repro.codegen.runtime import QueryRuntime
 from repro.errors import BackendError, ExecutionError
 from repro.ir import (Constant, ExternFunction, Function, InlineTemplate,
-                      IRBuilder, UnreachableInst, verify_function)
+                      IRBuilder, UnreachableInst, print_function,
+                      verify_function)
 from repro.ir.types import i1, i64, ptr, void
 from repro.types import SQLType
 from repro.workloads import TPCDS_QUERIES, TPCH_QUERIES, populate_tpcds
@@ -518,6 +519,27 @@ class TestWorkloadLowering:
     def test_tpcds_workers(self):
         db = populate_tpcds(fact_rows=50)
         assert self._check(db, TPCDS_QUERIES) >= len(TPCDS_QUERIES)
+
+    def test_optimized_compile_leaves_the_original_ir_unchanged(
+            self, tpch_db_tiny):
+        """The pass pipeline rewrites a structural clone: the original
+        worker (which the bytecode tier keeps running) prints the same
+        after an optimized compile, and shares no block or instruction
+        with the clone -- only call targets and pointer constants."""
+        for number in sorted(TPCH_QUERIES):
+            generated, _, _ = tpch_db_tiny.generate(TPCH_QUERIES[number])
+            for function in generated.module.worker_functions():
+                before = print_function(function)
+                clone = function.clone()
+                assert print_function(clone) == before
+                assert clone.module is None
+                assert not {id(b) for b in function.blocks} \
+                    & {id(b) for b in clone.blocks}
+                assert not {id(i) for i in function.instructions()} \
+                    & {id(i) for i in clone.instructions()}
+                compile_optimized(function)
+                assert print_function(function) == before, \
+                    (number, function.name)
 
 
 class TestCostModel:

@@ -149,6 +149,10 @@ class TestTransparentCache:
                           options=ExecOptions(mode="bytecode")).cached
 
     def test_insert_into_referenced_table_invalidates(self, db):
+        # ``SQL`` has no predicate or join, so planning never computed
+        # statistics for ``t``: measured from the empty table, it has grown
+        # by more than a tenth, so this insert refreshes its statistics and
+        # bumps its plan version.
         first = db.execute(SQL, options=ExecOptions(mode="optimized"))
         db.insert("t", [(1, 1000.0)])
         rebuilt = db.execute(SQL, options=ExecOptions(mode="optimized"))
@@ -156,6 +160,19 @@ class TestTransparentCache:
         assert rebuilt.timings.parse > 0
         assert rebuilt.rows != first.rows  # sees the new row
         assert db.plan_cache.stats.invalidations == 1
+
+    def test_small_insert_into_referenced_table_keeps_entry(self, db):
+        # The twin below the threshold: with statistics computed at 5000
+        # rows, one more row is far less than a tenth, so the plan and its
+        # compiled tier survive and read the new row.
+        first = db.execute(SQL, options=ExecOptions(mode="optimized"))
+        db.catalog.statistics("t")
+        db.insert("t", [(1, 1000.0)])
+        kept = db.execute(SQL, options=ExecOptions(mode="optimized"))
+        assert kept.cached
+        assert kept.timings.parse == 0 and kept.timings.compile == 0
+        assert kept.rows != first.rows  # sees the new row
+        assert db.plan_cache.stats.invalidations == 0
 
     def test_unrelated_insert_keeps_entry(self, db):
         db.execute(SQL, options=ExecOptions(mode="optimized"))
@@ -341,6 +358,110 @@ class TestPreparedQuery:
         assert not errors
         assert len(results) == 12
         assert all(rows == reference for rows in results)
+
+
+def _eager_switch_model():
+    """Free compilation and large speedups: the Fig. 7 policy switches
+    deterministically on the first run."""
+    return CostModel(estimates={
+        "bytecode": TierEstimate(0.0, 0.0, 1.0),
+        "unoptimized": TierEstimate(0.0, 0.0, 4.0),
+        "optimized": TierEstimate(0.0, 0.0, 8.0),
+    })
+
+
+class TestAppendsKeepPlans:
+    """An append below the statistics drift threshold keeps the plan, its
+    IR, bytecode and compiled tiers; the data version still moves, so no
+    cached result survives it."""
+
+    SQL = ("select g, count(*) as c, sum(b) as s from w where a >= ? "
+           "group by g order by g")
+    COLUMNS = [("a", SQLType.INT64), ("g", SQLType.INT64),
+               ("b", SQLType.FLOAT64)]
+    #: 3 % of the table, in a group of its own.
+    APPENDED = [(2000 + i, 7, 1.0) for i in range(30)]
+
+    def _db(self):
+        db = Database(morsel_size=64)
+        # 64-row chunks: 1000 rows leave a 40-row tail, so the 30-row
+        # append seals a chunk and opens a new one.
+        db.catalog.create_table("w", self.COLUMNS, chunk_rows=64)
+        db.insert("w", [(i, i % 5, float(i)) for i in range(1000)])
+        return db
+
+    @pytest.mark.parametrize("mode", ENGINE_MODES)
+    def test_append_below_threshold_keeps_every_tier(self, mode):
+        db = self._db()
+        prepared = db.prepare_query(self.SQL)
+        model = _eager_switch_model() if mode == "adaptive" else None
+        first = prepared.execute(options=ExecOptions(mode=mode),
+                                 params=(10,), cost_model=model)
+        if mode == "adaptive":
+            assert any(len(p.mode_history) > 1 for p in first.pipelines)
+        table = db.catalog.table("w")
+        chunks = table.num_chunks
+        db.insert("w", self.APPENDED)
+        assert table.num_chunks == chunks + 1
+        assert prepared.is_valid()
+        after = prepared.execute(options=ExecOptions(mode=mode),
+                                 params=(10,), cost_model=model)
+        assert after.cached and after.cache_source == "plan"
+        assert after.timings.compile == 0  # bytecode and tiers reused
+        if mode == "adaptive":
+            assert any(p.mode_history[0] != "bytecode"
+                       for p in after.pipelines)
+        assert (7, 30, 30.0) in after.rows
+        uncached = db.execute(self.SQL, params=(10,),
+                              options=ExecOptions(mode=mode,
+                                                  use_cache=False))
+        assert after.rows == uncached.rows
+        assert db.plan_cache.stats.invalidations == 0
+
+    def test_same_binding_after_append_is_never_a_result_hit(self):
+        db = self._db()
+        opts = ExecOptions(mode="bytecode")
+        before = db.execute(self.SQL, options=opts, params=(10,))
+        again = db.execute(self.SQL, options=opts, params=(10,))
+        assert again.cache_source == "result"  # the result cache is on
+        db.insert("w", self.APPENDED)
+        assert db.cached_result(self.SQL, params=(10,), options=opts) is None
+        after = db.execute(self.SQL, options=opts, params=(10,))
+        assert after.cache_source == "plan"
+        assert (7, 30, 30.0) in after.rows and after.rows != before.rows
+        assert db.result_cache.stats.invalidations == 1
+
+    def test_append_past_threshold_refreshes_statistics_and_replans(self):
+        db = self._db()
+        opts = ExecOptions(mode="bytecode")
+        db.execute(self.SQL, options=opts, params=(10,))
+        assert db.catalog.statistics("w").num_rows == 1000
+        db.insert("w", self.APPENDED)
+        db.insert("w", [(2100 + i, 8, 1.0) for i in range(70)])
+        # Exactly a tenth more rows than the statistics saw: still kept.
+        assert db.execute(self.SQL, options=opts, params=(10,)).cached
+        assert db.catalog.statistics("w").num_rows == 1000
+        invalidations = db.plan_cache.stats.invalidations
+        db.insert("w", [(2200, 9, 1.0)])
+        rebuilt = db.execute(self.SQL, options=opts, params=(10,))
+        assert not rebuilt.cached and rebuilt.timings.parse > 0
+        assert (9, 1, 1.0) in rebuilt.rows
+        assert db.plan_cache.stats.invalidations == invalidations + 1
+        assert db.catalog.statistics("w").num_rows == 1101
+
+    def test_drop_and_recreate_invalidates(self):
+        db = self._db()
+        opts = ExecOptions(mode="optimized")
+        prepared = db.prepare_query(self.SQL)
+        prepared.execute(options=opts, params=(10,))
+        db.drop_table("w")
+        db.catalog.create_table("w", self.COLUMNS, chunk_rows=64)
+        db.insert("w", self.APPENDED)
+        assert not prepared.is_valid()
+        result = db.execute(self.SQL, options=opts, params=(10,))
+        assert not result.cached
+        assert result.rows == [(7, 30, 30.0)]
+        assert db.plan_cache.stats.invalidations == 1
 
 
 class TestCatalogVersions:
