@@ -19,7 +19,8 @@ def _phase_breakdown(db):
     sql = TPCH_QUERIES[1]
     rows = []
     # use_cache=False: this figure measures the cold path; a plan-cache hit
-    # reports 0 for all front-end phases (see bench_repeated_queries.py).
+    # reports 0 for all front-end phases (pinned by
+    # tests/unit/test_prepared_cache.py::test_hit_skips_frontend_phases).
     bytecode = db.execute(sql,
                           options=ExecOptions(mode="bytecode",
                                               use_cache=False))

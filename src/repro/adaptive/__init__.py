@@ -7,15 +7,16 @@ the three execution modes (Fig. 7) and, when switching pays off, compiles the
 pipeline's worker function on a background thread.  Once the compilation
 finishes, the function handle is swapped and all workers pick up the faster
 variant with their next morsel -- no work is lost because every execution
-mode operates on the same state through the same runtime calls.
+mode operates on the same state through the same runtime calls.  The static
+modes run through the same executor and handles with the policy off.
 """
 
 from .modes import ExecutionMode, FunctionHandle
 from .progress import PipelineProgress
 from .policy import AdaptivePolicy, Decision
-from .trace import ExecutionTrace, TraceEvent, render_trace
+from ..telemetry.trace import ExecutionTrace, TraceEvent, render_trace
 from .morsel import MorselDispatcher
-from .executor import AdaptiveExecutor, StaticParallelExecutor
+from .executor import PipelineExecutor
 from .simulation import (
     PipelineProfile,
     QueryProfile,
@@ -31,7 +32,7 @@ __all__ = [
     "AdaptivePolicy", "Decision",
     "ExecutionTrace", "TraceEvent", "render_trace",
     "MorselDispatcher",
-    "AdaptiveExecutor", "StaticParallelExecutor",
+    "PipelineExecutor",
     "PipelineProfile", "QueryProfile", "SimulationResult",
     "profile_query", "simulate_adaptive", "simulate_static",
 ]

@@ -1,32 +1,36 @@
-"""Adaptive and static multi-threaded query executors.
+"""The pipeline executor: every engine mode through one per-pipeline loop.
 
-:class:`AdaptiveExecutor` implements the paper's execution loop: every
-pipeline starts on all worker threads in the bytecode interpreter, progress
-is tracked per morsel, and the Fig. 7 policy decides when to compile the
-pipeline's worker function.  With more than one worker the compilation runs
-on the database's shared compile thread while the workers keep
-interpreting; with a single thread the compilation happens synchronously
-(matching the w=1 case of the extrapolation formula).
+:class:`PipelineExecutor` implements the paper's execution loop.  Before
+the first morsel it resolves one :class:`~repro.adaptive.FunctionHandle`
+per pipeline.  A static mode's handle starts in that mode's tier, so every
+worker function is compiled up front, single-threaded -- while this runs,
+all worker threads are idle (the paper's point in Section II-A).  The
+adaptive mode's handle starts in the bytecode interpreter.  Then each
+pipeline runs morsel by morsel on all workers, every morsel dispatching
+through its handle.
 
-:class:`StaticParallelExecutor` executes a query with one fixed tier chosen
-up front: all worker functions are compiled first (single-threaded -- the
-paper's point about idle cores during compilation), then the pipelines run
-morsel-parallel.
+Only in adaptive mode is progress tracked per morsel and the Fig. 7 policy
+consulted on when to compile the pipeline's worker function.  With more
+than one worker the compilation runs on the database's shared compile
+thread while the workers keep interpreting; with a single thread it happens
+synchronously (matching the w=1 case of the extrapolation formula).  A
+static mode runs the same loop with the policy off.
 
-Neither executor spawns threads of its own: parallel runs feed their
-morsels through a :class:`repro.scheduler.MorselSource` into the database's
-shared :class:`repro.scheduler.WorkerPool` (the calling thread
-participates, capped at ``num_threads`` concurrent workers per pipeline),
-so any number of concurrent queries share one bounded set of threads and
-their morsels interleave fairly; background compilations funnel through
-the database's shared :class:`repro.scheduler.CompileExecutor`.
+The executor spawns no threads of its own: parallel runs feed their morsels
+through a :class:`repro.scheduler.MorselSource` into the database's shared
+:class:`repro.scheduler.WorkerPool` (the calling thread participates,
+capped at ``threads`` concurrent workers per pipeline), so any number of
+concurrent queries share one bounded set of threads and their morsels
+interleave fairly; background compilations funnel through the database's
+shared :class:`repro.scheduler.CompileExecutor`.
 
 Note on parallelism: CPython's GIL prevents real speedups for the
-pure-Python interpreters, so wall-clock numbers from these executors do not
-scale with the thread count.  They are functionally faithful (work stealing,
-seamless mode switches, no lost work) and are used by the tests and examples;
-the paper's multi-threaded *timing* experiments use the virtual-time
-simulator in :mod:`repro.adaptive.simulation` instead (see DESIGN.md).
+pure-Python interpreters, so wall-clock numbers from this executor do not
+scale with the thread count.  It is functionally faithful (work stealing,
+seamless mode switches, no lost work) and is used by the tests and
+examples; the paper's multi-threaded *timing* experiments use the
+virtual-time simulator in :mod:`repro.adaptive.simulation` instead (see
+DESIGN.md).
 """
 
 from __future__ import annotations
@@ -41,14 +45,14 @@ from ..backend.cost_model import CostModel, default_cost_model
 from ..codegen import GeneratedPipeline, GeneratedQuery
 from ..codegen.runtime import BreakerRun
 from ..engine import PhaseTimings, PipelineExecution, QueryResult
-from ..errors import AdaptiveError
 from ..optimizer import PlanningResult
+from ..options import ExecOptions
 from ..plan.sargs import plan_pipeline_scan
+from ..telemetry.trace import QueryTrace, TraceEvent
 from .modes import ExecutionMode, FunctionHandle
 from .morsel import MorselDispatcher
-from .policy import AdaptivePolicy, Decision
+from .policy import AdaptivePolicy
 from .progress import PipelineProgress
-from .trace import QueryTrace, TraceEvent
 
 #: Initial morsel size for adaptive execution (grows towards the maximum),
 #: giving the policy early sample points as described in the paper.
@@ -92,94 +96,108 @@ def _report_compile_failure(future, pipeline_name: str) -> None:
                                   file=sys.stderr)
 
 
-class AdaptiveExecutor:
-    """Executes a generated query with per-pipeline adaptive mode switching."""
+class PipelineExecutor:
+    """Executes a generated query in any engine mode, pipeline by pipeline.
 
-    def __init__(self, database, num_threads: int = 1,
-                 collect_trace: bool = False,
+    ``handles`` is the caller's ``(pipeline index, mode) -> FunctionHandle``
+    map.  A prepared query passes its own dict, so bytecode translations and
+    compiled tiers survive across executions: the compile work is paid
+    once, and a later adaptive run starts in the best tier already reached.
+    ``cost_model`` / ``policy`` are the inputs of the adaptive mode's
+    Fig. 7 policy.
+    """
+
+    def __init__(self, database, opts: ExecOptions, handles: dict,
                  cost_model: Optional[CostModel] = None,
-                 policy: Optional[AdaptivePolicy] = None,
-                 handles: Optional[dict[int, FunctionHandle]] = None,
-                 use_pruning: bool = True,
-                 verify_ir: Optional[bool] = None):
+                 policy: Optional[AdaptivePolicy] = None):
         self.database = database
-        self.num_threads = max(num_threads, 1)
-        self.collect_trace = collect_trace
-        self.use_pruning = use_pruning
-        self.verify_ir = verify_ir
-        self.cost_model = cost_model or default_cost_model()
-        self.policy = policy or AdaptivePolicy(self.cost_model)
-        #: Optional shared ``pipeline index -> FunctionHandle`` map.  A
-        #: prepared query passes its own dict here so bytecode translations
-        #: and compiled tiers survive across executions (the compile work is
-        #: paid once, later runs start in the best tier already reached).
+        self.opts = opts
+        self.num_threads = max(opts.threads, 1)
         self.handles = handles
+        #: The tier-switch policy; ``None`` (every static mode) means no
+        #: progress tracking and no switch.
+        self.policy: Optional[AdaptivePolicy] = None
+        if opts.mode == "adaptive":
+            self.policy = policy or AdaptivePolicy(
+                cost_model or default_cost_model())
+            self.start_mode = ExecutionMode.BYTECODE
+        else:
+            self.start_mode = ExecutionMode.of(opts.mode)
 
     # ------------------------------------------------------------------ #
     def execute(self, generated: GeneratedQuery, planning: PlanningResult,
                 timings: PhaseTimings) -> QueryResult:
         # Tier-switch events are recorded unconditionally (they are rare);
-        # the per-morsel event stream only at ``collect_trace``.
-        trace = QueryTrace(label="adaptive", mode="adaptive")
+        # the per-morsel event stream only reaches the result at
+        # ``collect_trace``.
+        mode = self.opts.mode
+        trace = QueryTrace(label=mode, mode=mode)
         query_start = time.perf_counter()
-        pipeline_stats: list[PipelineExecution] = []
-
-        for index, pipeline in enumerate(generated.pipelines):
-            stats = self._run_pipeline(index, pipeline, generated, trace,
-                                       query_start, timings)
-            pipeline_stats.append(stats)
-
+        handles = [self._handle(index, pipeline, timings)
+                   for index, pipeline in enumerate(generated.pipelines)]
+        pipeline_stats = [
+            self._run_pipeline(pipeline, handle, generated, trace,
+                               query_start, timings)
+            for pipeline, handle in zip(generated.pipelines, handles)]
         return self.database._assemble_result(
-            generated, planning, timings, "adaptive", pipeline_stats,
-            trace=trace if self.collect_trace else None,
+            generated, planning, timings, mode, pipeline_stats,
+            trace=trace if self.opts.collect_trace else None,
             query_trace=trace)
 
+    def _handle(self, index: int, pipeline: GeneratedPipeline,
+                timings: PhaseTimings) -> FunctionHandle:
+        """The pipeline's handle, built in the start tier on first use.
+
+        Only a new handle charges its build time: a cached one was paid
+        for by an earlier execution.
+        """
+        key = (index, self.opts.mode)
+        handle = self.handles.get(key)
+        if handle is None:
+            handle = FunctionHandle(pipeline.function, self.start_mode,
+                                    vm=self.database._vm,
+                                    verify_ir=self.opts.verify_ir)
+            timings.compile += handle.build_seconds
+            self.handles[key] = handle
+        return handle
+
     # ------------------------------------------------------------------ #
-    def _run_pipeline(self, index: int, pipeline: GeneratedPipeline,
-                      generated: GeneratedQuery, trace: QueryTrace,
-                      query_start: float,
+    def _run_pipeline(self, pipeline: GeneratedPipeline,
+                      handle: FunctionHandle, generated: GeneratedQuery,
+                      trace: QueryTrace, query_start: float,
                       timings: PhaseTimings) -> PipelineExecution:
-        total_rows = generated.state.source_row_count(pipeline.pipeline)
+        state = generated.state
+        total_rows = state.source_row_count(pipeline.pipeline)
         scan = plan_pipeline_scan(pipeline.pipeline, total_rows,
-                                  generated.state.params,
-                                  use_pruning=self.use_pruning)
+                                  state.params,
+                                  use_pruning=self.opts.use_pruning)
         timings.chunks_pruned += scan.chunks_pruned
         timings.chunks_scanned += scan.chunks_scanned
         rows = scan.rows_to_scan
-        handle = self.handles.get(index) if self.handles is not None else None
-        if handle is None:
-            handle = FunctionHandle(pipeline.function, vm=self.database._vm,
-                                    verify_ir=self.verify_ir)
-            timings.compile += handle.bytecode_seconds
-            if self.handles is not None:
-                self.handles[index] = handle
-
-        progress = PipelineProgress(rows, self.num_threads)
+        policy = self.policy
         dispatcher = MorselDispatcher(
             morsel_size=self.database.morsel_size,
-            initial_size=min(INITIAL_MORSEL_SIZE,
-                             self.database.morsel_size),
+            initial_size=None if policy is None else INITIAL_MORSEL_SIZE,
             ranges=scan.ranges)
+        progress = PipelineProgress(rows, self.num_threads)
+        synchronous = self.num_threads == 1
         # ``threads=N`` is a cap on this query's pool share, not a spawn
         # count: no more than pool size + 1 (the driving thread) workers can
         # actually run morsels, and the Fig. 7 extrapolation must not assume
         # parallelism beyond that.
-        if self.num_threads == 1:
-            effective_workers = 1
-        else:
-            effective_workers = min(self.num_threads,
-                                    self.database.worker_pool.size + 1)
+        effective_workers = 1 if synchronous else min(
+            self.num_threads, self.database.worker_pool.size + 1)
         decision_lock = threading.Lock()
         compile_futures: list = []
-        #: Wall-clock seconds of finished background compilations.  Appended
-        #: from the shared compile thread (list.append is atomic under the
-        #: GIL) and summed into ``timings.compile`` after the futures are
-        #: awaited, so the multi-threaded path accounts compilation exactly
-        #: like the synchronous w=1 path does.
-        background_compile_seconds: list[float] = []
+        #: Wall-clock seconds of finished tier compilations.  Appended from
+        #: the shared compile thread (list.append is atomic under the GIL)
+        #: and summed into ``timings.compile`` after the futures are
+        #: awaited, so a background compilation is accounted exactly like a
+        #: synchronous one.
+        compile_seconds: list[float] = []
         pipeline_start = time.perf_counter()
 
-        def maybe_switch(now: float, thread_id: int) -> None:
+        def maybe_switch(now: float) -> None:
             """Evaluate the policy (single evaluator at a time, paper III-C)."""
             if not decision_lock.acquire(blocking=False):
                 return
@@ -189,7 +207,7 @@ class AdaptiveExecutor:
                 current = handle.mode
                 if current is ExecutionMode.OPTIMIZED:
                     return
-                evaluation = self.policy.evaluate(
+                evaluation = policy.evaluate(
                     progress, current, handle.instruction_count,
                     active_workers=effective_workers,
                     elapsed_seconds=now - pipeline_start)
@@ -209,41 +227,31 @@ class AdaptiveExecutor:
                     "workers": effective_workers,
                     "elapsed_seconds": now - pipeline_start,
                 }
-                if self.num_threads == 1:
-                    # Single worker: compile synchronously (w=1 in Fig. 7).
-                    compile_start = time.perf_counter()
-                    handle.compile(target)
-                    compile_end = time.perf_counter()
-                    trace.add(TraceEvent(thread_id,
-                                         compile_start - query_start,
-                                         compile_end - query_start,
-                                         "compile", pipeline.name,
-                                         target.tier_name))
-                    trace.record_tier_switch(
-                        pipeline.name, current.tier_name, target.tier_name,
-                        at=compile_end - query_start, synchronous=True,
-                        trigger=trigger)
-                    timings.compile += compile_end - compile_start
-                    progress.reset_rates()
-                    return
 
                 def compile_job():
                     compile_start = time.perf_counter()
                     handle.compile(target)
                     compile_end = time.perf_counter()
-                    trace.add(TraceEvent(self.num_threads,  # compiler thread
+                    # A single worker compiles on its own thread (0);
+                    # otherwise the shared compile thread is drawn as
+                    # thread ``num_threads``.
+                    trace.add(TraceEvent(0 if synchronous
+                                         else self.num_threads,
                                          compile_start - query_start,
                                          compile_end - query_start,
                                          "compile", pipeline.name,
                                          target.tier_name))
                     trace.record_tier_switch(
                         pipeline.name, current.tier_name, target.tier_name,
-                        at=compile_end - query_start, synchronous=False,
-                        trigger=trigger)
-                    background_compile_seconds.append(
-                        compile_end - compile_start)
+                        at=compile_end - query_start,
+                        synchronous=synchronous, trigger=trigger)
+                    compile_seconds.append(compile_end - compile_start)
                     progress.reset_rates()
 
+                if synchronous:
+                    # Single worker: compile synchronously (w=1 in Fig. 7).
+                    compile_job()
+                    return
                 # Mark the handle as compiling *before* releasing the decision
                 # lock: ``handle.compile`` only sets the marker once the
                 # compile thread picks the job up, so without this a second
@@ -258,17 +266,16 @@ class AdaptiveExecutor:
         # Per-worker-slot breaker partials: the context rides into the
         # generated code as the worker function's ``state`` argument, so a
         # mid-pipeline tier switch keeps filling the same slot partials.
-        breaker = BreakerRun(generated.state, pipeline.pipeline,
+        breaker = BreakerRun(state, pipeline.pipeline,
                              max_slots=self.num_threads)
-
-        state = generated.state
 
         def run_morsel(slot: int, morsel) -> None:
             executable, mode = handle.executable()
             start = time.perf_counter()
             executable(breaker.context(slot), morsel.begin, morsel.end)
             end = time.perf_counter()
-            progress.record_morsel(slot, morsel.size, end - start)
+            if policy is not None:
+                progress.record_morsel(slot, morsel.size, end - start)
             trace.add(TraceEvent(slot, start - query_start,
                                  end - query_start, "morsel",
                                  pipeline.name, mode.tier_name,
@@ -276,7 +283,8 @@ class AdaptiveExecutor:
             if state.limit_satisfied():
                 state.early_terminated = True
                 dispatcher.cancel()
-            maybe_switch(end, slot)
+            if policy is not None:
+                maybe_switch(end)
 
         if rows > 0:
             if self.num_threads == 1:
@@ -292,7 +300,7 @@ class AdaptiveExecutor:
         for future in compile_futures:
             future.wait()
             _report_compile_failure(future, pipeline.name)
-        timings.compile += sum(background_compile_seconds)
+        timings.compile += sum(compile_seconds)
 
         merge_stats = breaker.merge(
             _merge_task_runner(self.database, self.num_threads))
@@ -313,109 +321,10 @@ class AdaptiveExecutor:
         return PipelineExecution(
             name=pipeline.name, rows=rows,
             morsels=dispatcher.dispatched, seconds=elapsed,
-            mode_history=mode_history or ["bytecode"],
+            # A pipeline that ran no morsel (empty or fully pruned input)
+            # reports the tier it would have run in.
+            mode_history=mode_history or [handle.mode.tier_name],
             ir_instructions=pipeline.function.instruction_count(),
             breaker_partitions=merge_stats.partitions,
             breaker_partial_entries=merge_stats.partial_entries,
             merge_seconds=merge_stats.merge_seconds)
-
-
-class StaticParallelExecutor:
-    """Morsel-parallel execution with a single, statically chosen tier."""
-
-    def __init__(self, database, mode: str, num_threads: int = 1,
-                 collect_trace: bool = False,
-                 tiers: Optional[dict] = None,
-                 use_pruning: bool = True,
-                 verify_ir: Optional[bool] = None):
-        if mode not in ("bytecode", "unoptimized", "optimized", "ir-interp"):
-            raise AdaptiveError(f"unsupported static tier {mode!r}")
-        self.database = database
-        self.mode = mode
-        self.num_threads = max(num_threads, 1)
-        self.collect_trace = collect_trace
-        self.use_pruning = use_pruning
-        self.verify_ir = verify_ir
-        #: Optional shared ``(pipeline index, mode) -> executable`` tier
-        #: cache, provided by a prepared query (see engine._tier_for).
-        self.tiers = tiers
-
-    def execute(self, generated: GeneratedQuery, planning: PlanningResult,
-                timings: PhaseTimings) -> QueryResult:
-        trace = QueryTrace(label=self.mode, mode=self.mode)
-        query_start = time.perf_counter()
-        pipeline_stats: list[PipelineExecution] = []
-
-        # Up-front, single-threaded compilation of every worker function --
-        # while this runs, all worker threads are idle (paper Section II-A).
-        executables = []
-        for index, pipeline in enumerate(generated.pipelines):
-            executable, compile_seconds = self.database._tier_for(
-                pipeline.function, index, self.mode, self.tiers,
-                verify_ir=self.verify_ir)
-            timings.compile += compile_seconds
-            executables.append(executable)
-
-        for pipeline, executable in zip(generated.pipelines, executables):
-            total_rows = generated.state.source_row_count(pipeline.pipeline)
-            scan = plan_pipeline_scan(pipeline.pipeline, total_rows,
-                                      generated.state.params,
-                                      use_pruning=self.use_pruning)
-            timings.chunks_pruned += scan.chunks_pruned
-            timings.chunks_scanned += scan.chunks_scanned
-            rows = scan.rows_to_scan
-            dispatcher = MorselDispatcher(morsel_size=self.database.morsel_size,
-                                          ranges=scan.ranges)
-            breaker = BreakerRun(generated.state, pipeline.pipeline,
-                                 max_slots=self.num_threads)
-            pipeline_start = time.perf_counter()
-
-            state = generated.state
-
-            def run_morsel(slot: int, morsel, executable=executable,
-                           pipeline=pipeline, breaker=breaker,
-                           dispatcher=dispatcher) -> None:
-                start = time.perf_counter()
-                executable(breaker.context(slot), morsel.begin, morsel.end)
-                end = time.perf_counter()
-                trace.add(TraceEvent(slot, start - query_start,
-                                     end - query_start, "morsel",
-                                     pipeline.name, self.mode,
-                                     morsel.size))
-                if state.limit_satisfied():
-                    state.early_terminated = True
-                    dispatcher.cancel()
-
-            if rows > 0:
-                if self.num_threads == 1:
-                    morsel = dispatcher.next_morsel()
-                    while morsel is not None:
-                        run_morsel(0, morsel)
-                        morsel = dispatcher.next_morsel()
-                else:
-                    self.database.worker_pool.run_morsels(
-                        dispatcher, run_morsel,
-                        max_workers=self.num_threads)
-            merge_stats = breaker.merge(
-                _merge_task_runner(self.database, self.num_threads))
-            if pipeline.finish is not None:
-                pipeline.finish()
-            elapsed = time.perf_counter() - pipeline_start
-            timings.execution += elapsed
-            timings.breaker_partitions = max(timings.breaker_partitions,
-                                             merge_stats.partitions)
-            timings.breaker_partials += merge_stats.partial_entries
-            timings.breaker_merge += merge_stats.merge_seconds
-            pipeline_stats.append(PipelineExecution(
-                name=pipeline.name, rows=rows,
-                morsels=dispatcher.dispatched, seconds=elapsed,
-                mode_history=[self.mode],
-                ir_instructions=pipeline.function.instruction_count(),
-                breaker_partitions=merge_stats.partitions,
-                breaker_partial_entries=merge_stats.partial_entries,
-                merge_seconds=merge_stats.merge_seconds))
-
-        return self.database._assemble_result(
-            generated, planning, timings, self.mode, pipeline_stats,
-            trace=trace if self.collect_trace else None,
-            query_trace=trace)

@@ -68,9 +68,3 @@ class PipelineProgress:
         if not rates:
             return None
         return sum(rates) / len(rates)
-
-    def thread_rates(self) -> dict[int, float]:
-        with self._lock:
-            return {thread_id: entry.rate
-                    for thread_id, entry in self._rates.items()
-                    if entry.rate is not None}

@@ -33,7 +33,7 @@ from ..errors import AdaptiveError
 from ..options import ExecOptions
 from .modes import ExecutionMode
 from .policy import AdaptivePolicy, Decision
-from .trace import ExecutionTrace, TraceEvent
+from ..telemetry.trace import ExecutionTrace, TraceEvent
 
 #: Execution tiers, in the order used throughout the simulator.
 TIER_NAMES = ("bytecode", "unoptimized", "optimized")
@@ -326,7 +326,7 @@ def _simulate_pipeline_morsels(trace: ExecutionTrace,
         if policy is not None and compile_pending_mode is None and \
                 current_mode != "optimized":
             evaluation = policy.evaluate(
-                progress, ExecutionMode[current_mode.upper()],
+                progress, ExecutionMode.of(current_mode),
                 pipeline.ir_instructions, active_workers=threads,
                 elapsed_seconds=morsel_end - start_time)
             target = evaluation.decision.target_mode

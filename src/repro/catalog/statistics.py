@@ -40,13 +40,6 @@ class ColumnStatistics:
     #: (zone-map pruning) must never consult inexact statistics.
     exact: bool = True
 
-    @property
-    def selectivity_of_equality(self) -> float:
-        """Estimated selectivity of ``column = constant``."""
-        if self.num_distinct <= 0:
-            return 1.0
-        return 1.0 / self.num_distinct
-
 
 @dataclass
 class TableStatistics:

@@ -23,18 +23,22 @@ both resolve their :class:`repro.ExecOptions` and hand the statement and
 its bindings to :meth:`Database._run`, which validates once, picks the
 engine or the baseline executor, and records telemetry.  ``submit`` /
 ``submit_many`` (scheduler), the wire server and EXPLAIN ANALYZE are thin
-adapters over the same two calls.
+adapters over the same two calls.  Every engine mode then runs through one
+executor, :class:`repro.adaptive.PipelineExecutor`, and every tier is built
+by one class, :class:`repro.adaptive.FunctionHandle`; this module builds
+none.
 
 Repeated queries are served from a plan/artifact cache: the engine path
 looks up the statement's :func:`repro.cache.plan_cache_key` in an LRU
 :class:`repro.cache.PlanCache` of :class:`repro.prepared.PreparedQuery`
 entries, so re-executions skip parse/bind/plan/codegen entirely and reuse
-bytecode translations and compiled tiers.  ``prepare_query`` exposes the
-same machinery explicitly; ``ExecOptions(use_cache=False)`` bypasses it
-for cold-path measurements.  Entries are invalidated through the catalog's
-per-table plan versions (bumped by DDL, and by an ``insert`` that refreshes
-the table's statistics); cached results key on the data versions, which
-every ``insert`` bumps.
+the entry's function handles with their bytecode translations and compiled
+tiers.  ``prepare_query`` exposes the same machinery explicitly;
+``ExecOptions(use_cache=False)`` bypasses it for cold-path measurements.
+Entries are invalidated through the catalog's per-table plan versions
+(bumped by DDL, and by an ``insert`` that refreshes the table's
+statistics); cached results key on the data versions, which every
+``insert`` bumps.
 
 Concurrent serving goes through :mod:`repro.scheduler`: a database owns one
 shared :class:`~repro.scheduler.WorkerPool` (all parallel executions draw
@@ -71,8 +75,7 @@ from .scheduler import CompileExecutor, QueryScheduler, QueryTicket, \
 from .semantics import Binder, BoundQuery
 from .sqlparser import parse
 from .types import SQLType, decode_internal_rows
-from .vm import IRInterpreter, VirtualMachine, translate_function
-from .backend import compile_function
+from .vm import VirtualMachine
 from .codegen.runtime import round_up_pow2, strip_sort_keys
 
 #: Execution modes backed by the compiled-query engine.
@@ -945,52 +948,6 @@ class Database:
         if options.breaker_partitions is not None:
             return round_up_pow2(options.breaker_partitions)
         return round_up_pow2(self._workers)
-
-    def _tier_for(self, function, index: int, mode: str,
-                  tiers: Optional[dict],
-                  verify_ir: Optional[bool] = None):
-        """Resolve one pipeline's executable, through the tier cache if given.
-
-        On a cache hit the compile cost was already paid by an earlier
-        execution, so 0.0 seconds are charged; on a miss the freshly prepared
-        tier is stored under ``(pipeline index, mode)`` for the next run.
-        """
-        if tiers is not None:
-            cached = tiers.get((index, mode))
-            if cached is not None:
-                return cached, 0.0
-        executable, compile_seconds = self._prepare_tier(
-            function, mode, verify_ir=verify_ir)
-        if tiers is not None:
-            tiers[(index, mode)] = executable
-        return executable, compile_seconds
-
-    def _prepare_tier(self, function, mode: str,
-                      verify_ir: Optional[bool] = None):
-        """Return ``(callable(state, begin, end), compile_seconds)`` for a tier."""
-        from .analysis import verify_bytecode, verify_ir_enabled
-        verify = verify_ir_enabled(verify_ir)
-        if mode == "ir-interp":
-            interpreter = IRInterpreter()
-
-            def run_ir(state, begin, end):
-                interpreter.execute(function, [state, begin, end])
-            return run_ir, 0.0
-        if mode == "bytecode":
-            start = time.perf_counter()
-            bytecode, _ = translate_function(function)
-            if verify:
-                verify_bytecode(bytecode)
-            elapsed = time.perf_counter() - start
-            vm = self._vm
-
-            def run_bytecode(state, begin, end):
-                vm.execute(bytecode, [state, begin, end])
-            return run_bytecode, elapsed
-        if mode in ("unoptimized", "optimized"):
-            compiled = compile_function(function, mode, verify=verify)
-            return compiled, compiled.compile_seconds
-        raise ExecutionError(f"unknown tier {mode!r}")
 
     def _assemble_result(self, generated: GeneratedQuery,
                          planning: PlanningResult, timings: PhaseTimings,

@@ -68,9 +68,6 @@ class IRBuilder:
     def const_f64(self, value: float) -> Constant:
         return Constant.float64(value)
 
-    def const_bool(self, value: bool) -> Constant:
-        return Constant.bool_(value)
-
     def const_ptr(self, obj) -> Constant:
         return Constant.pointer(obj)
 
@@ -91,9 +88,6 @@ class IRBuilder:
 
     def div(self, lhs, rhs, name=""):
         return self.binary("fdiv" if lhs.type.is_float else "sdiv", lhs, rhs, name)
-
-    def rem(self, lhs, rhs, name=""):
-        return self.binary("srem", lhs, rhs, name)
 
     def and_(self, lhs, rhs, name=""):
         return self.binary("and", lhs, rhs, name)

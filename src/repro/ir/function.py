@@ -53,16 +53,6 @@ class BasicBlock:
         self.instructions.append(inst)
         return inst
 
-    def insert_before_terminator(self, inst: Instruction) -> Instruction:
-        """Insert a non-terminator instruction right before the terminator."""
-        if inst.is_terminator:
-            raise IRError("cannot insert a second terminator")
-        if not self.is_terminated:
-            return self.append(inst)
-        inst.block = self
-        self.instructions.insert(len(self.instructions) - 1, inst)
-        return inst
-
     @property
     def terminator(self) -> Optional[Instruction]:
         if self.instructions and self.instructions[-1].is_terminator:
@@ -81,10 +71,6 @@ class BasicBlock:
 
     def phis(self) -> list[PhiInst]:
         return [inst for inst in self.instructions if isinstance(inst, PhiInst)]
-
-    def non_phi_instructions(self) -> list[Instruction]:
-        return [inst for inst in self.instructions
-                if not isinstance(inst, PhiInst)]
 
     def __iter__(self) -> Iterator[Instruction]:
         return iter(self.instructions)
@@ -197,15 +183,6 @@ class Function:
         self.blocks.append(block)
         return block
 
-    def remove_block(self, block: BasicBlock) -> None:
-        self.blocks.remove(block)
-
-    def block_by_name(self, name: str) -> BasicBlock:
-        for block in self.blocks:
-            if block.name == name:
-                return block
-        raise IRError(f"no block named {name!r} in function {self.name}")
-
     # ------------------------------------------------------------------ #
     # introspection
     # ------------------------------------------------------------------ #
@@ -297,24 +274,12 @@ class Module:
         self.functions[function.name] = function
         return function
 
-    def get_function(self, name: str) -> Function:
-        try:
-            return self.functions[name]
-        except KeyError as exc:
-            raise IRError(f"no function named {name!r}") from exc
-
     def declare_extern(self, extern: ExternFunction) -> ExternFunction:
         existing = self.externs.get(extern.name)
         if existing is not None:
             return existing
         self.externs[extern.name] = extern
         return extern
-
-    def get_extern(self, name: str) -> ExternFunction:
-        try:
-            return self.externs[name]
-        except KeyError as exc:
-            raise IRError(f"no extern named {name!r}") from exc
 
     def instruction_count(self) -> int:
         """Total instruction count over all functions (paper Fig. 6 x-axis)."""

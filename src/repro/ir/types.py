@@ -62,19 +62,8 @@ ptr = IRType("ptr", 64, is_pointer=True)
 #: void -- function return type only.
 void = IRType("void", 0)
 
-#: All interned types, by name.
-ALL_TYPES = {t.name: t for t in (i1, i8, i32, i64, f64, ptr, void)}
-
 #: Integer types that participate in arithmetic, from narrowest to widest.
 INTEGER_TYPES = (i1, i8, i32, i64)
-
-
-def type_from_name(name: str) -> IRType:
-    """Look up an interned type by its textual name (``"i64"``, ``"ptr"``...)."""
-    try:
-        return ALL_TYPES[name]
-    except KeyError as exc:
-        raise IRError(f"unknown IR type: {name!r}") from exc
 
 
 def integer_range(ty: IRType) -> tuple[int, int]:

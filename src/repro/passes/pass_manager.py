@@ -6,7 +6,7 @@ import time
 from dataclasses import dataclass, field
 from typing import Protocol
 
-from ..ir.function import Function, Module
+from ..ir.function import Function
 
 
 class FunctionPass(Protocol):
@@ -89,21 +89,6 @@ class PassManager:
             wrapped.block_name = error.block_name
             wrapped.instruction = error.instruction
             raise wrapped from error
-
-    def run_module(self, module: Module) -> PassStats:
-        total = PassStats()
-        for function in module.functions.values():
-            stats = self.run_function(function)
-            total.instructions_before += stats.instructions_before
-            total.instructions_after += stats.instructions_after
-            total.total_seconds += stats.total_seconds
-            for name, seconds in stats.per_pass_seconds.items():
-                total.per_pass_seconds[name] = (
-                    total.per_pass_seconds.get(name, 0.0) + seconds)
-            for name, changes in stats.per_pass_changes.items():
-                total.per_pass_changes[name] = (
-                    total.per_pass_changes.get(name, 0) + changes)
-        return total
 
 
 def default_pipeline(verify: bool = None) -> PassManager:

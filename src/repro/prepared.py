@@ -8,11 +8,11 @@ code references its containers by identity) and reuses every artifact the
 previous executions already paid for:
 
 * parse / bind / plan / codegen are never repeated,
-* bytecode translations and compiled tiers of the static modes are cached
-  per ``(pipeline, mode)``,
-* the adaptive mode keeps its :class:`repro.adaptive.FunctionHandle` per
-  pipeline, so a tier the Fig. 7 policy compiled in an earlier run is simply
-  *the current mode* of the next run -- the compile cost is paid once.
+* every mode keeps one :class:`repro.adaptive.FunctionHandle` per
+  ``(pipeline, mode)``, so the tier a static mode compiled and the tier
+  the adaptive mode's Fig. 7 policy switched to are reused as they are:
+  the latter is simply *the current mode* of the next adaptive run, and
+  either compile cost is paid once.
 
 Because the artifacts are bound to a single ``QueryState``, executions of one
 ``PreparedQuery`` are serialized by an internal lock; calling ``execute``
@@ -39,7 +39,7 @@ import threading
 from dataclasses import replace
 from typing import Optional
 
-from .adaptive import AdaptiveExecutor, StaticParallelExecutor
+from .adaptive import PipelineExecutor
 from .cache import plan_cache_key
 from .engine import ENGINE_MODES, PhaseTimings, QueryResult, \
     referenced_tables
@@ -82,11 +82,10 @@ class PreparedQuery:
         self.executions = 0
         self._lock = threading.RLock()
         self._first_execution = True
-        #: (pipeline index, mode) -> executable for the static tiers;
-        #: populated lazily, reused across executions.
-        self._tiers: dict = {}
-        #: pipeline index -> FunctionHandle for the adaptive mode; keeps
-        #: bytecode translations and policy-compiled tiers alive.
+        #: (pipeline index, mode) -> FunctionHandle; populated lazily,
+        #: keeps bytecode translations and compiled tiers alive across
+        #: executions.  Each mode has its own handles, so an adaptive run
+        #: starts in bytecode even after a static run compiled the query.
         self._handles: dict = {}
 
     # ------------------------------------------------------------------ #
@@ -121,7 +120,6 @@ class PreparedQuery:
         self.build_timings = timings
         self._catalog_version = catalog_version
         self._referenced = referenced_tables(planning)
-        self._tiers.clear()
         self._handles.clear()
         self._first_execution = True
 
@@ -217,7 +215,6 @@ class PreparedQuery:
     def _run_bound(self, opts: ExecOptions, cost_model, policy,
                    values: list) -> QueryResult:
         """Run one execution with already-encoded parameter values."""
-        mode = opts.mode
         first = self._first_execution
         self._first_execution = False
         timings = replace(self.build_timings) if first else PhaseTimings()
@@ -236,19 +233,9 @@ class PreparedQuery:
         self.generated.state.collect_operator_stats = \
             opts.collect_operator_stats
 
-        if mode == "adaptive":
-            executor = AdaptiveExecutor(
-                database, num_threads=opts.threads,
-                collect_trace=opts.collect_trace,
-                cost_model=cost_model, policy=policy, handles=self._handles,
-                use_pruning=opts.use_pruning, verify_ir=opts.verify_ir)
-            result = executor.execute(self.generated, self.planning, timings)
-        else:
-            executor = StaticParallelExecutor(
-                database, mode=mode, num_threads=opts.threads,
-                collect_trace=opts.collect_trace, tiers=self._tiers,
-                use_pruning=opts.use_pruning, verify_ir=opts.verify_ir)
-            result = executor.execute(self.generated, self.planning, timings)
+        executor = PipelineExecutor(database, opts, self._handles,
+                                    cost_model=cost_model, policy=policy)
+        result = executor.execute(self.generated, self.planning, timings)
         result.cached = not first
         if result.cached:
             result.cache_source = "plan"

@@ -103,11 +103,6 @@ class WorkerPool:
         """Number of currently live pool threads (for tests/monitoring)."""
         return sum(1 for thread in self._threads if thread.is_alive())
 
-    def kick(self) -> None:
-        """Wake all workers (call after changing source state externally)."""
-        with self.condition:
-            self.condition.notify_all()
-
     # ------------------------------------------------------------------ #
     def attach(self, source: TaskSource) -> None:
         """Register a task source and make sure workers are running."""

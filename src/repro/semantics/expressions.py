@@ -15,7 +15,7 @@ all arithmetic uniform.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterator, Optional, Sequence
+from typing import Iterator, Optional
 
 from ..errors import BindError
 from ..types import SQLType
@@ -310,17 +310,6 @@ def split_conjuncts(expr: Optional[TypedExpression]) -> list[TypedExpression]:
             out.extend(split_conjuncts(operand))
         return out
     return [expr]
-
-
-def conjunction(conjuncts: Sequence[TypedExpression]
-                ) -> Optional[TypedExpression]:
-    """Combine conjuncts back into a single predicate (or None)."""
-    conjuncts = [c for c in conjuncts if c is not None]
-    if not conjuncts:
-        return None
-    if len(conjuncts) == 1:
-        return conjuncts[0]
-    return LogicalExpr("and", list(conjuncts))
 
 
 def like_to_predicate(pattern: str):

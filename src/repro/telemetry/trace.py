@@ -6,8 +6,8 @@ and the morsel-level ``ExecutionTrace`` the adaptive executor produced for
 the Fig. 14 reproduction.  This module unifies them:
 
 * :class:`TraceEvent` / :class:`ExecutionTrace` -- the original morsel /
-  compile event model, unchanged (``repro.adaptive.trace`` re-exports it
-  for backwards compatibility).
+  compile event model, unchanged (``repro.adaptive`` re-exports it, with
+  :func:`render_trace`, for the simulator's callers).
 * :class:`Span` -- one named interval of the query lifecycle
   (``parse`` / ``bind`` / ``plan`` / ``codegen`` / ``compile`` /
   ``pipeline`` / ``execution``), nesting under the whole-query span.
@@ -43,7 +43,7 @@ class TraceEvent:
     end: float
     kind: str                 # "morsel" | "compile" | "finish"
     pipeline: str
-    mode: str                 # bytecode | unoptimized | optimized
+    mode: str                 # ir-interp | bytecode | unoptimized | optimized
     tuples: int = 0
 
     @property

@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import datetime as _dt
 import enum
-from dataclasses import dataclass
 
 from .errors import CatalogError
 
@@ -62,11 +61,6 @@ class SQLType(enum.Enum):
         """True when values are stored as Python/numpy integers."""
         return self in (SQLType.INT64, SQLType.DECIMAL, SQLType.DATE,
                         SQLType.BOOL, SQLType.STRING)
-
-    @property
-    def is_orderable(self) -> bool:
-        """True when values of the type can be compared with < and >."""
-        return True
 
     def __str__(self) -> str:  # pragma: no cover - cosmetic
         return self.value
@@ -183,14 +177,3 @@ def common_numeric_type(left: SQLType, right: SQLType) -> SQLType:
     if SQLType.DECIMAL in (left, right):
         return SQLType.DECIMAL
     return SQLType.INT64
-
-
-@dataclass(frozen=True)
-class ColumnType:
-    """A column's logical type plus formatting metadata."""
-
-    sql_type: SQLType
-    nullable: bool = False
-
-    def __str__(self) -> str:  # pragma: no cover - cosmetic
-        return str(self.sql_type)

@@ -116,16 +116,19 @@ def test_all_modes_agree(sales_db, query_name):
             assert rows == reference, f"{mode} differs on {query_name}"
 
 
-@pytest.mark.parametrize("mode", ["bytecode", "optimized", "adaptive"])
+@pytest.mark.parametrize("mode", ["ir-interp", "bytecode", "unoptimized",
+                                  "optimized", "adaptive"])
 def test_threaded_execution_agrees(sales_db, mode):
     sql = QUERIES["join-group"]
-    single = normalized(sales_db.execute(sql,
-                                         options=ExecOptions(mode=mode,
-                                                             threads=1)).rows)
-    multi = normalized(sales_db.execute(sql,
-                                        options=ExecOptions(mode=mode,
-                                                            threads=4)).rows)
-    assert single == multi
+    # use_result_cache=False: the result cache keys on mode and bindings,
+    # not on the thread count, so the threaded run would otherwise be
+    # served the single-threaded rows without running the pool path.
+    single = sales_db.execute(sql, options=ExecOptions(
+        mode=mode, threads=1, use_result_cache=False))
+    multi = sales_db.execute(sql, options=ExecOptions(
+        mode=mode, threads=4, use_result_cache=False))
+    assert multi.pipelines and multi.cache_source != "result"
+    assert normalized(single.rows) == normalized(multi.rows)
 
 
 def test_phase_timings_populated(sales_db):

@@ -297,7 +297,7 @@ class TestAdaptiveCompileAccounting:
 
     def _run(self, monkeypatch, num_threads, sleep_seconds=0.03):
         from repro.adaptive import modes as modes_module
-        from repro.adaptive.executor import AdaptiveExecutor
+        from repro.adaptive.executor import PipelineExecutor
 
         real_compile = modes_module.compile_function
         calls = []
@@ -311,8 +311,9 @@ class TestAdaptiveCompileAccounting:
 
         db = _sum_query_db()
         generated, planning, timings = db.generate("select sum(a) as s from t")
-        executor = AdaptiveExecutor(db, num_threads=num_threads,
-                                    policy=_AlwaysOptimize())
+        executor = PipelineExecutor(
+            db, ExecOptions(mode="adaptive", threads=num_threads), {},
+            policy=_AlwaysOptimize())
         result = executor.execute(generated, planning, timings)
         return result, calls
 

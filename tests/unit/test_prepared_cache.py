@@ -5,6 +5,8 @@ import threading
 import pytest
 
 from repro import Database, ExecOptions, PlanCache, SQLType, normalize_sql
+from repro.adaptive import Decision
+from repro.adaptive.policy import PolicyEvaluation
 from repro.backend.cost_model import CostModel, TierEstimate
 from repro.errors import ExecutionError
 
@@ -368,6 +370,60 @@ def _eager_switch_model():
         "unoptimized": TierEstimate(0.0, 0.0, 4.0),
         "optimized": TierEstimate(0.0, 0.0, 8.0),
     })
+
+
+class _NeverSwitch:
+    """A policy stub that always decides to keep the current tier."""
+
+    def evaluate(self, progress, current, instruction_count, active_workers,
+                 elapsed_seconds):
+        return PolicyEvaluation(Decision.DO_NOTHING, 0.0, None, None, 0.0)
+
+
+class TestHandlesPerMode:
+    """One prepared entry keeps one function handle per (pipeline, mode)."""
+
+    def test_each_mode_builds_its_own_start_tier(self, db):
+        prepared = db.prepare_query(SQL)
+        fresh = ExecOptions(mode="optimized", use_result_cache=False)
+        optimized = prepared.execute(options=fresh)
+        assert optimized.timings.compile > 0
+        adaptive = prepared.execute(
+            options=ExecOptions(mode="adaptive", use_result_cache=False),
+            policy=_NeverSwitch())
+        # The optimized tier belongs to the static mode's handles: the
+        # adaptive run still starts in (and translates) bytecode.
+        assert adaptive.timings.compile > 0
+        assert all(p.mode_history == ["bytecode"]
+                   for p in adaptive.pipelines)
+        bytecode_opts = ExecOptions(mode="bytecode", use_result_cache=False)
+        bytecode = prepared.execute(options=bytecode_opts)
+        assert bytecode.timings.compile > 0  # not the adaptive translation
+        again = prepared.execute(options=bytecode_opts)
+        assert again.timings.compile == 0
+        assert optimized.rows == adaptive.rows == bytecode.rows == again.rows
+
+    def test_pipeline_without_morsels_reports_its_handle_tier(self):
+        # 16 sealed 64-row chunks: a binding above every chunk's maximum
+        # prunes the whole scan, so its pipeline runs no morsel.
+        db = Database(morsel_size=64)
+        db.catalog.create_table("w", [("a", SQLType.INT64),
+                                      ("b", SQLType.FLOAT64)],
+                                chunk_rows=64)
+        db.insert("w", [(i, float(i)) for i in range(1024)])
+        prepared = db.prepare_query("select sum(b) as s from w where a >= ?")
+        opts = ExecOptions(mode="adaptive")
+        model = _eager_switch_model()
+        first = prepared.execute(options=opts, params=(10,),
+                                 cost_model=model)
+        scan = first.pipelines[0]
+        assert scan.name == "scan w" and len(scan.mode_history) > 1
+        compiled = scan.mode_history[-1]
+        pruned = prepared.execute(options=opts, params=(5000,),
+                                  cost_model=model)
+        assert pruned.timings.chunks_scanned == 0
+        assert pruned.pipelines[0].morsels == 0
+        assert pruned.pipelines[0].mode_history == [compiled]
 
 
 class TestAppendsKeepPlans:
