@@ -27,6 +27,7 @@ keeps appending to the same slot-local partials.
 
 from __future__ import annotations
 
+import functools
 import heapq
 import time
 from dataclasses import dataclass, field
@@ -521,6 +522,155 @@ def resolve_limit(limit, params: Sequence) -> Optional[int]:
 
 
 # --------------------------------------------------------------------------- #
+# generated breaker externs
+# --------------------------------------------------------------------------- #
+# The per-row breaker externs -- build insert, probe, aggregate update -- are
+# generated as straight-line Python for their sink's shape, the way HyPer
+# emits a breaker's code inline (Neumann, VLDB 2011): fixed arity, no
+# argument packing, no per-row loop over the aggregate specs.  The source
+# depends only on the shape, so each shape is compiled once per process;
+# join/aggregate ids and partition lists are bound by calling the cached
+# factory.  The volcano baseline keeps the generic helpers above as the
+# reference semantics.
+
+#: Distinct breaker shapes whose compiled factories are kept per process.
+BREAKER_SHAPE_CACHE_SIZE = 256
+
+
+@dataclass(frozen=True)
+class GeneratedBreaker:
+    """One compiled breaker shape: its source and its factory."""
+
+    source: str
+    factory: Callable
+    #: Aggregate shapes only: returns fresh accumulator cells for one group
+    #: (the literal the update uses for a new group).
+    initial: Optional[Callable] = None
+
+
+def _compile_breaker(source: str, label: str) -> dict:
+    namespace: dict = {}
+    exec(compile(source, f"<{label}>", "exec"), namespace)
+    return namespace
+
+
+def _tuple_display(names: Sequence[str]) -> str:
+    return "(" + ", ".join(names) + ("," if len(names) == 1 else "") + ")"
+
+
+def _key_display(names: Sequence[str]) -> str:
+    """A single key is the value itself, several form a tuple (as in SQL)."""
+    return names[0] if len(names) == 1 else _tuple_display(names)
+
+
+@functools.lru_cache(maxsize=BREAKER_SHAPE_CACHE_SIZE)
+def build_insert_code(num_keys: int, num_payload: int) -> GeneratedBreaker:
+    keys = [f"k{i}" for i in range(num_keys)]
+    payload = [f"p{i}" for i in range(num_payload)]
+    source = f"""\
+def factory(join_id):
+    def insert(ctx, {", ".join(keys + payload)}):
+        key = {_key_display(keys)}
+        parts = ctx.joins[join_id]
+        part = parts[hash(key) & (len(parts) - 1)]
+        bucket = part.get(key)
+        if bucket is None:
+            part[key] = [{_tuple_display(payload)}]
+        else:
+            bucket.append({_tuple_display(payload)})
+    return insert
+"""
+    label = f"build-insert:{num_keys}:{num_payload}"
+    return GeneratedBreaker(source, _compile_breaker(source, label)["factory"])
+
+
+@functools.lru_cache(maxsize=BREAKER_SHAPE_CACHE_SIZE)
+def probe_code(num_keys: int) -> GeneratedBreaker:
+    keys = [f"k{i}" for i in range(num_keys)]
+    source = f"""\
+def factory(parts, empty):
+    def probe({", ".join(keys)}):
+        key = {_key_display(keys)}
+        return parts[hash(key) & (len(parts) - 1)].get(key, empty)
+    return probe
+"""
+    label = f"probe:{num_keys}"
+    return GeneratedBreaker(source, _compile_breaker(source, label)["factory"])
+
+
+def _initial_literal(spec: AggregateSpec) -> str:
+    """Source of one fresh accumulator cell (see :func:`initial_cells`)."""
+    if spec.function == "count":
+        return "0"
+    if spec.function == "avg":
+        return "[0.0, 0]"
+    if spec.function in ("min", "max"):
+        return "None"
+    return "0" if spec.result_type is SQLType.INT64 else "0.0"
+
+
+def agg_update_code(num_keys: int, specs: Sequence[AggregateSpec]
+                    ) -> GeneratedBreaker:
+    """The generated update for an aggregate sink of this shape.
+
+    The shape is the key count plus, per aggregate, its function, the
+    position of its argument among the update's arguments and the source of
+    its initial cell.
+    """
+    cells = []
+    position = 0
+    for spec in specs:
+        if spec.argument is None:
+            cells.append((spec.function, None, _initial_literal(spec)))
+        else:
+            cells.append((spec.function, position, _initial_literal(spec)))
+            position += 1
+    return _agg_update_code(num_keys, tuple(cells))
+
+
+@functools.lru_cache(maxsize=BREAKER_SHAPE_CACHE_SIZE)
+def _agg_update_code(num_keys: int, cells: tuple) -> GeneratedBreaker:
+    keys = [f"k{i}" for i in range(num_keys)]
+    args = [f"a{position}" for _, position, _ in cells
+            if position is not None]
+    initial = "[" + ", ".join(literal for _, _, literal in cells) + "]"
+    body = []
+    for index, (function, position, _) in enumerate(cells):
+        arg = f"a{position}"
+        if function == "count":
+            body.append(f"cells[{index}] += 1")
+        elif function == "sum":
+            body.append(f"cells[{index}] += {arg}")
+        elif function == "avg":
+            body += [f"pair = cells[{index}]",
+                     f"pair[0] += {arg}",
+                     "pair[1] += 1"]
+        else:
+            compare = "<" if function == "min" else ">"
+            body += [f"current = cells[{index}]",
+                     f"if current is None or {arg} {compare} current:",
+                     f"    cells[{index}] = {arg}"]
+    statements = "".join(f"\n        {line}" for line in body)
+    source = f"""\
+def initial():
+    return {initial}
+
+
+def factory(agg_id):
+    def update(ctx, {", ".join(keys + args)}):
+        key = {_key_display(keys)}
+        parts = ctx.aggs[agg_id]
+        part = parts[hash(key) & (len(parts) - 1)]
+        cells = part.get(key)
+        if cells is None:
+            cells = part[key] = {initial}{statements}
+    return update
+"""
+    namespace = _compile_breaker(source, f"agg-update:{num_keys}:{len(cells)}")
+    return GeneratedBreaker(source, namespace["factory"], namespace["initial"])
+
+
+# --------------------------------------------------------------------------- #
 # runtime function factories (captured by generated code as extern bindings)
 # --------------------------------------------------------------------------- #
 class QueryRuntime:
@@ -532,42 +682,23 @@ class QueryRuntime:
     # ---- hash joins ----------------------------------------------------- #
     def make_build_insert(self, join_id: int, num_keys: int,
                           num_payload: int) -> Callable:
-        """Closure inserting (key, payload) into the worker's join partials.
+        """Generated ``insert(ctx, k0.., p0..)`` into the worker's join partials.
 
-        ``ctx`` is the worker's :class:`WorkerContext`.
+        ``ctx`` is the worker's :class:`WorkerContext`; the payload is stored
+        as one tuple per build row.
         """
-        def insert_key(ctx, key, payload):
-            parts = ctx.joins[join_id]
-            part = parts[hash(key) & (len(parts) - 1)]
-            bucket = part.get(key)
-            if bucket is None:
-                bucket = part.setdefault(key, [])
-            bucket.append(payload)
-
-        if num_keys == 1:
-            def insert(ctx, key, *payload):
-                insert_key(ctx, key, payload)
-        else:
-            def insert(ctx, *values):
-                insert_key(ctx, values[:num_keys], values[num_keys:])
+        insert = build_insert_code(num_keys, num_payload).factory(join_id)
         insert.__name__ = f"rt_build_insert_{join_id}"
         return insert
 
     def make_probe(self, join_id: int, num_keys: int) -> Callable:
-        """Closure returning the list of matching payload tuples (or []).
+        """Generated ``probe(k0..)`` returning the matching payload tuples.
 
         Reads the sealed partition tables; probe pipelines only run after
         the build pipeline's merge phase, so no synchronisation is needed.
         """
-        parts = self.state.join_partitions[join_id]
-        empty: list = []
-
-        if num_keys == 1:
-            def probe(key):
-                return parts[hash(key) & (len(parts) - 1)].get(key, empty)
-        else:
-            def probe(*key):
-                return parts[hash(key) & (len(parts) - 1)].get(key, empty)
+        probe = probe_code(num_keys).factory(
+            self.state.join_partitions[join_id], [])
         probe.__name__ = f"rt_probe_{join_id}"
         return probe
 
@@ -621,61 +752,14 @@ class QueryRuntime:
 
     # ---- aggregation ----------------------------------------------------- #
     def make_agg_update(self, sink: AggregateSink) -> Callable:
-        """Closure folding one row into the worker's aggregation partials.
+        """Generated ``update(ctx, k0.., a0..)`` folding one row into a group.
 
         The accumulator layout per group is one cell per aggregate; AVG uses
         a ``[sum, count]`` pair.  The read-modify-write touches only the
         worker context's slot-private partials and needs no lock.
         """
-        agg_id = sink.agg_id
-        num_groups = len(sink.group_by)
-        specs = list(sink.aggregates)
-        arg_positions: list[Optional[int]] = []
-        next_arg = 0
-        for spec in specs:
-            if spec.argument is None:
-                arg_positions.append(None)
-            else:
-                arg_positions.append(next_arg)
-                next_arg += 1
-
-        def make_initial():
-            return initial_cells(specs)
-
-        def apply(cells, args):
-            for index, spec in enumerate(specs):
-                position = arg_positions[index]
-                if spec.function == "count":
-                    cells[index] += 1
-                    continue
-                value = args[position]
-                if spec.function == "sum":
-                    cells[index] += value
-                elif spec.function == "avg":
-                    pair = cells[index]
-                    pair[0] += value
-                    pair[1] += 1
-                elif spec.function == "min":
-                    current = cells[index]
-                    if current is None or value < current:
-                        cells[index] = value
-                elif spec.function == "max":
-                    current = cells[index]
-                    if current is None or value > current:
-                        cells[index] = value
-
-        def update(ctx, *values):
-            if num_groups == 1:
-                key = values[0]
-            else:
-                key = values[:num_groups]
-            args = values[num_groups:]
-            parts = ctx.aggs[agg_id]
-            part = parts[hash(key) & (len(parts) - 1)]
-            cells = part.get(key)
-            if cells is None:
-                cells = part.setdefault(key, make_initial())
-            apply(cells, args)
+        update = agg_update_code(len(sink.group_by),
+                                 sink.aggregates).factory(sink.agg_id)
         update.__name__ = f"rt_agg_update_{sink.agg_id}"
         return update
 

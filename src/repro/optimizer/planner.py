@@ -353,9 +353,12 @@ class Planner:
                                  for p in table_filters.get(driver.name, [])]
         available = {driver.name}
         pending_residuals = list(residuals)
-        for probe in probes:
-            probe_operators.append(probe)
-            available.add(probe.build_binding)
+        # A residual runs as soon as its bindings are available: a constant
+        # one (``WHERE false``) right after the driver's filters.
+        for probe in [None] + probes:
+            if probe is not None:
+                probe_operators.append(probe)
+                available.add(probe.build_binding)
             still_pending = []
             for residual in pending_residuals:
                 if referenced_bindings(residual) <= available:

@@ -277,6 +277,29 @@ class TestExternContracts:
         rules = {f.rule for f in check_extern_contracts(module)}
         assert "impl-signature" in rules
 
+    @pytest.mark.parametrize("family", ["insert", "update"])
+    def test_generated_sink_arity_drift_is_flagged(self, family):
+        """The generated breakers take exactly their shape's arguments, so
+        a sink declared with one argument more than its implementation
+        accepts is caught (``*values`` used to swallow it)."""
+        from repro.codegen.runtime import agg_update_code, build_insert_code
+        from repro.plan.physical import AggregateSpec
+        from repro.types import SQLType
+        if family == "insert":
+            name = "rt_build_insert_0"
+            impl = build_insert_code(1, 1).factory(0)   # ctx, key, payload
+        else:
+            name = "rt_agg_update_0"
+            spec = AggregateSpec("count", None, SQLType.INT64)
+            impl = agg_update_code(1, [spec]).factory(0)   # ctx, key
+        accepted = impl.__code__.co_argcount
+        extern = ExternFunction(name, [ptr] + [i64] * accepted, void, impl)
+        module = build_module(make_caller(
+            extern, lambda b, f: [f.args[0]]
+            + [b.const_i64(1) for _ in range(accepted)]))
+        findings = check_extern_contracts(module)
+        assert [f.rule for f in findings] == ["impl-signature"]
+
     def test_lock_in_hot_path_impl_is_flagged(self):
         import threading
         shared_lock = threading.Lock()

@@ -219,16 +219,20 @@ class TestCachedMatchesUncached:
         assert hit.column_types == uncached.column_types
 
     def test_threaded_cached_execution(self, db):
+        """The second ``threads=4`` run re-executes the cached plan, not a
+        cached result, so its breakers fill per-slot partials over several
+        partitions and merge them."""
         reference = db.execute(SQL,
                                options=ExecOptions(mode="optimized",
                                                    use_cache=False)).rows
         for mode in ("bytecode", "optimized", "adaptive"):
-            assert db.execute(SQL,
-                              options=ExecOptions(mode=mode,
-                                                  threads=4)).rows == reference
-            assert db.execute(SQL,
-                              options=ExecOptions(mode=mode,
-                                                  threads=4)).rows == reference
+            options = ExecOptions(mode=mode, threads=4,
+                                  use_result_cache=False)
+            assert db.execute(SQL, options=options).rows == reference
+            again = db.execute(SQL, options=options)
+            assert again.cache_source == "plan"
+            assert again.rows == reference
+            assert again.pipelines[0].breaker_partitions == 4
 
     def test_cached_results_do_not_alias_state(self, db):
         # A result without DISTINCT/ORDER BY/LIMIT must not alias the
