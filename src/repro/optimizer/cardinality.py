@@ -62,13 +62,6 @@ class CardinalityEstimator:
             rows *= self.selectivity(binding, predicate)
         return max(rows, 1.0)
 
-    def join_cardinality(self, probe_rows: float, build_rows: float,
-                         build_distinct: float) -> float:
-        """Classic |L|x|R| / max(distinct keys) estimate."""
-        if build_distinct <= 0:
-            build_distinct = max(build_rows, 1.0)
-        return max(probe_rows * build_rows / build_distinct, 1.0)
-
     # ------------------------------------------------------------------ #
     def selectivity(self, binding: TableBinding,
                     predicate: TypedExpression) -> float:

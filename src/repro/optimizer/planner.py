@@ -6,8 +6,11 @@ Planning proceeds in four steps:
    (pushed into scans), equi-join edges, or residual predicates.
 2. **Join ordering** -- the binding with the largest filtered cardinality
    becomes the probe-side *driver*; the remaining bindings are attached
-   greedily (smallest connected first) as hash-join build sides, producing a
-   left-deep join tree.
+   greedily as hash-join build sides, producing a left-deep join tree.  At
+   each step the connected candidate with the smallest estimated fan-out
+   (build rows matching one probe row: filtered build rows over the distinct
+   count of its join keys) goes next, ties to the smaller build, so a
+   unique-key join narrows the spine before a many-match one widens it.
 3. **Logical plan construction** -- scans, joins, aggregation, projection,
    ordering, limit.
 4. **Pipeline decomposition** -- one build pipeline per hash join, one probe
@@ -182,8 +185,13 @@ class Planner:
                 elif right_b in placed and left_b in remaining:
                     candidates.setdefault(left_b, []).append((right_e, left_e))
             if candidates:
-                # Greedy: smallest filtered build side first.
-                chosen = min(candidates, key=lambda name: cardinalities[name])
+                # Greedy: fewest estimated matches per probe row first, so a
+                # unique-key join narrows the spine before a many-match
+                # one; ties go to the smaller build.
+                chosen = min(candidates, key=lambda name: (
+                    self._fan_out(bindings[name], candidates[name],
+                                  cardinalities[name]),
+                    cardinalities[name]))
                 keys = candidates[chosen]
             else:
                 # Cross product fallback (rare): pick the smallest remaining.
@@ -197,6 +205,22 @@ class Planner:
             placed.add(chosen)
             remaining.discard(chosen)
         return driver, steps
+
+    def _fan_out(self, binding: TableBinding, keys, rows: float) -> float:
+        """Estimated build rows matching one probe row of a hash join.
+
+        ``rows`` (the filtered build cardinality) over the distinct count of
+        the build keys: the product of the keys' distinct counts, capped at
+        the table's row count.  A key without statistics counts as unique.
+        """
+        stats = self.catalog.statistics(binding.table_name)
+        distinct = 1.0
+        for _, build_key in keys:
+            column_stats = stats.column(build_key.column) \
+                if isinstance(build_key, ColumnExpr) else None
+            distinct *= (max(column_stats.num_distinct, 1)
+                         if column_stats is not None else stats.num_rows)
+        return rows / max(min(distinct, stats.num_rows), 1.0)
 
     def _outer_join_steps(self, query: BoundQuery) -> list[_JoinStep]:
         """One trailing build step per LEFT OUTER JOIN, in FROM-list order.
@@ -257,16 +281,8 @@ class Planner:
                                 table_name=step.binding.table_name,
                                 filters=step.filters,
                                 cardinality=step.cardinality)
-            stats = self.catalog.statistics(step.binding.table_name)
-            distinct = step.cardinality
-            if step.keys:
-                build_key = step.keys[0][1]
-                column_stats = stats.column(build_key.column) \
-                    if isinstance(build_key, ColumnExpr) else None
-                if column_stats is not None:
-                    distinct = max(column_stats.num_distinct, 1)
-            joined = self.estimator.join_cardinality(
-                running, step.cardinality, distinct)
+            joined = max(running * self._fan_out(
+                step.binding, step.keys, step.cardinality), 1.0)
             if step.outer:
                 # Every probe row survives a left join, matched or not.
                 joined = max(running, joined)

@@ -141,7 +141,7 @@ def test_tpch_bytecode_exact_counts():
     the VM that moves one shows here."""
     db = populate_tpch(Database(workers=2), scale_factor=0.05)
     try:
-        assert _bytecode_counts(db) == (131_500, 2_604, 762)
+        assert _bytecode_counts(db) == (114_264, 2_604, 763)
         workers = [pipeline.function for number in sorted(TPCH_QUERIES)
                    for pipeline in db.generate(
                        TPCH_QUERIES[number])[0].pipelines]
@@ -150,16 +150,16 @@ def test_tpch_bytecode_exact_counts():
                    for _, stats in translations) == 2_176
         assert sum(stats.num_registers for _, stats in translations) == 1_606
         assert bytecode_fingerprint(
-            bytecode for bytecode, _ in translations) == "4ffce139e1d83d61"
+            bytecode for bytecode, _ in translations) == "d96f046f76d691a7"
         compiled = [compile_optimized(worker) for worker in workers]
         assert sum(function.instructions_before - function.instructions_after
-                   for function in compiled) == 260
+                   for function in compiled) == 526
     finally:
         db.close()
     db = populate_tpch(Database(workers=2), scale_factor=0.5)
     try:
         vm_instructions, _, breaker_partials = _bytecode_counts(db)
-        assert (vm_instructions, breaker_partials) == (1_159_953, 5_749)
+        assert (vm_instructions, breaker_partials) == (1_022_585, 5_800)
     finally:
         db.close()
 

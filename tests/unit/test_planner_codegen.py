@@ -122,6 +122,84 @@ class TestPlanner:
         assert result.physical.pipelines[0].estimated_rows >= 1
 
 
+def probe_order(result, driver_table):
+    """Build bindings in the order the driver's pipeline probes them."""
+    (pipeline,) = [p for p in result.physical.pipelines
+                   if isinstance(p.source, TableSource)
+                   and p.source.table.name == driver_table]
+    return [op.build_binding for op in pipeline.operators
+            if isinstance(op, PhysHashProbe)]
+
+
+class TestJoinOrder:
+    @pytest.fixture()
+    def q5_shape(self):
+        """Q5's shape: the smallest build (``near``, 60 rows) joins the
+        driver on a key with 3 distinct values, so each probe finds ~20
+        matches; the larger ``uniq`` (400 rows) joins on a unique key."""
+        database = Database()
+        database.create_table("drive", [("d_uniq", SQLType.INT64),
+                                        ("d_near", SQLType.INT64)])
+        database.create_table("uniq", [("u_id", SQLType.INT64),
+                                       ("u_val", SQLType.INT64)])
+        database.create_table("near", [("n_group", SQLType.INT64),
+                                       ("n_val", SQLType.INT64)])
+        database.insert("drive", [(i % 400, i % 3) for i in range(3000)])
+        database.insert("uniq", [(i, i % 7) for i in range(400)])
+        database.insert("near", [(i % 3, i) for i in range(60)])
+        yield database
+        database.close()
+
+    SQL = ("select sum(u_val), sum(n_val) from drive, uniq, near "
+           "where d_uniq = u_id and d_near = n_group")
+
+    def test_unique_key_join_goes_before_the_smaller_fan_out_join(
+            self, q5_shape):
+        assert probe_order(plan(q5_shape, self.SQL), "drive") == \
+            ["uniq", "near"]
+
+    def test_ties_go_to_the_smaller_build(self, db):
+        # dim (10 rows) and other (20 rows) both join on unique keys.
+        result = plan(db, "select count(*) from facts, dim, other "
+                          "where f_dim = d_id and f_other = x_id")
+        assert probe_order(result, "facts") == ["dim", "other"]
+
+    def test_join_estimates_use_every_key(self, q5_shape):
+        one_key = plan(q5_shape, "select count(*) from drive, near "
+                                 "where d_near = n_group")
+        two_keys = plan(q5_shape, "select count(*) from drive, near "
+                                  "where d_near = n_group "
+                                  "and d_uniq = n_val")
+        join = one_key.logical.child.child
+        assert isinstance(join, LogicalJoin)
+        assert join.cardinality == pytest.approx(3000 * 60 / 3)
+        # n_val is unique: 3 x 60 key combinations capped at 60 rows.
+        assert two_keys.logical.child.child.cardinality == \
+            pytest.approx(3000.0)
+
+    def test_cross_join_estimate_is_the_product(self, db):
+        result = plan(db, "select count(*) from facts, dim")
+        assert result.logical.child.child.cardinality == \
+            pytest.approx(500 * 10)
+
+    def test_constant_predicate_filters_the_driver(self, db):
+        result = plan(db, "select count(*) from facts where false")
+        pipeline = result.physical.pipelines[0]
+        assert [type(op) for op in pipeline.operators] == [PhysFilter]
+        assert db.execute("select count(*) from facts where false").rows \
+            == [(0,)]
+
+    def test_tpch_q5_probes_orders_before_customer(self):
+        from repro.workloads import TPCH_QUERIES, populate_tpch
+        database = populate_tpch(Database(), scale_factor=0.05)
+        try:
+            _, planning, _ = database.prepare(TPCH_QUERIES[5])
+            order = probe_order(planning, "lineitem")
+            assert order.index("orders") < order.index("customer")
+        finally:
+            database.close()
+
+
 class TestCodeGenerator:
     def generate(self, db, sql):
         bound = Binder(db.catalog).bind(parse(sql))
