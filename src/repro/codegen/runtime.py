@@ -598,32 +598,22 @@ def factory(parts, empty):
     return GeneratedBreaker(source, _compile_breaker(source, label)["factory"])
 
 
-def _initial_literal(spec: AggregateSpec) -> str:
-    """Source of one fresh accumulator cell (see :func:`initial_cells`)."""
-    if spec.function == "count":
-        return "0"
-    if spec.function == "avg":
-        return "[0.0, 0]"
-    if spec.function in ("min", "max"):
-        return "None"
-    return "0" if spec.result_type is SQLType.INT64 else "0.0"
-
-
 def agg_update_code(num_keys: int, specs: Sequence[AggregateSpec]
                     ) -> GeneratedBreaker:
     """The generated update for an aggregate sink of this shape.
 
     The shape is the key count plus, per aggregate, its function, the
     position of its argument among the update's arguments and the source of
-    its initial cell.
+    its initial cell (the ``repr`` of :func:`initial_cells`' cell).
     """
     cells = []
     position = 0
     for spec in specs:
+        initial = repr(initial_cells([spec])[0])
         if spec.argument is None:
-            cells.append((spec.function, None, _initial_literal(spec)))
+            cells.append((spec.function, None, initial))
         else:
-            cells.append((spec.function, position, _initial_literal(spec)))
+            cells.append((spec.function, position, initial))
             position += 1
     return _agg_update_code(num_keys, tuple(cells))
 

@@ -184,21 +184,17 @@ ALL_SPECS = [_spec("count", argument=False), _spec("count"),
              _spec("max", SQLType.FLOAT64), _spec("min", SQLType.STRING)]
 
 
-@pytest.mark.parametrize("spec", ALL_SPECS,
-                         ids=lambda s: f"{s.function}-{s.result_type.name}"
-                         f"-{'arg' if s.argument else 'star'}")
-def test_generated_initial_cells_equal_initial_cells(spec):
-    generated = agg_update_code(1, [spec])
+@pytest.mark.parametrize(
+    "specs", [[spec] for spec in ALL_SPECS] + [ALL_SPECS],
+    ids=[f"{s.function}-{s.result_type.name}-{'arg' if s.argument else 'star'}"
+         for s in ALL_SPECS] + ["all"])
+def test_generated_initial_cells_equal_initial_cells(specs):
+    generated = agg_update_code(1, specs)
     initial = generated.initial()
-    assert initial == initial_cells([spec])
+    assert initial == initial_cells(specs)
     assert [type(cell) for cell in initial] == \
-        [type(cell) for cell in initial_cells([spec])]
+        [type(cell) for cell in initial_cells(specs)]
     assert generated.initial() is not initial   # fresh cells per group
-
-
-def test_generated_initial_cells_for_all_functions_at_once():
-    generated = agg_update_code(2, ALL_SPECS)
-    assert generated.initial() == initial_cells(ALL_SPECS)
 
 
 def test_generated_update_folds_like_the_reference():
@@ -224,16 +220,6 @@ def test_one_compile_per_shape():
     assert first is not second
     assert build_insert_code(2, 1) is build_insert_code(2, 1)
     assert probe_code(3) is probe_code(3)
-
-
-def test_runtime_names_each_generated_extern():
-    class _State:
-        join_partitions = {4: [{}], 7: [{}]}
-
-    runtime = QueryRuntime(_State())
-    assert runtime.make_probe(4, 2).__name__ == "rt_probe_4"
-    assert runtime.make_probe(7, 2).__name__ == "rt_probe_7"
-    assert runtime.make_build_insert(4, 2, 0).__name__ == "rt_build_insert_4"
 
 
 def test_generated_insert_and_probe_round_trip():
