@@ -109,10 +109,12 @@ def verify_bytecode(function: BytecodeFunction) -> None:
     for slot in function.arg_slots:
         initial |= 1 << slot
 
-    reads_of: list[list] = []       # per instruction: slots read
     read_mask: list[int] = []       # per instruction: bitmask of slots read
     write_mask: list[int] = []      # per instruction: bitmask of slots written
-    successors: list[list] = []     # per instruction: successor indices
+    # Per instruction: its successor indices, or None when its only
+    # successor is the next instruction (the common case, which the
+    # dataflow below follows without a worklist round trip).
+    successors: list = []
 
     code_len = len(code)
     signatures = _INDEXED_SIGNATURES
@@ -127,14 +129,14 @@ def verify_bytecode(function: BytecodeFunction) -> None:
                   f"(OPCODE_SIGNATURES is out of date)", function, offset)
         read_fields, write_fields, jump_fields, is_call, falls = indexed
 
-        reads = []
+        rmask = 0
         for index in read_fields:
             slot = inst[index]
             if not isinstance(slot, int) or not (0 <= slot < num_registers):
                 _fail(f"{Opcode(inst.op).name} reads register {slot!r} outside the "
                       f"register file (size {num_registers})",
                       function, offset)
-            reads.append(slot)
+            rmask |= 1 << slot
 
         mask = 0
         for index in write_fields:
@@ -161,8 +163,9 @@ def verify_bytecode(function: BytecodeFunction) -> None:
                     _fail(f"{Opcode(inst.op).name} argument register {slot!r} "
                           f"outside the register file (size {num_registers})",
                           function, offset)
-                reads.append(slot)
+                rmask |= 1 << slot
 
+        succ = None
         if jump_fields:
             succ = []
             for index in jump_fields:
@@ -172,50 +175,70 @@ def verify_bytecode(function: BytecodeFunction) -> None:
                     _fail(f"{Opcode(inst.op).name} jump target {target!r} out of "
                           f"range [0, {code_len})", function, offset)
                 succ.append(target)
-        else:
-            succ = []
         if falls:
             if offset + 1 >= code_len:
                 _fail(f"{Opcode(inst.op).name} falls off the end of the code",
                       function, offset)
-            succ.append(offset + 1)
+            if succ is not None:
+                succ.append(offset + 1)
+        elif succ is None:
+            succ = ()
 
-        reads_of.append(reads)
-        rmask = 0
-        for slot in reads:
-            rmask |= 1 << slot
         read_mask.append(rmask)
         write_mask.append(mask)
         successors.append(succ)
 
     # Forward dataflow: a register read is legal only if every path from
     # entry wrote the slot first.  IN[i] is the set of definitely-defined
-    # slots (bitmask); meet is intersection over predecessors.
-    unknown = object()
-    defined_in: list = [unknown] * len(code)
+    # slots (bitmask, None until a path reaches i); meet is intersection
+    # over predecessors.
+    defined_in: list = [None] * code_len
     defined_in[0] = initial
     worklist = [0]
     while worklist:
         offset = worklist.pop()
         incoming = defined_in[offset]
-        rmask = read_mask[offset]
-        if incoming & rmask != rmask:
-            for slot in reads_of[offset]:
-                if not (incoming >> slot) & 1:
-                    _fail(f"{Opcode(code[offset].op).name} reads register "
-                          f"{slot}, which is not defined on every path "
-                          f"from entry", function, offset)
-        outgoing = incoming | write_mask[offset]
-        for succ in successors[offset]:
-            current = defined_in[succ]
-            if current is unknown:
-                defined_in[succ] = outgoing
-                worklist.append(succ)
-            else:
-                merged = current & outgoing
-                if merged != current:
-                    defined_in[succ] = merged
+        while True:
+            rmask = read_mask[offset]
+            if incoming & rmask != rmask:
+                _fail_undefined_read(function, offset, incoming)
+            outgoing = incoming | write_mask[offset]
+            succs = successors[offset]
+            if succs is None:  # falls through to the next instruction only
+                offset += 1
+                current = defined_in[offset]
+                if current is not None:
+                    outgoing &= current
+                    if outgoing == current:
+                        break
+                defined_in[offset] = incoming = outgoing
+                continue
+            for succ in succs:
+                current = defined_in[succ]
+                if current is None:
+                    defined_in[succ] = outgoing
                     worklist.append(succ)
+                else:
+                    merged = current & outgoing
+                    if merged != current:
+                        defined_in[succ] = merged
+                        worklist.append(succ)
+            break
+
+
+def _fail_undefined_read(function: BytecodeFunction, offset: int,
+                         defined: int) -> None:
+    """Name the first register ``code[offset]`` reads that ``defined``
+    (the slots written on every path to it) lacks."""
+    inst = function.code[offset]
+    read_fields, _, _, is_call, _ = _INDEXED_SIGNATURES[inst.op]
+    reads = [inst[index] for index in read_fields]
+    if is_call:
+        reads.extend(inst.lit[1])
+    for slot in reads:
+        if not (defined >> slot) & 1:
+            _fail(f"{Opcode(inst.op).name} reads register {slot}, which is "
+                  f"not defined on every path from entry", function, offset)
 
 
 # --------------------------------------------------------------------------- #

@@ -30,36 +30,45 @@ from .function import BasicBlock, Function
 # --------------------------------------------------------------------------- #
 # block ordering
 # --------------------------------------------------------------------------- #
-def reverse_postorder(function: Function) -> list[BasicBlock]:
+def reverse_postorder(function: Function,
+                      successors: Optional[Dict[BasicBlock,
+                                                list[BasicBlock]]] = None
+                      ) -> list[BasicBlock]:
     """Return the reachable blocks of ``function`` in reverse postorder.
 
     Reverse postorder places every block after all of its forward-edge
     predecessors, which the paper uses both as the block labelling for live
     ranges and as the iteration order for the dominator computation.  The
     traversal is iterative (queries can produce thousands of blocks, which
-    would overflow Python's recursion limit).
+    would overflow Python's recursion limit).  ``successors`` maps every
+    block to its successor list, for a caller that has them already.
     """
     if not function.blocks:
         return []
-    postorder, _ = _postorder(function.blocks[0])
+    postorder, _ = _postorder(function.blocks[0], successors)
     postorder.reverse()
     return postorder
 
 
-def _postorder(entry: BasicBlock
+def _postorder(entry: BasicBlock,
+               successor_map: Optional[Dict[BasicBlock,
+                                            list[BasicBlock]]] = None
                ) -> tuple[list[BasicBlock], list[list[BasicBlock]]]:
-    """Depth-first postorder from ``entry``, plus each block's successors."""
+    """Depth-first postorder from ``entry``, plus each block's successors
+    (read from ``successor_map`` when given)."""
     visited = {entry}
     postorder: list[BasicBlock] = []
     successors: list[list[BasicBlock]] = []
-    succs = entry.successors()
+    succs = (entry.successors() if successor_map is None
+             else successor_map[entry])
     stack = [(entry, succs, iter(succs))]
     while stack:
         block, succs, pending = stack[-1]
         for succ in pending:
             if succ not in visited:
                 visited.add(succ)
-                nested = succ.successors()
+                nested = (succ.successors() if successor_map is None
+                          else successor_map[succ])
                 stack.append((succ, nested, iter(nested)))
                 break
         else:
@@ -99,6 +108,42 @@ class DominatorTree:
         return self.pre[a] <= self.pre[b] and self.post[b] <= self.post[a]
 
 
+def immediate_dominators(preds: List[List[int]]) -> List[int]:
+    """Immediate dominator of every block, over reverse-postorder indices.
+
+    ``preds[b]`` lists the (reachable) predecessors of block ``b``, where
+    block 0 is the entry.  The result has ``idom[0] == -1`` and
+    ``idom[b] < b`` for every other block, so ``a`` dominates ``b`` iff
+    walking ``b`` up the ``idom`` chain while it is above ``a`` stops at
+    ``a``.  This is the Cooper-Harvey-Kennedy iteration of
+    :func:`compute_dominator_tree`, without the tree numbering.
+    """
+    n = len(preds)
+    idom = [-1] * n
+    idom[0] = 0
+    changed = True
+    while changed:
+        changed = False
+        for b in range(1, n):
+            new = -1
+            for p in preds[b]:
+                if idom[p] < 0:
+                    continue  # not processed yet
+                if new < 0:
+                    new = p
+                    continue
+                while p != new:  # intersect the two dominator chains
+                    while p > new:
+                        p = idom[p]
+                    while new > p:
+                        new = idom[new]
+            if idom[b] != new:
+                idom[b] = new
+                changed = True
+    idom[0] = -1
+    return idom
+
+
 def compute_dominator_tree(function: Function,
                            order: Optional[list[BasicBlock]] = None
                            ) -> DominatorTree:
@@ -129,28 +174,7 @@ def compute_dominator_tree(function: Function,
         for s in block_succs:
             preds[s].append(b)
 
-    idom = [-1] * n
-    idom[0] = 0
-    changed = True
-    while changed:
-        changed = False
-        for b in range(1, n):
-            new = -1
-            for p in preds[b]:
-                if idom[p] < 0:
-                    continue  # not processed yet
-                if new < 0:
-                    new = p
-                    continue
-                while p != new:  # intersect the two dominator chains
-                    while p > new:
-                        p = idom[p]
-                    while new > p:
-                        new = idom[new]
-            if idom[b] != new:
-                idom[b] = new
-                changed = True
-    idom[0] = -1
+    idom = immediate_dominators(preds)
 
     # Pre/post intervals; children are numbered in reverse postorder.
     children: list[list[int]] = [[] for _ in range(n)]

@@ -19,13 +19,16 @@ function, block and offending instruction (rendered via
 
 from __future__ import annotations
 
+from operator import attrgetter
 from typing import Optional
 
 from ..errors import IRVerificationError
-from .analysis import compute_dominator_tree, reverse_postorder
+from .analysis import immediate_dominators, reverse_postorder
 from .function import BasicBlock, Function, Module
 from .instructions import CallInst, PhiInst
 from .values import Argument, Constant, Instruction, Undef, Value
+
+_type_of = attrgetter("type")
 
 
 def verify_module(module: Module) -> None:
@@ -39,18 +42,43 @@ def verify_function(function: Function) -> None:
 
     The pass pipeline re-runs this after every pass that changed a function
     (``REPRO_VERIFY_IR``), so the walk is engineered to stay a small
-    fraction of compile time: reverse postorder is computed once and shared
-    by every phase, and the dominator tree is only built when a cross-block
-    use actually needs a dominance query.
+    fraction of compile time: every block's successors are read once and
+    shared by the predecessor map and the reverse postorder, the reachable
+    blocks are checked in one walk over their instructions, and dominance
+    is answered from the immediate dominators, computed only when a
+    cross-block use needs them.
     """
     if not function.blocks:
         raise IRVerificationError("function has no blocks",
                                   function_name=function.name)
 
-    order = reverse_postorder(function)
-    _verify_block_structure(function)
-    _verify_phis(function, order, function.predecessors())
-    _verify_defs_and_uses(function, order)
+    successors: dict[BasicBlock, list[BasicBlock]] = {}
+    preds: dict[BasicBlock, list[BasicBlock]] = {
+        block: [] for block in function.blocks}
+    for block in function.blocks:
+        instructions = block.instructions
+        if not instructions:
+            _fail("empty basic block", function, block)
+        terminator = instructions[-1]
+        if not terminator.is_terminator:
+            _fail(f"block does not end in a terminator "
+                  f"(last opcode: {terminator.opcode})",
+                  function, block, terminator)
+        successors[block] = targets = terminator.successors()
+        for target in targets:
+            target_preds = preds.get(target)
+            if target_preds is None:
+                _fail(f"branch to block {target.name} of another function",
+                      function, block, terminator)
+            target_preds.append(block)
+
+    order = reverse_postorder(function, successors)
+    if len(order) < len(function.blocks):
+        reachable = set(order)
+        for block in function.blocks:
+            if block not in reachable:
+                _verify_placement(function, block)
+    _verify_reachable(function, order, preds)
 
 
 def _fail(message: str, function: Function,
@@ -76,62 +104,92 @@ def _fail(message: str, function: Function,
 # --------------------------------------------------------------------------- #
 # individual checks
 # --------------------------------------------------------------------------- #
-def _verify_block_structure(function: Function) -> None:
-    for block in function.blocks:
-        instructions = block.instructions
-        if not instructions:
-            _fail("empty basic block", function, block)
-        terminator = instructions[-1]
-        if not terminator.is_terminator:
-            _fail(f"block does not end in a terminator "
-                  f"(last opcode: {terminator.opcode})",
-                  function, block, terminator)
-        last = len(instructions) - 1
-        for idx, inst in enumerate(instructions):
-            if inst.block is not block:
-                _fail(f"instruction {inst.opcode} has a stale "
-                      f"parent-block link", function, block, inst)
-            if inst.is_terminator and idx != last:
-                _fail(f"terminator {inst.opcode} in the middle of a block",
-                      function, block, inst)
+def _verify_placement(function: Function, block: BasicBlock) -> None:
+    """Parent links, terminator and phi placement of one block.
+
+    :func:`_verify_reachable` makes the same checks inline for reachable
+    blocks; this covers the unreachable ones, whose uses are not checked.
+    """
+    instructions = block.instructions
+    last = len(instructions) - 1
+    seen_non_phi = False
+    for idx, inst in enumerate(instructions):
+        if inst.block is not block:
+            _fail(f"instruction {inst.opcode} has a stale "
+                  f"parent-block link", function, block, inst)
+        if inst.is_terminator and idx != last:
+            _fail(f"terminator {inst.opcode} in the middle of a block",
+                  function, block, inst)
+        if isinstance(inst, PhiInst):
+            if seen_non_phi:
+                _fail("phi after non-phi", function, block, inst)
+        else:
+            seen_non_phi = True
 
 
-def _verify_phis(function: Function, order: list[BasicBlock],
-                 preds: dict) -> None:
-    reachable = {id(b) for b in order}
-    for block in function.blocks:
-        seen_non_phi = False
-        for inst in block.instructions:
-            if isinstance(inst, PhiInst):
-                if seen_non_phi:
-                    _fail("phi after non-phi", function, block, inst)
-                if id(block) not in reachable:
-                    continue
-                pred_ids = {id(p) for p in preds[block]}
-                incoming_ids = {id(b) for _, b in inst.incoming}
-                if pred_ids != incoming_ids:
-                    pred_names = sorted(p.name for p in preds[block])
-                    inc_names = sorted(b.name for _, b in inst.incoming)
-                    _fail(f"phi incoming blocks {inc_names} do not match "
-                          f"predecessors {pred_names}", function, block, inst)
+def _dominator_sets(order: list[BasicBlock], preds: dict
+                    ) -> dict[BasicBlock, set]:
+    """Every reachable block's dominators (itself included).
+
+    One pass in reverse postorder intersects the sets of the predecessors
+    already visited, which gives the dominators of the graph without its
+    retreating edges.  When every retreating edge ``p -> b`` has ``b``
+    among ``p``'s dominators, the graph is reducible and those are its
+    dominators too (a path using such an edge passes every dominator of
+    ``b`` before it reaches ``p``); otherwise they come from
+    :func:`immediate_dominators`.
+    """
+    dominators: dict[BasicBlock, set] = {}
+    retreating = []
+    for block in order:
+        found = None
+        for pred in preds[block]:
+            pred_dominators = dominators.get(pred)
+            if pred_dominators is None:
+                retreating.append((pred, block))
+            elif found is None:
+                found = set(pred_dominators)
             else:
-                seen_non_phi = True
+                found &= pred_dominators
+        if found is None:  # the entry
+            found = set()
+        found.add(block)
+        dominators[block] = found
+    if all(pred not in dominators or block in dominators[pred]
+           for pred, block in retreating):
+        return dominators
+    index = {block: i for i, block in enumerate(order)}
+    idom = immediate_dominators(
+        [[index[p] for p in preds[block] if p in index] for block in order])
+    for i, block in enumerate(order):
+        dominators[block] = {block}
+        if idom[i] >= 0:
+            dominators[block] |= dominators[order[idom[i]]]
+    return dominators
 
 
-def _verify_defs_and_uses(function: Function,
-                          order: list[BasicBlock]) -> None:
-    reachable = {id(b) for b in order}
-    # The dominator tree is only needed for cross-block uses; straight-line
-    # functions (and the straight-line majority of post-DCE blocks) never
-    # pay for it.
-    dom_tree = None
+def _verify_reachable(function: Function, order: list[BasicBlock],
+                      preds: dict) -> None:
+    """Placement, phi edges, SSA def/use dominance and call signatures of
+    every reachable block, in one walk in reverse postorder.
 
-    def dominates(def_block: BasicBlock, use_block: BasicBlock) -> bool:
-        nonlocal dom_tree
-        if dom_tree is None:
-            dom_tree = compute_dominator_tree(function, order)
-        index = dom_tree.index
-        return dom_tree.dominates(index[def_block], index[use_block])
+    Defs are recorded as they appear and uses are checked against the defs
+    seen so far.  On a valid function only back-edge uses (phi incoming
+    from loop latches) are seen before their definition; those go onto
+    ``pending`` and are re-checked once every def is known.  A def seen
+    earlier in the use's own block is therefore above the use, and a
+    non-phi use still pending at the end is below its def or in a block its
+    def does not dominate.
+    """
+    # Dominator sets are only needed for cross-block uses; straight-line
+    # functions never pay for them.
+    dominator_sets: dict[BasicBlock, set] = {}
+
+    def dominators(block: BasicBlock) -> Optional[set]:
+        """The dominators of ``block``; None if it is unreachable."""
+        if not dominator_sets:
+            dominator_sets.update(_dominator_sets(order, preds))
+        return dominator_sets.get(block)
 
     def check_phi_use(phi: PhiInst, operand: Instruction,
                       def_block: BasicBlock, block: BasicBlock) -> None:
@@ -139,45 +197,56 @@ def _verify_defs_and_uses(function: Function,
         # block: the incoming value must dominate the incoming block.
         for value, incoming_block in phi.incoming:
             if value is operand:
-                if id(incoming_block) not in reachable:
-                    continue
-                if def_block is incoming_block:
-                    continue
-                if not dominates(def_block, incoming_block):
-                    _fail(f"phi incoming value {operand.short_name()} does "
-                          f"not dominate edge from {incoming_block.name}",
-                          function, block, phi)
+                incoming_dominators = dominators(incoming_block)
+                if incoming_dominators is not None \
+                        and def_block not in incoming_dominators:
+                    _fail(f"phi incoming value {operand.short_name()} "
+                          f"does not dominate edge from "
+                          f"{incoming_block.name}", function, block, phi)
 
-    # Single walk in reverse postorder: defs are recorded as they appear and
-    # uses are checked against the defs seen so far.  On a valid function
-    # only back-edge uses (phi incoming from loop latches) are seen before
-    # their definition; those go onto ``pending`` and are re-checked once
-    # every def is known.
-    defs: dict[int, tuple] = {}  # uid -> (defining block, index in block)
+    defs: dict[Instruction, BasicBlock] = {}  # value -> defining block
     arguments = {arg.uid for arg in function.args}
     pending: list[tuple] = []
 
     for block in order:
-        for idx, inst in enumerate(block.instructions):
-            is_phi = isinstance(inst, PhiInst)
+        instructions = block.instructions
+        terminator = instructions[-1]
+        block_dominators = None
+        seen_non_phi = False
+        for inst in instructions:
+            if inst.block is not block:
+                _fail(f"instruction {inst.opcode} has a stale "
+                      f"parent-block link", function, block, inst)
+            # Exact class tests: neither instruction class has subclasses.
+            cls = inst.__class__
+            is_phi = cls is PhiInst
+            if is_phi:
+                if seen_non_phi:
+                    _fail("phi after non-phi", function, block, inst)
+                if {b for _, b in inst.incoming} != set(preds[block]):
+                    pred_names = sorted(p.name for p in preds[block])
+                    inc_names = sorted(b.name for _, b in inst.incoming)
+                    _fail(f"phi incoming blocks {inc_names} do not match "
+                          f"predecessors {pred_names}", function, block, inst)
+            else:
+                seen_non_phi = True
+                if cls.is_terminator and inst is not terminator:
+                    _fail(f"terminator {inst.opcode} in the middle of a "
+                          f"block", function, block, inst)
             for operand in inst.operands:
-                if isinstance(operand, Instruction):
-                    entry = defs.get(operand.uid)
-                    if entry is None:
-                        pending.append((block, idx, inst, operand))
-                    elif is_phi:
-                        check_phi_use(inst, operand, entry[0], block)
-                    else:
-                        def_block, def_idx = entry
-                        if def_block is block:
-                            if def_idx >= idx:
-                                _fail(f"value {operand.short_name()} used "
-                                      f"before its definition",
-                                      function, block, inst)
-                        elif not dominates(def_block, block):
+                def_block = defs.get(operand)
+                if def_block is not None:
+                    if is_phi:
+                        check_phi_use(inst, operand, def_block, block)
+                    elif def_block is not block:
+                        if block_dominators is None:
+                            block_dominators = dominators(block)
+                        if def_block not in block_dominators:
                             _fail(f"definition of {operand.short_name()} "
-                                  f"(in {def_block.name}) does not dominate "
-                                  f"this use", function, block, inst)
+                                  f"(in {def_block.name}) does not "
+                                  f"dominate this use", function, block, inst)
+                elif isinstance(operand, Instruction):
+                    pending.append((block, inst, operand))
                 elif isinstance(operand, (Constant, Undef)):
                     pass
                 elif isinstance(operand, Argument):
@@ -189,27 +258,25 @@ def _verify_defs_and_uses(function: Function,
                     _fail(f"operand {operand!r} is not a value",
                           function, block, inst)
             if inst.type.name != "void":  # has_result, sans property calls
-                if inst.uid in defs:
+                if inst in defs:
                     _fail(f"value {inst.short_name()} defined more than "
                           f"once (SSA violation)", function, block, inst)
-                defs[inst.uid] = (block, idx)
-            if isinstance(inst, CallInst):
+                defs[inst] = block
+            if cls is CallInst:
                 _check_call(function, block, inst)
 
-    for block, idx, inst, operand in pending:
-        entry = defs.get(operand.uid)
-        if entry is None:
+    for block, inst, operand in pending:
+        def_block = defs.get(operand)
+        if def_block is None:
             _fail(f"use of value {operand.short_name()} that is never "
                   f"defined (or defined in an unreachable block)",
                   function, block, inst)
-        def_block, def_idx = entry
         if isinstance(inst, PhiInst):
             check_phi_use(inst, operand, def_block, block)
         elif def_block is block:
-            if def_idx >= idx:
-                _fail(f"value {operand.short_name()} used before its "
-                      f"definition", function, block, inst)
-        elif not dominates(def_block, block):
+            _fail(f"value {operand.short_name()} used before its "
+                  f"definition", function, block, inst)
+        elif def_block not in dominators(block):
             _fail(f"definition of {operand.short_name()} (in "
                   f"{def_block.name}) does not dominate this use",
                   function, block, inst)
@@ -227,6 +294,10 @@ def _check_call(function: Function, block: BasicBlock,
         _fail(f"call to @{callee.name} expects {len(arg_types)} "
               f"arguments, got {len(args)}",
               function, block, inst)
+    # Types are interned, so the tuple comparison's identity shortcut
+    # settles nearly every call without a Python-level ``__eq__``.
+    if tuple(map(_type_of, args)) == tuple(arg_types):
+        return
     for expected, actual in zip(arg_types, args):
         if expected != actual.type:
             _fail(f"call to @{callee.name} argument type mismatch: "

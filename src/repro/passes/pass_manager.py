@@ -6,7 +6,9 @@ import time
 from dataclasses import dataclass, field
 from typing import Protocol
 
+from ..errors import IRVerificationError
 from ..ir.function import Function
+from ..ir.verifier import verify_function
 
 
 class FunctionPass(Protocol):
@@ -79,8 +81,6 @@ class PassManager:
 
     @staticmethod
     def _verify_after(pass_: FunctionPass, function: Function) -> None:
-        from ..errors import IRVerificationError
-        from ..ir.verifier import verify_function
         try:
             verify_function(function)
         except IRVerificationError as error:

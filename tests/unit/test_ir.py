@@ -142,6 +142,55 @@ class TestVerifier:
         with pytest.raises(IRVerificationError):
             verify_function(function)
 
+    @staticmethod
+    def _irreducible_function(use_across_cycle: bool) -> Function:
+        """entry -> y | b, y -> x, x -> b | exit, b -> x: the cycle x <-> b
+        has two entries, so y does not dominate x."""
+        function = Function("f", [i1, i64], ["c", "x"], i64)
+        builder = IRBuilder(function)
+        y, x, b, exit_ = (builder.new_block(name)
+                          for name in ("y", "x", "b", "exit"))
+        builder.condbr(function.args[0], y, b)
+        at_y = IRBuilder(function, y)
+        in_y = at_y.add(function.args[1], at_y.const_i64(1))
+        at_y.br(x)
+        at_x = IRBuilder(function, x)
+        source = in_y if use_across_cycle else function.args[1]
+        in_x = at_x.add(source, at_x.const_i64(2))
+        at_x.condbr(function.args[0], b, exit_)
+        IRBuilder(function, b).br(x)
+        IRBuilder(function, exit_).ret(in_x)
+        return function
+
+    def test_irreducible_cfg_is_accepted(self):
+        verify_function(self._irreducible_function(use_across_cycle=False))
+
+    def test_irreducible_cfg_use_not_dominated_is_detected(self):
+        # One pass over the forward edges alone would count y as a
+        # dominator of x; the retreating edge b -> x refutes it.
+        with pytest.raises(IRVerificationError, match="does not dominate"):
+            verify_function(self._irreducible_function(use_across_cycle=True))
+
+    def test_branch_into_another_function_detected(self):
+        other = Function("g", [], [])
+        IRBuilder(other).ret()
+        function = Function("f", [], [])
+        IRBuilder(function).br(other.blocks[0])
+        with pytest.raises(IRVerificationError, match="another function"):
+            verify_function(function)
+
+    def test_unreachable_block_placement_checked(self):
+        function = Function("f", [i64], ["a"], i64)
+        builder = IRBuilder(function)
+        dead = builder.new_block("dead")
+        builder.ret(function.args[0])
+        at_dead = IRBuilder(function, dead)
+        at_dead.add(function.args[0], at_dead.const_i64(1))
+        dead.append(PhiInst(i64))  # the builder would hoist it to the top
+        at_dead.ret(function.args[0])
+        with pytest.raises(IRVerificationError, match="phi after non-phi"):
+            verify_function(function)
+
 
 class TestAnalysis:
     def test_reverse_postorder_starts_at_entry(self):
