@@ -530,28 +530,20 @@ def resolve_limit(limit, params: Sequence) -> Optional[int]:
 # argument packing, no per-row loop over the aggregate specs.  The source
 # depends only on the shape, so each shape is compiled once per process;
 # join/aggregate ids and partition lists are bound by calling the cached
-# factory.  The volcano baseline keeps the generic helpers above as the
-# reference semantics.
+# factory.  Each cached function returns that factory, with the generated
+# source on its ``source`` attribute.  The volcano baseline keeps the
+# generic helpers above as the reference semantics.
 
 #: Distinct breaker shapes whose compiled factories are kept per process.
 BREAKER_SHAPE_CACHE_SIZE = 256
 
 
-@dataclass(frozen=True)
-class GeneratedBreaker:
-    """One compiled breaker shape: its source and its factory."""
-
-    source: str
-    factory: Callable
-    #: Aggregate shapes only: returns fresh accumulator cells for one group
-    #: (the literal the update uses for a new group).
-    initial: Optional[Callable] = None
-
-
-def _compile_breaker(source: str, label: str) -> dict:
+def _compile_factory(source: str, label: str) -> Callable:
     namespace: dict = {}
     exec(compile(source, f"<{label}>", "exec"), namespace)
-    return namespace
+    factory = namespace["factory"]
+    factory.source = source
+    return factory
 
 
 def _tuple_display(names: Sequence[str]) -> str:
@@ -564,7 +556,7 @@ def _key_display(names: Sequence[str]) -> str:
 
 
 @functools.lru_cache(maxsize=BREAKER_SHAPE_CACHE_SIZE)
-def build_insert_code(num_keys: int, num_payload: int) -> GeneratedBreaker:
+def build_insert_factory(num_keys: int, num_payload: int) -> Callable:
     keys = [f"k{i}" for i in range(num_keys)]
     payload = [f"p{i}" for i in range(num_payload)]
     source = f"""\
@@ -580,12 +572,11 @@ def factory(join_id):
             bucket.append({_tuple_display(payload)})
     return insert
 """
-    label = f"build-insert:{num_keys}:{num_payload}"
-    return GeneratedBreaker(source, _compile_breaker(source, label)["factory"])
+    return _compile_factory(source, f"build-insert:{num_keys}:{num_payload}")
 
 
 @functools.lru_cache(maxsize=BREAKER_SHAPE_CACHE_SIZE)
-def probe_code(num_keys: int) -> GeneratedBreaker:
+def probe_factory(num_keys: int) -> Callable:
     keys = [f"k{i}" for i in range(num_keys)]
     source = f"""\
 def factory(parts, empty):
@@ -594,13 +585,12 @@ def factory(parts, empty):
         return parts[hash(key) & (len(parts) - 1)].get(key, empty)
     return probe
 """
-    label = f"probe:{num_keys}"
-    return GeneratedBreaker(source, _compile_breaker(source, label)["factory"])
+    return _compile_factory(source, f"probe:{num_keys}")
 
 
-def agg_update_code(num_keys: int, specs: Sequence[AggregateSpec]
-                    ) -> GeneratedBreaker:
-    """The generated update for an aggregate sink of this shape.
+def agg_update_factory(num_keys: int, specs: Sequence[AggregateSpec]
+                       ) -> Callable:
+    """The generated update factory for an aggregate sink of this shape.
 
     The shape is the key count plus, per aggregate, its function, the
     position of its argument among the update's arguments and the source of
@@ -615,11 +605,11 @@ def agg_update_code(num_keys: int, specs: Sequence[AggregateSpec]
         else:
             cells.append((spec.function, position, initial))
             position += 1
-    return _agg_update_code(num_keys, tuple(cells))
+    return _agg_update_factory(num_keys, tuple(cells))
 
 
 @functools.lru_cache(maxsize=BREAKER_SHAPE_CACHE_SIZE)
-def _agg_update_code(num_keys: int, cells: tuple) -> GeneratedBreaker:
+def _agg_update_factory(num_keys: int, cells: tuple) -> Callable:
     keys = [f"k{i}" for i in range(num_keys)]
     args = [f"a{position}" for _, position, _ in cells
             if position is not None]
@@ -642,10 +632,6 @@ def _agg_update_code(num_keys: int, cells: tuple) -> GeneratedBreaker:
                      f"    cells[{index}] = {arg}"]
     statements = "".join(f"\n        {line}" for line in body)
     source = f"""\
-def initial():
-    return {initial}
-
-
 def factory(agg_id):
     def update(ctx, {", ".join(keys + args)}):
         key = {_key_display(keys)}
@@ -656,8 +642,7 @@ def factory(agg_id):
             cells = part[key] = {initial}{statements}
     return update
 """
-    namespace = _compile_breaker(source, f"agg-update:{num_keys}:{len(cells)}")
-    return GeneratedBreaker(source, namespace["factory"], namespace["initial"])
+    return _compile_factory(source, f"agg-update:{num_keys}:{len(cells)}")
 
 
 # --------------------------------------------------------------------------- #
@@ -677,7 +662,7 @@ class QueryRuntime:
         ``ctx`` is the worker's :class:`WorkerContext`; the payload is stored
         as one tuple per build row.
         """
-        insert = build_insert_code(num_keys, num_payload).factory(join_id)
+        insert = build_insert_factory(num_keys, num_payload)(join_id)
         insert.__name__ = f"rt_build_insert_{join_id}"
         return insert
 
@@ -687,7 +672,7 @@ class QueryRuntime:
         Reads the sealed partition tables; probe pipelines only run after
         the build pipeline's merge phase, so no synchronisation is needed.
         """
-        probe = probe_code(num_keys).factory(
+        probe = probe_factory(num_keys)(
             self.state.join_partitions[join_id], [])
         probe.__name__ = f"rt_probe_{join_id}"
         return probe
@@ -748,8 +733,8 @@ class QueryRuntime:
         a ``[sum, count]`` pair.  The read-modify-write touches only the
         worker context's slot-private partials and needs no lock.
         """
-        update = agg_update_code(len(sink.group_by),
-                                 sink.aggregates).factory(sink.agg_id)
+        update = agg_update_factory(len(sink.group_by),
+                                    sink.aggregates)(sink.agg_id)
         update.__name__ = f"rt_agg_update_{sink.agg_id}"
         return update
 

@@ -282,16 +282,17 @@ class TestExternContracts:
         """The generated breakers take exactly their shape's arguments, so
         a sink declared with one argument more than its implementation
         accepts is caught (``*values`` used to swallow it)."""
-        from repro.codegen.runtime import agg_update_code, build_insert_code
+        from repro.codegen.runtime import (agg_update_factory,
+                                           build_insert_factory)
         from repro.plan.physical import AggregateSpec
         from repro.types import SQLType
         if family == "insert":
             name = "rt_build_insert_0"
-            impl = build_insert_code(1, 1).factory(0)   # ctx, key, payload
+            impl = build_insert_factory(1, 1)(0)   # ctx, key, payload
         else:
             name = "rt_agg_update_0"
             spec = AggregateSpec("count", None, SQLType.INT64)
-            impl = agg_update_code(1, [spec]).factory(0)   # ctx, key
+            impl = agg_update_factory(1, [spec])(0)   # ctx, key
         accepted = impl.__code__.co_argcount
         extern = ExternFunction(name, [ptr] + [i64] * accepted, void, impl)
         module = build_module(make_caller(
