@@ -43,10 +43,9 @@ def verify_function(function: Function) -> None:
     The pass pipeline re-runs this after every pass that changed a function
     (``REPRO_VERIFY_IR``), so the walk is engineered to stay a small
     fraction of compile time: every block's successors are read once and
-    shared by the predecessor map and the reverse postorder, the reachable
-    blocks are checked in one walk over their instructions, and dominance
-    is answered from the immediate dominators, computed only when a
-    cross-block use needs them.
+    shared by the predecessor map and the reverse postorder, the uses of
+    the reachable blocks are checked in one walk, and dominance is answered
+    from dominator sets computed only when a cross-block use needs them.
     """
     if not function.blocks:
         raise IRVerificationError("function has no blocks",
@@ -72,12 +71,9 @@ def verify_function(function: Function) -> None:
                       function, block, terminator)
             target_preds.append(block)
 
+    for block in function.blocks:
+        _verify_placement(function, block)
     order = reverse_postorder(function, successors)
-    if len(order) < len(function.blocks):
-        reachable = set(order)
-        for block in function.blocks:
-            if block not in reachable:
-                _verify_placement(function, block)
     _verify_reachable(function, order, preds)
 
 
@@ -105,11 +101,7 @@ def _fail(message: str, function: Function,
 # individual checks
 # --------------------------------------------------------------------------- #
 def _verify_placement(function: Function, block: BasicBlock) -> None:
-    """Parent links, terminator and phi placement of one block.
-
-    :func:`_verify_reachable` makes the same checks inline for reachable
-    blocks; this covers the unreachable ones, whose uses are not checked.
-    """
+    """Parent links, terminator and phi placement of one block."""
     instructions = block.instructions
     last = len(instructions) - 1
     seen_non_phi = False
@@ -170,8 +162,8 @@ def _dominator_sets(order: list[BasicBlock], preds: dict
 
 def _verify_reachable(function: Function, order: list[BasicBlock],
                       preds: dict) -> None:
-    """Placement, phi edges, SSA def/use dominance and call signatures of
-    every reachable block, in one walk in reverse postorder.
+    """Phi edges, SSA def/use dominance and call signatures of every
+    reachable block, in one walk in reverse postorder.
 
     Defs are recorded as they appear and uses are checked against the defs
     seen so far.  On a valid function only back-edge uses (phi incoming
@@ -209,30 +201,17 @@ def _verify_reachable(function: Function, order: list[BasicBlock],
     pending: list[tuple] = []
 
     for block in order:
-        instructions = block.instructions
-        terminator = instructions[-1]
         block_dominators = None
-        seen_non_phi = False
-        for inst in instructions:
-            if inst.block is not block:
-                _fail(f"instruction {inst.opcode} has a stale "
-                      f"parent-block link", function, block, inst)
+        for inst in block.instructions:
             # Exact class tests: neither instruction class has subclasses.
             cls = inst.__class__
             is_phi = cls is PhiInst
             if is_phi:
-                if seen_non_phi:
-                    _fail("phi after non-phi", function, block, inst)
                 if {b for _, b in inst.incoming} != set(preds[block]):
                     pred_names = sorted(p.name for p in preds[block])
                     inc_names = sorted(b.name for _, b in inst.incoming)
                     _fail(f"phi incoming blocks {inc_names} do not match "
                           f"predecessors {pred_names}", function, block, inst)
-            else:
-                seen_non_phi = True
-                if cls.is_terminator and inst is not terminator:
-                    _fail(f"terminator {inst.opcode} in the middle of a "
-                          f"block", function, block, inst)
             for operand in inst.operands:
                 def_block = defs.get(operand)
                 if def_block is not None:
