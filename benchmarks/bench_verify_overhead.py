@@ -15,7 +15,8 @@ Methodology: the two configurations are timed back to back *per worker
 function* (so a machine-load burst has to land inside one half of a pair
 to skew it), many samples are taken, and the per-function *minimum* time
 per configuration is compared -- the minimum is the least noisy location
-estimate for a quantity with one-sided noise.
+estimate for a quantity with one-sided noise.  Each pair runs with the
+garbage collector disabled (after a full collection), as ``timeit`` does.
 
 Run as a script (CI smoke): ``python benchmarks/bench_verify_overhead.py``
 Run under pytest for the benchmark fixture: ``pytest benchmarks/bench_verify_overhead.py``
@@ -24,6 +25,7 @@ Environment: ``REPRO_BENCH_TINY=1`` shrinks the workload, ``REPRO_BENCH_FULL=1``
 
 from __future__ import annotations
 
+import gc
 import os
 import sys
 import time
@@ -79,6 +81,22 @@ def compile_once(function, verify: bool) -> float:
     return time.perf_counter() - start
 
 
+def compile_pair(function) -> tuple[float, float]:
+    """One verification-off and one verification-on compile, back to back.
+
+    A cyclic garbage collection triggered by one half's allocations would
+    land its whole pause in that half alone, so -- as :mod:`timeit` does --
+    the pair runs with the collector disabled, after a full collection.
+    """
+    gc.collect()
+    gc.disable()
+    try:
+        return (compile_once(function, verify=False),
+                compile_once(function, verify=True))
+    finally:
+        gc.enable()
+
+
 def run_benchmark(report=print) -> dict:
     from conftest import fmt_ms, print_table
 
@@ -94,8 +112,7 @@ def run_benchmark(report=print) -> dict:
     best_on = [float("inf")] * len(functions)
     for _ in range(samples):
         for i, function in enumerate(functions):
-            off = compile_once(function, verify=False)
-            on = compile_once(function, verify=True)
+            off, on = compile_pair(function)
             if off < best_off[i]:
                 best_off[i] = off
             if on < best_on[i]:

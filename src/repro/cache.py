@@ -27,6 +27,9 @@ from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Optional
 
+from .errors import LexerError
+from .sqlparser.lexer import TOKEN_PATTERN, TokenType, tokenize
+
 
 #: Clauses whose literals auto-parameterization must leave alone: GROUP BY /
 #: ORDER BY integers are positional references and LIMIT takes a syntactic
@@ -41,6 +44,10 @@ _SKIP_AFTER_KEYWORDS = {"date", "interval", "like"}
 #: Top-level clause keywords tracked while scanning for literals.
 _CLAUSE_KEYWORDS = {"select", "from", "where", "group", "having", "order",
                     "limit"}
+
+#: The value each extractable literal token binds as.
+_LITERAL_VALUES = {TokenType.INTEGER: int, TokenType.FLOAT: float,
+                   TokenType.STRING: str}
 
 
 def auto_parameterize_sql(sql: str) -> Optional[tuple[str, list]]:
@@ -62,16 +69,14 @@ def auto_parameterize_sql(sql: str) -> Optional[tuple[str, list]]:
     * literals preceded by a unary minus are kept (``-3`` must keep folding
       to one negative literal).
     """
-    from .sqlparser.lexer import TokenType, tokenize
-    from .errors import LexerError
-
     try:
         tokens = tokenize(sql)
     except LexerError:
         return None
 
     values: list = []
-    spans: list[tuple[int, int]] = []
+    out: list[str] = []
+    cursor = 0
     clause: Optional[str] = None
     depth = 0
     for index, token in enumerate(tokens):
@@ -89,39 +94,22 @@ def auto_parameterize_sql(sql: str) -> Optional[tuple[str, list]]:
                 and token.value in _CLAUSE_KEYWORDS and depth == 0:
             clause = token.value
             continue
-        if token.type not in (TokenType.INTEGER, TokenType.FLOAT,
-                              TokenType.STRING):
+        if token.type not in _LITERAL_VALUES or clause in _SKIP_CLAUSES:
             continue
-        if clause in _SKIP_CLAUSES:
+        previous = tokens[index - 1]  # the END token before the first
+        if previous.type is TokenType.KEYWORD \
+                and previous.value in _SKIP_AFTER_KEYWORDS:
             continue
-        previous = tokens[index - 1] if index > 0 else None
-        if previous is not None:
-            if previous.type is TokenType.KEYWORD \
-                    and previous.value in _SKIP_AFTER_KEYWORDS:
-                continue
-            if previous.type is TokenType.OPERATOR \
-                    and previous.value == "-" \
-                    and _is_unary_minus(tokens, index - 1):
-                continue
-        end = (_string_literal_end(sql, token.position)
-               if token.type is TokenType.STRING
-               else token.position + len(token.value))
-        if token.type is TokenType.INTEGER:
-            values.append(int(token.value))
-        elif token.type is TokenType.FLOAT:
-            values.append(float(token.value))
-        else:
-            values.append(token.value)
-        spans.append((token.position, end))
+        if previous.type is TokenType.OPERATOR and previous.value == "-" \
+                and _is_unary_minus(tokens, index - 1):
+            continue
+        values.append(_LITERAL_VALUES[token.type](token.value))
+        out.append(sql[cursor:token.position])
+        out.append("?")
+        cursor = TOKEN_PATTERN.match(sql, token.position).end()
 
     if not values:
         return None
-    out: list[str] = []
-    cursor = 0
-    for start, end in spans:
-        out.append(sql[cursor:start])
-        out.append("?")
-        cursor = end
     out.append(sql[cursor:])
     return "".join(out), values
 
@@ -131,12 +119,9 @@ def _is_unary_minus(tokens, index: int) -> bool:
 
     A minus is binary when something value-like precedes it (an identifier,
     a literal, a closing parenthesis or a value keyword); everything else --
-    operators, commas, opening parens, clause keywords -- makes it unary.
+    operators, commas, opening parens, clause keywords, and the END token
+    ``tokens[-1]`` before a leading minus -- makes it unary.
     """
-    from .sqlparser.lexer import TokenType
-
-    if index == 0:
-        return True
     before = tokens[index - 1]
     if before.type in (TokenType.IDENTIFIER, TokenType.INTEGER,
                        TokenType.FLOAT, TokenType.STRING,
@@ -150,84 +135,33 @@ def _is_unary_minus(tokens, index: int) -> bool:
     return True
 
 
-def _string_literal_end(sql: str, start: int) -> int:
-    """End offset (exclusive) of the string literal opening at ``start``."""
-    position = start + 1
-    while position < len(sql):
-        if sql[position] == "'":
-            if position + 1 < len(sql) and sql[position + 1] == "'":
-                position += 2
-                continue
-            return position + 1
-        position += 1
-    return len(sql)
-
-
 def normalize_sql(sql: str) -> str:
     """Normalize SQL text for use as a plan-cache key.
 
-    Comments (``--`` to end of line, ``/* ... */``) are stripped exactly as
-    the lexer skips them, whitespace runs are collapsed to a single space,
-    leading/trailing whitespace is stripped and everything outside
-    single-quoted string literals is lowercased (identifiers and keywords
-    are case-insensitive in this dialect; string literals are not).
-    Stripping comments *before* collapsing whitespace matters: collapsing a
-    newline would otherwise extend a line comment over the following tokens
-    and make semantically different queries collide on one key.
+    One pass over the lexer's master pattern: whitespace and comments are
+    skipped exactly as the lexer skips them, string literals and numbers
+    are kept verbatim, everything else is lower-cased (identifiers and
+    keywords are case-insensitive in this dialect), and the tokens are
+    joined by single spaces.  Two statements therefore share a key exactly
+    when the lexer gives them equal ``(type, value)`` sequences; no
+    :class:`~repro.sqlparser.Token` is built.
+
+    A statement the lexer rejects keys as its raw text behind a NUL, which
+    starts no accepted statement's key: a cache hit must never mask the
+    :class:`~repro.errors.LexerError` its parse raises.
     """
-    out: list[str] = []
-    pending_space = False
-    i, length = 0, len(sql)
-    while i < length:
-        ch = sql[i]
-        if ch == "-" and sql.startswith("--", i):
-            # Line comment: acts as whitespace up to the end of the line.
-            newline = sql.find("\n", i)
-            i = length if newline < 0 else newline + 1
-            pending_space = True
-            continue
-        if ch == "/" and sql.startswith("/*", i):
-            # Block comment: acts as whitespace.  An *unterminated* comment
-            # is kept verbatim in the key: the lexer rejects the statement,
-            # so its key must never collide with the valid form's (a cache
-            # hit would otherwise mask the LexerError).
-            end = sql.find("*/", i + 2)
-            if end < 0:
-                if pending_space and out:
-                    out.append(" ")
-                out.append(sql[i:])
-                i = length
-                pending_space = False
-                continue
-            i = end + 2
-            pending_space = True
-            continue
-        if ch == "'":
-            # Copy the string literal verbatim, including '' escapes.
-            end = i + 1
-            while end < length:
-                if sql[end] == "'":
-                    if end + 1 < length and sql[end + 1] == "'":
-                        end += 2
-                        continue
-                    break
-                end += 1
-            if pending_space and out:
-                out.append(" ")
-            pending_space = False
-            out.append(sql[i:min(end + 1, length)])
-            i = end + 1
-            continue
-        if ch.isspace():
-            pending_space = True
-            i += 1
-            continue
-        if pending_space and out:
-            out.append(" ")
-        pending_space = False
-        out.append(ch.lower())
-        i += 1
-    return "".join(out)
+    parts: list[str] = []
+    append = parts.append
+    for found in TOKEN_PATTERN.finditer(sql):
+        kind = found.lastgroup
+        if kind == "word" or kind == "parameter":
+            append(found[kind].lower())
+        elif kind == "end":
+            return " ".join(parts)
+        elif kind == "error":
+            return "\0" + sql
+        else:
+            append(found[kind])
 
 
 def _hint_type_tag(hints: list) -> str:

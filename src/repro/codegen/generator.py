@@ -94,13 +94,10 @@ class GeneratedQuery:
 class CodeGenerator:
     """Generates the IR module for one query execution."""
 
-    def __init__(self, plan: PhysicalPlan, state: QueryState,
-                 runtime: Optional[QueryRuntime] = None,
-                 verify: bool = True):
+    def __init__(self, plan: PhysicalPlan, state: QueryState):
         self.plan = plan
         self.state = state
-        self.runtime = runtime or QueryRuntime(state)
-        self.verify = verify
+        self.runtime = QueryRuntime(state)
         self._extern_cache: dict = {}
 
     # ------------------------------------------------------------------ #
@@ -121,8 +118,7 @@ class CodeGenerator:
 
         if output_sink is None:
             raise CodegenError("query plan has no output pipeline")
-        if self.verify:
-            verify_module(module)
+        verify_module(module)
 
         return GeneratedQuery(
             module=module,

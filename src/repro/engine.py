@@ -588,13 +588,13 @@ class Database:
         values per execution via ``params=``.  ``parameter_hints`` carries
         the literals auto-parameterization extracted.
         """
+        if self.plan_cache.capacity == 0:
+            return self._build_prepared(sql, parameter_hints)
         key = plan_cache_key(sql, parameter_hints)
-        if self.plan_cache.capacity > 0:
-            prepared = self.plan_cache.get(key)
-            if prepared is not None:
-                return prepared
-        prepared = self._build_prepared(sql, parameter_hints)
-        self.plan_cache.put(key, prepared)
+        prepared = self.plan_cache.get(key)
+        if prepared is None:
+            prepared = self._build_prepared(sql, parameter_hints)
+            self.plan_cache.put(key, prepared)
         return prepared
 
     def _build_prepared(self, sql: str,
@@ -806,7 +806,8 @@ class Database:
             return None
         return self.result_cache
 
-    def _serve_bindings(self, opts: ExecOptions, plan_key: str,
+    def _serve_bindings(self, opts: ExecOptions,
+                        plan_key: Callable[[], str],
                         referenced: frozenset, encoded: list,
                         run: Callable[[list], QueryResult]
                         ) -> list[QueryResult]:
@@ -815,14 +816,16 @@ class Database:
         With the result cache usable, identical bindings are grouped: the
         first occurrence is served from the cache or executed by
         ``run(values)`` (and admitted to the cache), the rest share its
-        materialized rows.  Otherwise every binding executes for real.
+        materialized rows.  Otherwise every binding executes for real, and
+        ``plan_key()`` -- the statement's plan-cache key -- is never asked.
         """
         result_cache = self._usable_result_cache(opts)
         if result_cache is None:
             return [run(values) for values in encoded]
+        statement_key = plan_key()
         groups: dict[tuple, list[int]] = {}
         for index, values in enumerate(encoded):
-            key = result_cache_key(plan_key, opts.mode, values)
+            key = result_cache_key(statement_key, opts.mode, values)
             groups.setdefault(key, []).append(index)
         table_version = self.catalog.table_version
         results: list[Optional[QueryResult]] = [None] * len(encoded)
@@ -1015,7 +1018,7 @@ class Database:
             first = False
             return result
 
-        return self._serve_bindings(opts, plan_cache_key(sql),
+        return self._serve_bindings(opts, lambda: plan_cache_key(sql),
                                     referenced_tables(planning), encoded,
                                     run)
 

@@ -37,6 +37,7 @@ from __future__ import annotations
 
 import threading
 from dataclasses import replace
+from functools import cached_property
 from typing import Optional
 
 from .adaptive import PipelineExecutor
@@ -74,9 +75,6 @@ class PreparedQuery:
         #: between generation and capture would stamp a stale plan as valid.
         self._catalog_version = catalog_version
         self._referenced = referenced_tables(planning)
-        #: The plan-cache key of this statement; also the first component
-        #: of its result-cache keys.
-        self.plan_key = plan_cache_key(sql, parameter_hints)
         #: Number of bindings served (executed, or answered from the
         #: result cache).
         self.executions = 0
@@ -89,6 +87,13 @@ class PreparedQuery:
         self._handles: dict = {}
 
     # ------------------------------------------------------------------ #
+    @cached_property
+    def plan_key(self) -> str:
+        """The plan-cache key of this statement; also the first component
+        of its result-cache keys.  Computed on first use: an entry built
+        for ``use_cache=False`` consults no cache and never needs it."""
+        return plan_cache_key(self.sql, self.parameter_hints)
+
     @property
     def referenced_tables(self) -> frozenset[str]:
         return self._referenced
@@ -180,7 +185,7 @@ class PreparedQuery:
             encoded = [bind_parameter_values(self.parameters, binding)
                        for binding in bindings]
             results = self.database._serve_bindings(
-                opts, self.plan_key, self._referenced, encoded,
+                opts, lambda: self.plan_key, self._referenced, encoded,
                 lambda values: self._run_bound(opts, cost_model, policy,
                                                values))
             self.executions += len(results)

@@ -1,7 +1,7 @@
 """SQL front end: lexer, AST and recursive-descent parser."""
 
-from .lexer import Lexer, Token, TokenType, tokenize
+from .lexer import Token, TokenType, tokenize
 from .parser import Parser, parse
 from . import ast_nodes as ast
 
-__all__ = ["Lexer", "Token", "TokenType", "tokenize", "Parser", "parse", "ast"]
+__all__ = ["Token", "TokenType", "tokenize", "Parser", "parse", "ast"]

@@ -1,15 +1,21 @@
-"""SQL lexer.
+"""SQL lexer: the only module that knows SQL's lexical grammar.
 
 Produces a flat token stream for the recursive-descent parser.  The dialect
 is case-insensitive for keywords and identifiers; string literals use single
 quotes with ``''`` as the escape for a quote character.
+
+The grammar is one compiled master pattern, :data:`TOKEN_PATTERN`: a run of
+whitespace and comments, then exactly one of the named token groups.  The
+plan-cache key (:func:`repro.cache.normalize_sql`) and the EXPLAIN prefix
+(:func:`next_word`) read the same pattern, so comments, quoting and
+case folding have one definition.
 """
 
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
-from typing import Iterator, Optional
+import re
+from typing import NamedTuple, Optional
 
 from ..errors import LexerError
 
@@ -38,15 +44,39 @@ KEYWORDS = {
     "union", "all", "cast", "substring", "extract", "for", "true", "false",
 }
 
-#: Multi-character operators, longest first so the scanner is greedy.
-_OPERATORS = ("<>", "!=", ">=", "<=", "||", "=", "<", ">", "+", "-", "*", "/",
-              "%")
+#: Whitespace and comments, then one token.  The group that matched names
+#: the token kind (``match.lastgroup``):
+#:
+#: * ``word``: a keyword or identifier;
+#: * ``operator``: longest first; a ``/`` that opens ``/*`` is not one;
+#: * ``float`` / ``integer``: a digit run with at most one ``.``, which comes
+#:   before any ``e<digits>`` exponent (``1.e3``, ``.5``; ``3e`` is the
+#:   integer ``3`` then the word ``e``);
+#: * ``punctuation`` (after ``float``, which owns the ``.`` of ``.5``);
+#: * ``string``: single-quoted, ``''`` escapes a quote; the closing quote is
+#:   never followed by another one, so ``'a''`` is unterminated;
+#: * ``parameter``: ``?`` or ``:name``;
+#: * ``end`` at the end of the text, and ``error`` -- empty -- where nothing
+#:   else matches: an unterminated string or block comment, or an
+#:   unexpected character.
+#:
+#: The most frequent kinds come first: every failed alternative costs time.
+TOKEN_PATTERN = re.compile(r"""
+    \s*(?:(?:--[^\n]*|/\*.*?\*/)\s*)*
+    (?:
+        (?P<word>[^\W\d]\w*)
+      | (?P<operator><>|!=|>=|<=|\|\||[=<>+\-*%]|/(?!\*))
+      | (?P<float>(?:\d+\.\d*|\.\d+)(?:[eE]\d+)*|\d+(?:[eE]\d+)+)
+      | (?P<integer>\d+)
+      | (?P<punctuation>[(),.;])
+      | (?P<string>'[^']*(?:''[^']*)*'(?!'))
+      | (?P<parameter>\?|:[^\W\d]\w*)
+      | (?P<end>\Z)
+      | (?P<error>)
+    )""", re.VERBOSE | re.DOTALL)
 
-_PUNCTUATION = {"(", ")", ",", ".", ";"}
 
-
-@dataclass(frozen=True)
-class Token:
+class Token(NamedTuple):
     type: TokenType
     value: str
     position: int
@@ -56,168 +86,73 @@ class Token:
     def matches_keyword(self, keyword: str) -> bool:
         return self.type is TokenType.KEYWORD and self.value == keyword
 
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return f"Token({self.type.value}, {self.value!r})"
 
+#: Every group of :data:`TOKEN_PATTERN` but ``word`` and ``error`` is named
+#: after its token type's value.
+_KIND_TYPES = {token_type.value: token_type for token_type in TokenType}
 
-class Lexer:
-    """Single-pass scanner over SQL text."""
-
-    def __init__(self, text: str):
-        self.text = text
-        self.position = 0
-        self.line = 1
-        self.column = 1
-
-    # ------------------------------------------------------------------ #
-    def tokens(self) -> Iterator[Token]:
-        while True:
-            token = self.next_token()
-            yield token
-            if token.type is TokenType.END:
-                return
-
-    def next_token(self) -> Token:
-        self._skip_whitespace_and_comments()
-        if self.position >= len(self.text):
-            return self._token(TokenType.END, "")
-
-        ch = self.text[self.position]
-
-        if ch.isdigit() or (ch == "." and self._peek(1).isdigit()):
-            return self._scan_number()
-        if ch == "'":
-            return self._scan_string()
-        if ch.isalpha() or ch == "_":
-            return self._scan_word()
-        if ch == "?":
-            token = self._token(TokenType.PARAMETER, "")
-            self._advance(1)
-            return token
-        if ch == ":" and (self._peek(1).isalpha() or self._peek(1) == "_"):
-            return self._scan_named_parameter()
-        for operator in _OPERATORS:
-            if self.text.startswith(operator, self.position):
-                token = self._token(TokenType.OPERATOR, operator)
-                self._advance(len(operator))
-                return token
-        if ch in _PUNCTUATION:
-            token = self._token(TokenType.PUNCTUATION, ch)
-            self._advance(1)
-            return token
-        raise LexerError(f"unexpected character {ch!r}", self.position,
-                         self.line, self.column)
-
-    # ------------------------------------------------------------------ #
-    def _peek(self, offset: int) -> str:
-        index = self.position + offset
-        return self.text[index] if index < len(self.text) else ""
-
-    def _advance(self, count: int) -> None:
-        for _ in range(count):
-            if self.position < len(self.text) and self.text[self.position] == "\n":
-                self.line += 1
-                self.column = 1
-            else:
-                self.column += 1
-            self.position += 1
-
-    def _token(self, token_type: TokenType, value: str) -> Token:
-        return Token(token_type, value, self.position, self.line, self.column)
-
-    def _skip_whitespace_and_comments(self) -> None:
-        while self.position < len(self.text):
-            ch = self.text[self.position]
-            if ch.isspace():
-                self._advance(1)
-            elif self.text.startswith("--", self.position):
-                while (self.position < len(self.text)
-                       and self.text[self.position] != "\n"):
-                    self._advance(1)
-            elif self.text.startswith("/*", self.position):
-                end = self.text.find("*/", self.position + 2)
-                if end < 0:
-                    raise LexerError("unterminated block comment",
-                                     self.position, self.line, self.column)
-                self._advance(end + 2 - self.position)
-            else:
-                return
-
-    def _scan_number(self) -> Token:
-        start = self.position
-        start_token = self._token(TokenType.INTEGER, "")
-        is_float = False
-        while self.position < len(self.text):
-            ch = self.text[self.position]
-            if ch.isdigit():
-                self._advance(1)
-            elif ch == "." and not is_float:
-                is_float = True
-                self._advance(1)
-            elif ch in "eE" and self._peek(1).isdigit():
-                is_float = True
-                self._advance(2)
-            else:
-                break
-        value = self.text[start:self.position]
-        token_type = TokenType.FLOAT if is_float else TokenType.INTEGER
-        return Token(token_type, value, start_token.position,
-                     start_token.line, start_token.column)
-
-    def _scan_string(self) -> Token:
-        start_token = self._token(TokenType.STRING, "")
-        self._advance(1)  # opening quote
-        parts: list[str] = []
-        while True:
-            if self.position >= len(self.text):
-                raise LexerError("unterminated string literal",
-                                 start_token.position, start_token.line,
-                                 start_token.column)
-            ch = self.text[self.position]
-            if ch == "'":
-                if self._peek(1) == "'":
-                    parts.append("'")
-                    self._advance(2)
-                    continue
-                self._advance(1)
-                break
-            parts.append(ch)
-            self._advance(1)
-        return Token(TokenType.STRING, "".join(parts), start_token.position,
-                     start_token.line, start_token.column)
-
-    def _scan_named_parameter(self) -> Token:
-        start_token = self._token(TokenType.PARAMETER, "")
-        self._advance(1)  # the colon
-        start = self.position
-        while self.position < len(self.text):
-            ch = self.text[self.position]
-            if ch.isalnum() or ch == "_":
-                self._advance(1)
-            else:
-                break
-        name = self.text[start:self.position].lower()
-        return Token(TokenType.PARAMETER, name, start_token.position,
-                     start_token.line, start_token.column)
-
-    def _scan_word(self) -> Token:
-        start = self.position
-        start_token = self._token(TokenType.IDENTIFIER, "")
-        while self.position < len(self.text):
-            ch = self.text[self.position]
-            if ch.isalnum() or ch == "_":
-                self._advance(1)
-            else:
-                break
-        word = self.text[start:self.position]
-        lowered = word.lower()
-        if lowered in KEYWORDS:
-            return Token(TokenType.KEYWORD, lowered, start_token.position,
-                         start_token.line, start_token.column)
-        return Token(TokenType.IDENTIFIER, lowered, start_token.position,
-                     start_token.line, start_token.column)
+#: Builds a :class:`Token` from its field tuple without the Python-level
+#: ``Token.__new__`` frame; token construction is most of ``tokenize``.
+_new_token = tuple.__new__
 
 
 def tokenize(text: str) -> list[Token]:
-    """Tokenize SQL text into a list ending with an END token."""
-    return list(Lexer(text).tokens())
+    """Tokenize SQL text into a list ending with an END token.
+
+    Each match of :data:`TOKEN_PATTERN` starts where the previous one
+    ended (the empty ``error`` group matches where nothing else does), so
+    ``finditer`` walks the text token by token up to the ``end`` match.
+    ``line`` and ``column`` are 1-based; lines are counted from the
+    ``\\n`` characters between one token's start and the next one's.
+    """
+    keyword, identifier = TokenType.KEYWORD, TokenType.IDENTIFIER
+    tokens: list[Token] = []
+    append = tokens.append
+    position = 0  # start of the previous token
+    line = 1
+    line_start = 0  # offset of the first character of the current line
+    for found in TOKEN_PATTERN.finditer(text):
+        kind = found.lastgroup
+        value = found[kind]
+        start = found.end() - len(value)
+        newlines = text.count("\n", position, start)
+        if newlines:
+            line += newlines
+            line_start = text.rindex("\n", position, start) + 1
+        position = start
+        if kind == "word":
+            value = value.lower()
+            token_type = keyword if value in KEYWORDS else identifier
+        elif kind == "error":
+            if text.startswith("/*", start):
+                message = "unterminated block comment"
+            elif text.startswith("'", start):
+                message = "unterminated string literal"
+            else:
+                message = f"unexpected character {text[start]!r}"
+            raise LexerError(message, start, line, start - line_start + 1)
+        else:
+            token_type = _KIND_TYPES[kind]
+            if kind == "string":
+                value = value[1:-1].replace("''", "'")
+            elif kind == "parameter":
+                value = value[1:].lower()
+        append(_new_token(Token, (token_type, value, start, line,
+                                  start - line_start + 1)))
+        if kind == "end":
+            return tokens
+
+
+def next_word(text: str, position: int = 0) -> tuple[Optional[str], int, int]:
+    """``(word, start, end)`` of the first token at or after ``position``.
+
+    ``word`` is the lower-cased keyword or identifier, or ``None`` for any
+    other token, the end of the text or a lexical error.  Lexes that one
+    token only, so a caller classifies a statement by its first words
+    without lexing the rest.
+    """
+    found = TOKEN_PATTERN.match(text, position)
+    kind = found.lastgroup
+    word = found[kind]
+    end = found.end()
+    return word.lower() if kind == "word" else None, end - len(word), end

@@ -1,8 +1,9 @@
 """EXPLAIN / EXPLAIN ANALYZE: annotated plans through the statement API.
 
-``EXPLAIN <select>`` is recognized lexically in front of the parser (the
-SQL dialect itself is SELECT-only) and routed by ``Database.execute`` --
-and therefore transparently by ``submit`` and sessions too:
+``EXPLAIN <select>`` is recognized from its first words in front of the
+parser (the SQL dialect itself is SELECT-only) and routed by
+``Database.execute`` -- and therefore transparently by ``submit`` and
+sessions too:
 
 * ``EXPLAIN <sql>`` plans the statement without executing it and returns
   the pipeline-decomposed physical plan with optimizer row estimates.
@@ -19,25 +20,28 @@ query's full result so callers can cross-check cardinalities.
 
 from __future__ import annotations
 
-import re
 from dataclasses import dataclass, field
 from typing import Optional
 
-#: ``EXPLAIN [ANALYZE]`` prefix, case-insensitive, leading whitespace ok.
-_EXPLAIN_RE = re.compile(r"^\s*explain\s+(analyze\s+)?", re.IGNORECASE)
+from ..sqlparser.lexer import next_word
 
 
 def split_explain(sql: str) -> tuple[Optional[str], str]:
     """``(kind, inner_sql)`` where kind is ``"plan"`` / ``"analyze"`` / None.
 
     ``None`` means the statement is not an EXPLAIN and must be executed
-    as-is.
+    as-is.  Lexes only the statement's first tokens, so comments before
+    or between ``EXPLAIN`` and ``ANALYZE`` are skipped as anywhere else;
+    ``inner_sql`` starts at the first token after the prefix.
     """
-    match = _EXPLAIN_RE.match(sql)
-    if match is None:
+    word, _, end = next_word(sql)
+    if word != "explain":
         return None, sql
-    kind = "analyze" if match.group(1) else "plan"
-    return kind, sql[match.end():]
+    word, start, end = next_word(sql, end)
+    if word == "analyze":
+        _, start, _ = next_word(sql, end)
+        return "analyze", sql[start:]
+    return "plan", sql[start:]
 
 
 @dataclass

@@ -55,6 +55,65 @@ class TestLexer:
                   if t.type is TokenType.OPERATOR]
         assert values == ["<>", ">=", "<=", "!="]
 
+    @pytest.mark.parametrize("text, expected", [
+        ("1.", [(TokenType.FLOAT, "1.")]),
+        (".5", [(TokenType.FLOAT, ".5")]),
+        ("1.e3", [(TokenType.FLOAT, "1.e3")]),
+        ("3e", [(TokenType.INTEGER, "3"), (TokenType.IDENTIFIER, "e")]),
+        ("1e2e3", [(TokenType.FLOAT, "1e2e3")]),
+        ("1.5.3", [(TokenType.FLOAT, "1.5"), (TokenType.FLOAT, ".3")]),
+        ("1e+5", [(TokenType.INTEGER, "1"), (TokenType.IDENTIFIER, "e"),
+                  (TokenType.OPERATOR, "+"), (TokenType.INTEGER, "5")]),
+        ("t.a", [(TokenType.IDENTIFIER, "t"), (TokenType.PUNCTUATION, "."),
+                 (TokenType.IDENTIFIER, "a")]),
+    ])
+    def test_number_edges(self, text, expected):
+        assert [(t.type, t.value) for t in tokenize(text)[:-1]] == expected
+
+    def test_position_after_multiline_string(self):
+        tokens = tokenize("select 'a\nb\n\ncd' ,\n  x")
+        assert tokens[1].value == "a\nb\n\ncd"
+        assert (tokens[1].line, tokens[1].column) == (1, 8)
+        comma, x, end = tokens[2:]
+        assert (comma.position, comma.line, comma.column) == (17, 4, 5)
+        assert (x.position, x.line, x.column) == (21, 5, 3)
+        assert (end.position, end.line, end.column) == (22, 5, 4)
+
+    def test_position_after_comments(self):
+        tokens = tokenize("/* a\n b */ x -- c\n  /**/y")
+        assert [(t.value, t.line, t.column) for t in tokens] == [
+            ("x", 2, 7), ("y", 3, 7), ("", 3, 8)]
+
+    def test_unterminated_block_comment(self):
+        with pytest.raises(LexerError) as raised:
+            tokenize("select a\n  /* open / *")
+        error = raised.value
+        assert str(error) == "unterminated block comment (line 2, column 3)"
+        assert (error.position, error.line, error.column) == (11, 2, 3)
+        # "/*/" does not close itself.
+        with pytest.raises(LexerError, match="unterminated block comment"):
+            tokenize("/*/")
+
+    def test_slash_star_is_never_an_operator(self):
+        tokens = tokenize("a / b /* c */ * d")
+        assert [t.value for t in tokens if t.type is TokenType.OPERATOR] \
+            == ["/", "*"]
+
+    def test_unterminated_string_position(self):
+        # The quote pair at the end is an escape, so nothing closes 'it.
+        with pytest.raises(LexerError) as raised:
+            tokenize("x\n 'it''")
+        error = raised.value
+        assert str(error) == "unterminated string literal (line 2, column 2)"
+        assert error.position == 3
+
+    def test_unexpected_character(self):
+        with pytest.raises(LexerError) as raised:
+            tokenize("select a\n  @b")
+        assert str(raised.value) == \
+            "unexpected character '@' (line 2, column 3)"
+        assert raised.value.position == 11
+
 
 class TestParser:
     def test_simple_select(self):

@@ -4,6 +4,7 @@ import threading
 
 import pytest
 
+import repro.cache
 from repro import Database, ExecOptions, PlanCache, SQLType, normalize_sql
 from repro.adaptive import Decision
 from repro.adaptive.policy import PolicyEvaluation
@@ -65,6 +66,44 @@ class TestNormalizeSQL:
         with pytest.raises(Exception):
             db.execute("select a from t /* unterminated",
                        options=ExecOptions(mode="bytecode"))
+
+    def test_token_boundaries_not_spacing(self):
+        assert normalize_sql("select a,b from t where a<1") == \
+            normalize_sql("select a , b from t where a < 1")
+        assert normalize_sql("select ab from t") != \
+            normalize_sql("select a b from t")
+        # Numbers are kept verbatim: 1E3 and 1e3 are different tokens.
+        assert normalize_sql("select 1E3") != normalize_sql("select 1e3")
+
+    def test_rejected_text_never_shares_a_valid_key(self):
+        valid = {normalize_sql(sql) for sql in (
+            "select a from t", "select a from t where s = 'x'",
+            "select a from t where s = 'x'''", "select a from t ")}
+        for rejected in ("select a from t /* open",
+                         "select a from t where s = 'x",
+                         "select a from t where s = 'x''",
+                         "select a from t @"):
+            assert normalize_sql(rejected) not in valid, rejected
+
+    def test_cached_result_none_for_text_the_lexer_rejects(self, db):
+        sql = "select a from t where a = 1"
+        db.execute(sql)
+        assert db.cached_result(sql) is not None
+        for rejected in (sql + " /* open", sql + " and s = 'x", sql + " @"):
+            assert db.cached_result(rejected) is None, rejected
+            assert db.cached_result("explain " + rejected) is None
+
+    def test_use_cache_false_computes_no_plan_key(self, db, monkeypatch):
+        def no_key(sql):
+            raise AssertionError(f"plan key computed for {sql!r}")
+
+        monkeypatch.setattr(repro.cache, "normalize_sql", no_key)
+        expected = [(sum(1 for i in range(5000) if i % 13 < 5),)]
+        for mode in ("bytecode", "volcano"):
+            result = db.execute("select count(*) as c from t where a < 5",
+                                options=ExecOptions(mode=mode,
+                                                    use_cache=False))
+            assert result.rows == expected
 
     def test_comment_collision_does_not_serve_wrong_plan(self, db):
         db.execute("select a\n-- note\nfrom t",

@@ -181,6 +181,28 @@ class TestTraceModel:
         assert kind == "analyze"
         assert inner.strip() == "select 1"
 
+    def test_split_explain_skips_comments(self):
+        assert split_explain("-- note\nEXPLAIN select 1") == \
+            ("plan", "select 1")
+        assert split_explain("/* c */ explain /* d */ analyze\nselect 1") \
+            == ("analyze", "select 1")
+        assert split_explain("explainer select 1") == \
+            (None, "explainer select 1")
+        # Text the lexer rejects is no EXPLAIN: the parser reports it.
+        assert split_explain("/* open explain") == (None, "/* open explain")
+
+    def test_explain_after_a_comment_executes(self):
+        db = _sample_db()
+        try:
+            plan = db.execute("-- note\nEXPLAIN select a from t")
+            assert plan.column_names == ["plan"]
+            assert plan.explain.result is None
+            analyzed = db.execute(
+                "/* c */ explain analyze select count(*) as c from t")
+            assert analyzed.explain.result.rows == [(500,)]
+        finally:
+            db.close()
+
 
 # --------------------------------------------------------------------------- #
 # database wiring
