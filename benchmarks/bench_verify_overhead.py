@@ -15,8 +15,10 @@ Methodology: the two configurations are timed back to back *per worker
 function* (so a machine-load burst has to land inside one half of a pair
 to skew it), many samples are taken, and the per-function *minimum* time
 per configuration is compared -- the minimum is the least noisy location
-estimate for a quantity with one-sided noise.  Each pair runs with the
-garbage collector disabled (after a full collection), as ``timeit`` does.
+estimate for a quantity with one-sided noise.  Each timed compile runs
+with the garbage collector disabled after its own full collection, as
+``timeit`` does, and the two halves of a pair swap order every sample, so
+neither configuration is always the one that runs first.
 
 Run as a script (CI smoke): ``python benchmarks/bench_verify_overhead.py``
 Run under pytest for the benchmark fixture: ``pytest benchmarks/bench_verify_overhead.py``
@@ -81,20 +83,32 @@ def compile_once(function, verify: bool) -> float:
     return time.perf_counter() - start
 
 
-def compile_pair(function) -> tuple[float, float]:
-    """One verification-off and one verification-on compile, back to back.
+def timed_compile(function, verify: bool) -> float:
+    """:func:`compile_once` after a full collection, with the collector off.
 
-    A cyclic garbage collection triggered by one half's allocations would
-    land its whole pause in that half alone, so -- as :mod:`timeit` does --
-    the pair runs with the collector disabled, after a full collection.
+    A cyclic garbage collection triggered by earlier allocations would land
+    its whole pause in whichever compile happened to trip it, so -- as
+    :mod:`timeit` does -- every timed compile starts from a collected heap
+    and runs with the collector off.
     """
     gc.collect()
     gc.disable()
     try:
-        return (compile_once(function, verify=False),
-                compile_once(function, verify=True))
+        return compile_once(function, verify)
     finally:
         gc.enable()
+
+
+def compile_pair(function, verify_first: bool) -> tuple[float, float]:
+    """One verification-off and one verification-on compile, back to back.
+
+    Returns ``(off, on)`` whichever ran first.
+    """
+    if verify_first:
+        on = timed_compile(function, verify=True)
+        return timed_compile(function, verify=False), on
+    off = timed_compile(function, verify=False)
+    return off, timed_compile(function, verify=True)
 
 
 def run_benchmark(report=print) -> dict:
@@ -110,9 +124,9 @@ def run_benchmark(report=print) -> dict:
 
     best_off = [float("inf")] * len(functions)
     best_on = [float("inf")] * len(functions)
-    for _ in range(samples):
+    for sample in range(samples):
         for i, function in enumerate(functions):
-            off, on = compile_pair(function)
+            off, on = compile_pair(function, verify_first=sample % 2 == 1)
             if off < best_off[i]:
                 best_off[i] = off
             if on < best_on[i]:

@@ -806,8 +806,7 @@ class Database:
             return None
         return self.result_cache
 
-    def _serve_bindings(self, opts: ExecOptions,
-                        plan_key: Callable[[], str],
+    def _serve_bindings(self, opts: ExecOptions, plan_key: Callable[[], str],
                         referenced: frozenset, encoded: list,
                         run: Callable[[list], QueryResult]
                         ) -> list[QueryResult]:

@@ -120,6 +120,10 @@ def tokenize(text: str) -> list[Token]:
             line += newlines
             line_start = text.rindex("\n", position, start) + 1
         position = start
+        if (kind == "word" or kind == "parameter") and not value.isascii():
+            first = value.lstrip(":")[0]  # [^\W\d] admits ½, ², Ⅻ too
+            if not (first.isalpha() or first == "_"):
+                kind = "error"
         if kind == "word":
             value = value.lower()
             token_type = keyword if value in KEYWORDS else identifier

@@ -114,6 +114,32 @@ class TestLexer:
             "unexpected character '@' (line 2, column 3)"
         assert raised.value.position == 11
 
+    @pytest.mark.parametrize("text, position, character", [
+        ("select ½ from t", 7, "½"),
+        ("select Ⅻ", 7, "Ⅻ"),
+        ("select ² from t", 7, "²"),
+        ("select 1² from t", 8, "²"),
+        ("x :½", 2, ":"),
+        ("x :² y", 2, ":"),
+    ])
+    def test_non_letter_numeric_starts_no_word(self, text, position,
+                                               character):
+        # A word or parameter name starts with a letter or "_"; a numeric
+        # that is neither a letter nor a decimal digit is rejected there.
+        with pytest.raises(LexerError) as raised:
+            tokenize(text)
+        assert str(raised.value).startswith(
+            f"unexpected character {character!r}")
+        assert raised.value.position == position
+
+    def test_numerics_continue_words(self):
+        # Inside a word any numeric continues it.  A number is decimal
+        # digits only, so "1e²" is 1 then the word "e²", as "1ex" is.
+        tokens = tokenize("a² :é² 1e²")
+        assert [(t.type, t.value) for t in tokens[:-1]] == [
+            (TokenType.IDENTIFIER, "a²"), (TokenType.PARAMETER, "é²"),
+            (TokenType.INTEGER, "1"), (TokenType.IDENTIFIER, "e²")]
+
 
 class TestParser:
     def test_simple_select(self):

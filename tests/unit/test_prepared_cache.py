@@ -82,14 +82,16 @@ class TestNormalizeSQL:
         for rejected in ("select a from t /* open",
                          "select a from t where s = 'x",
                          "select a from t where s = 'x''",
-                         "select a from t @"):
+                         "select a from t @",
+                         "select a from t where a = 1²"):
             assert normalize_sql(rejected) not in valid, rejected
 
     def test_cached_result_none_for_text_the_lexer_rejects(self, db):
         sql = "select a from t where a = 1"
         db.execute(sql)
         assert db.cached_result(sql) is not None
-        for rejected in (sql + " /* open", sql + " and s = 'x", sql + " @"):
+        for rejected in (sql + " /* open", sql + " and s = 'x", sql + " @",
+                         sql + "²"):
             assert db.cached_result(rejected) is None, rejected
             assert db.cached_result("explain " + rejected) is None
 
