@@ -71,8 +71,9 @@ def compile_once(function, verify: bool) -> float:
     escalates all the way: translate to bytecode (plus the bytecode
     verifier when validation is on), compile the unoptimized tier, then
     the optimized tier (with per-pass IR re-verification when on).
-    ``clone=True`` (the default) keeps the pristine IR intact, so every
-    call compiles the same cold input.
+    Neither compiled tier changes the IR it is given (the optimized one
+    runs its passes over a clone), so every call compiles the same cold
+    input.
     """
     start = time.perf_counter()
     bytecode, _ = translate_function(function)

@@ -4,7 +4,9 @@ The :class:`FunctionHandle` is the indirection the paper introduces: instead
 of calling a worker function through a fixed pointer, every morsel goes
 through the handle, which holds all available variants of the function
 (IR interpretation, bytecode, unoptimized machine code, optimized machine
-code) and always dispatches to the fastest one.  Switching execution modes
+code) and always dispatches to the fastest one.  The two machine-code
+variants come from one lowering (:mod:`repro.backend.compiler`); they
+differ only in whether the pass pipeline ran first.  Switching execution modes
 is a single assignment, so all worker threads pick up the new variant with
 their next morsel.  A static mode is the degenerate case: the handle starts
 in that mode's tier and never switches.
@@ -29,7 +31,12 @@ from ..vm import IRInterpreter, VirtualMachine, translate_function
 
 
 class ExecutionMode(enum.IntEnum):
-    """The execution tiers, ordered by throughput."""
+    """The execution tiers, ordered by throughput.
+
+    ``UNOPTIMIZED`` and ``OPTIMIZED`` lower through the same backend path
+    and differ only in whether the pass pipeline ran first; on a worker
+    the passes barely shrink, the two run at about the same speed.
+    """
 
     IR_INTERP = 0
     BYTECODE = 1

@@ -6,14 +6,16 @@ and *optimized* (hand-picked IR passes plus full backend optimisation).  In
 this reproduction the equivalent tiers lower the query IR to executable
 Python:
 
-* :func:`compile_unoptimized` -- direct lowering of every basic block to a
-  small Python function over a register file; no IR passes.  Cheap to
-  produce, noticeably faster than the bytecode interpreter.
+* :func:`compile_unoptimized` -- lowers the IR exactly as code generation
+  left it: no IR passes, no clone.  The cheaper tier to produce.
 * :func:`compile_optimized` -- runs the full pass pipeline
-  (:mod:`repro.passes`), then emits a single Python function with structured
-  control flow (loops, ``if``/``else``, ``break``/``continue``) in which SSA
-  values become local variables.  The most expensive to produce and the
-  fastest to run.
+  (:mod:`repro.passes`) over a clone of the IR, then lowers that.  The more
+  expensive to produce and the faster to run.
+
+Like the paper's two LLVM rungs, they share one backend: both emit a
+single Python function with structured control flow (loops,
+``if``/``else``, ``break``/``continue``) in which SSA values become local
+variables, and they differ only in whether the passes ran.
 
 Both tiers execute the same IR semantics as the bytecode VM (including
 overflow checks and runtime calls), so a pipeline can switch tiers between

@@ -1,25 +1,12 @@
 """Lowering of query IR to executable Python (the "machine code" tiers).
 
-Both tiers turn each IR instruction into Python through one shared helper,
-:func:`_emit_instruction`, which keeps the per-row path free of generic
-machinery:
-
-* a column read ``load(gep((buffer, 0), i))`` becomes
-  ``_Kn[i >> shift][i & mask]`` over the :class:`ColumnView`'s chunk list
-  (``_Bn[i]`` over a plain intermediate list) -- no pointer tuple, no
-  ``ColumnView.__getitem__`` call;
-* wrapping ``add``/``sub``/``mul`` test the int64 range inline and call
-  ``_wrap64`` only when the result left it;
-* a pure extern carrying an :class:`InlineTemplate` (the single-key hash
-  probe, the match count, the match payload read) is emitted as that
-  expression instead of a call.
-
-The tiers differ in control flow.  ``unoptimized`` runs no passes and
-emits one small Python function per basic block over a register list,
-driven by a dispatch loop: cheap to produce.  ``optimized`` runs the pass
-pipeline and emits one function whose SSA values are locals and whose
-control flow is *structured*, following Ramsey's "Beyond Relooper" (ICFP
-2022) without the labels Python lacks, driven by the dominator tree:
+Both tiers share one lowering; they differ, as in the paper, only in
+whether the pass pipeline ran first.  ``unoptimized`` lowers the IR as
+code generation left it; ``optimized`` runs the pipeline over a clone and
+lowers that.  The lowering emits one function whose SSA values are locals
+and whose control flow is *structured*, following Ramsey's "Beyond
+Relooper" (ICFP 2022) without the labels Python lacks, driven by the
+dominator tree:
 
 * a loop header becomes ``while True:``, a back edge ``continue`` and a
   loop exit ``break``; the blocks a loop exits to follow its ``while``;
@@ -32,9 +19,23 @@ control flow is *structured*, following Ramsey's "Beyond Relooper" (ICFP
 * a comparison or overflow check used only by its block's branch is fused
   into the ``if``.
 
+Each IR instruction becomes Python through :func:`_emit_instruction`,
+which keeps the per-row path free of generic machinery:
+
+* a column read ``load(gep((buffer, 0), i))`` becomes
+  ``_Kn[i >> shift][i & mask]`` over the :class:`ColumnView`'s chunk list
+  (``_Bn[i]`` over a plain intermediate list) -- no pointer tuple, no
+  ``ColumnView.__getitem__`` call;
+* wrapping ``add``/``sub``/``mul`` test the int64 range inline and call
+  ``_wrap64`` only when the result left it;
+* a pure extern carrying an :class:`InlineTemplate` (the single-key hash
+  probe, the match count, the match payload read) is emitted as that
+  expression instead of a call.
+
 A CFG this cannot express -- irreducible, a ``break``/``continue`` across
 two loops, or deeper nesting than CPython compiles -- raises
-:class:`BackendError`; there is no second lowering to fall back to.
+:class:`BackendError` in either tier; there is no second lowering to fall
+back to.
 """
 
 from __future__ import annotations
@@ -45,11 +46,7 @@ from typing import Callable, Optional
 
 from ..catalog.table import ColumnView
 from ..errors import BackendError
-from ..ir.analysis import (
-    compute_dominator_tree,
-    find_loops,
-    natural_loop,
-)
+from ..ir.analysis import compute_dominator_tree, natural_loop
 from ..ir.function import ExternFunction, Function, InlineTemplate
 from ..ir.instructions import (
     BinaryInst,
@@ -69,7 +66,6 @@ from ..ir.instructions import (
 )
 from ..ir.values import Constant, Instruction, Undef, Value
 from ..passes import default_pipeline
-from ..vm.regalloc import RESERVED_SLOTS, allocate_registers
 
 #: Preamble shared by all generated modules.
 _PRELUDE = """\
@@ -143,7 +139,7 @@ class CompiledFunction:
 # --------------------------------------------------------------------------- #
 # public API
 # --------------------------------------------------------------------------- #
-def compile_function(function: Function, tier: str, clone: bool = True,
+def compile_function(function: Function, tier: str,
                      verify: bool = None) -> CompiledFunction:
     """Compile ``function`` with the given tier (``"unoptimized"``/``"optimized"``).
 
@@ -154,35 +150,36 @@ def compile_function(function: Function, tier: str, clone: bool = True,
     if tier == "unoptimized":
         return compile_unoptimized(function)
     if tier == "optimized":
-        return compile_optimized(function, clone=clone, verify=verify)
+        return compile_optimized(function, verify=verify)
     raise BackendError(f"unknown compilation tier {tier!r}")
 
 
 def compile_unoptimized(function: Function) -> CompiledFunction:
-    """Fast lowering: no passes, per-block functions over a register file."""
+    """Cheap lowering: the IR as generated, no passes, so no clone."""
     start = time.perf_counter()
-    source, namespace = _lower_blockwise(function)
-    code = compile(source, f"<unoptimized:{function.name}>", "exec")
-    exec(code, namespace)
-    entry = namespace[f"_entry_{_safe(function.name)}"]
-    elapsed = time.perf_counter() - start
-    count = function.instruction_count()
-    return CompiledFunction(
-        name=function.name, tier="unoptimized", entry=entry,
-        compile_seconds=elapsed, source=source,
-        instructions_before=count, instructions_after=count)
+    return _lower_and_load(function, "unoptimized", start,
+                           function.instruction_count(), 0.0)
 
 
-def compile_optimized(function: Function, clone: bool = True,
+def compile_optimized(function: Function,
                       verify: bool = None) -> CompiledFunction:
-    """Full lowering: pass pipeline, then one structured function."""
+    """Full lowering: the pass pipeline over a clone, then the same lowering."""
     start = time.perf_counter()
-    target = function.clone() if clone else function
+    target = function.clone()
     before = target.instruction_count()
     pass_stats = default_pipeline(verify=verify).run_function(target)
+    return _lower_and_load(target, "optimized", start, before,
+                           pass_stats.total_seconds)
+
+
+def _lower_and_load(function: Function, tier: str, start: float,
+                    instructions_before: int,
+                    pass_seconds: float) -> CompiledFunction:
+    """Lower ``function``, compile and execute the module, and wrap its
+    entry; ``start`` is when the tier's compile began."""
     try:
-        source, namespace = _lower_whole_function(target)
-        code = compile(source, f"<optimized:{function.name}>", "exec")
+        source, namespace = _lower(function)
+        code = compile(source, f"<{tier}:{function.name}>", "exec")
     except (SyntaxError, RecursionError) as exc:  # CPython's nesting limits
         raise BackendError(
             f"@{function.name}: control flow nests too deeply for Python: "
@@ -191,11 +188,11 @@ def compile_optimized(function: Function, clone: bool = True,
     entry = namespace[f"_entry_{_safe(function.name)}"]
     elapsed = time.perf_counter() - start
     return CompiledFunction(
-        name=function.name, tier="optimized", entry=entry,
+        name=function.name, tier=tier, entry=entry,
         compile_seconds=elapsed, source=source,
-        instructions_before=before,
-        instructions_after=target.instruction_count(),
-        pass_seconds=pass_stats.total_seconds)
+        instructions_before=instructions_before,
+        instructions_after=function.instruction_count(),
+        pass_seconds=pass_seconds)
 
 
 # --------------------------------------------------------------------------- #
@@ -256,7 +253,7 @@ class _Namer:
         #: into that load, no value of their own.
         self.folded: set[int] = set()
         #: Wrapping add/sub/mul that provably need no wrap test (filled by
-        #: the optimized lowering: an op right before its overflow trap, a
+        #: :class:`_Structurer`: an op right before its overflow trap, a
         #: counted loop's increment).
         self.unwrapped: set[int] = set()
         for block in function.blocks:
@@ -322,110 +319,9 @@ def _exec_namespace(namer: _Namer) -> dict:
 
 
 # --------------------------------------------------------------------------- #
-# unoptimized tier: per-block functions over a register file
+# the lowering: one structured function, SSA values become locals
 # --------------------------------------------------------------------------- #
-def _lower_blockwise(function: Function) -> tuple[str, dict]:
-    loops = find_loops(function)
-    order = loops.dom.order
-    allocation = allocate_registers(function, loop_info=loops)
-    scratch = allocation.num_registers
-    namer = _Namer(function, _users(function))
-
-    block_index = loops.dom.index
-    lines: list[str] = []
-
-    def ref(value: Value) -> str:
-        if isinstance(value, Constant):
-            return namer.constant(value)
-        if isinstance(value, Undef):
-            return "0"
-        return f"R[{allocation.slot(value)}]"
-
-    def phi_copy_lines(pred, succ, indent: str) -> list[str]:
-        copies = []
-        for phi in succ.phis():
-            incoming = phi.incoming_for(pred)
-            if isinstance(incoming, Undef):
-                continue
-            dst = allocation.slot(phi)
-            src = ref(incoming)
-            if src != f"R[{dst}]":
-                copies.append((dst, src))
-        return _ordered_copy_lines(copies, indent, scratch,
-                                   lambda slot: f"R[{slot}]")
-
-    for idx, block in enumerate(order):
-        lines.append(f"def _block_{idx}(R):")
-        body: list[str] = []
-        instructions = block.instructions
-        for inst in instructions:
-            if isinstance(inst, PhiInst):
-                continue
-            if inst.is_terminator:
-                body.extend(_emit_terminator_blockwise(
-                    inst, block, block_index, phi_copy_lines, ref, "    "))
-            else:
-                body.extend(_emit_instruction(inst, ref, "    ",
-                                              lambda v: f"R[{allocation.slot(v)}]",
-                                              namer))
-        if not body:
-            body.append("    pass")
-        lines.extend(body)
-        lines.append("")
-
-    entry_name = f"_entry_{_safe(function.name)}"
-    arg_names = [f"a{i}" for i in range(len(function.args))]
-    lines.append(f"_BLOCKS = [{', '.join(f'_block_{i}' for i in range(len(order)))}]")
-    lines.append(f"def {entry_name}({', '.join(arg_names)}):")
-    lines.append(f"    R = [0] * {allocation.num_registers + 1}")
-    lines.append("    R[1] = 1")
-    for slot, constant in enumerate(allocation.constants, RESERVED_SLOTS):
-        lines.append(f"    R[{slot}] = {namer.constant(constant)}")
-    for arg, arg_name in zip(function.args, arg_names):
-        lines.append(f"    R[{allocation.slot(arg)}] = {arg_name}")
-    lines.append("    _blocks = _BLOCKS")
-    lines.append("    _bb = 0")
-    lines.append("    while True:")
-    lines.append("        _bb = _blocks[_bb](R)")
-    lines.append("        if _bb < 0:")
-    lines.append(f"            return R[{scratch}] if _bb == -2 else None")
-
-    return "\n".join(lines), _exec_namespace(namer)
-
-
-def _emit_terminator_blockwise(inst, block, block_index, phi_copy_lines, ref,
-                               indent: str) -> list[str]:
-    lines: list[str] = []
-    if isinstance(inst, BranchInst):
-        lines.extend(phi_copy_lines(block, inst.target, indent))
-        lines.append(f"{indent}return {block_index[inst.target]}")
-        return lines
-    if isinstance(inst, CondBranchInst):
-        lines.append(f"{indent}if {ref(inst.condition)}:")
-        lines.extend(phi_copy_lines(block, inst.true_target, indent + "    "))
-        lines.append(f"{indent}    return {block_index[inst.true_target]}")
-        lines.append(f"{indent}else:")
-        lines.extend(phi_copy_lines(block, inst.false_target, indent + "    "))
-        lines.append(f"{indent}    return {block_index[inst.false_target]}")
-        return lines
-    if isinstance(inst, ReturnInst):
-        if inst.value is None:
-            lines.append(f"{indent}return -1")
-        else:
-            # The scratch slot transports the return value to the driver.
-            lines.append(f"{indent}R[-1] = {ref(inst.value)}")
-            lines.append(f"{indent}return -2")
-        return lines
-    if isinstance(inst, UnreachableInst):
-        lines.append(f"{indent}raise ExecutionError('unreachable code reached')")
-        return lines
-    raise BackendError(f"unsupported terminator {inst.opcode!r}")
-
-
-# --------------------------------------------------------------------------- #
-# optimized tier: one structured function, SSA values become locals
-# --------------------------------------------------------------------------- #
-def _lower_whole_function(function: Function) -> tuple[str, dict]:
+def _lower(function: Function) -> tuple[str, dict]:
     users = _users(function)
     namer = _Namer(function, users)
     body = _Structurer(function, namer, users).lower()
@@ -638,7 +534,7 @@ class _Structurer:
             if isinstance(inst, PhiInst) or inst.is_terminator \
                     or inst.uid in self.fused:
                 continue
-            lines.extend(_emit_instruction(inst, self.ref, indent, _local,
+            lines.extend(_emit_instruction(inst, self.ref, indent,
                                            self.namer))
         return self._terminator(block, ctx, indent)
 
@@ -781,16 +677,16 @@ class _Structurer:
             src = self.ref(incoming)
             if src != dst:
                 copies.append((dst, src))
-        return _ordered_copy_lines(copies, indent, "_tmp", lambda n: n)
+        return _ordered_copy_lines(copies, indent)
 
 
 # --------------------------------------------------------------------------- #
-# straight-line instruction emission shared by both tiers
+# straight-line instruction emission
 # --------------------------------------------------------------------------- #
-def _emit_instruction(inst: Instruction, ref, indent: str, dst, namer: _Namer
+def _emit_instruction(inst: Instruction, ref, indent: str, namer: _Namer
                       ) -> list[str]:
     """Emit the Python statement(s) implementing one non-terminator inst."""
-    target = dst(inst) if inst.has_result else None
+    target = _local(inst) if inst.has_result else None
 
     if isinstance(inst, BinaryInst):
         lhs, rhs = ref(inst.lhs), ref(inst.rhs)
@@ -892,35 +788,24 @@ def _emit_instruction(inst: Instruction, ref, indent: str, dst, namer: _Namer
     raise BackendError(f"cannot lower instruction {inst.opcode!r}")
 
 
-def _ordered_copy_lines(copies, indent: str, scratch, fmt) -> list[str]:
-    """Order parallel copies, breaking cycles through the scratch location.
+def _ordered_copy_lines(copies, indent: str) -> list[str]:
+    """Order parallel copies, breaking cycles through ``_tmp``.
 
-    ``copies`` is a list of ``(dst, src)`` where ``dst`` is a register slot or
-    local name (normalised through ``fmt``) and ``src`` is already a Python
+    ``copies`` is a list of ``(dst, src)``: a local name and a Python
     expression.  A copy may only run once no other pending copy still reads
-    its destination; cycles are broken by stashing one destination in the
-    scratch location and redirecting its readers there.
+    its destination; a cycle is broken by stashing one destination in
+    ``_tmp`` and redirecting its readers there.
     """
-    def name_of(dst) -> str:
-        return dst if isinstance(dst, str) else fmt(dst)
-
     lines: list[str] = []
-    pending = [(name_of(dst), src) for dst, src in copies]
-    scratch_name = name_of(scratch)
+    pending = list(copies)
     while pending:
-        progress = False
-        for index, (dst_name, src) in enumerate(pending):
-            if any(other_src == dst_name
-                   for j, (_, other_src) in enumerate(pending) if j != index):
-                continue
-            lines.append(f"{indent}{dst_name} = {src}")
-            pending.pop(index)
-            progress = True
-            break
-        if progress:
-            continue
-        dst_name, _ = pending[0]
-        lines.append(f"{indent}{scratch_name} = {dst_name}")
-        pending = [(d, scratch_name if s == dst_name else s)
-                   for d, s in pending]
+        for index, (dst, _) in enumerate(pending):
+            if not any(src == dst
+                       for j, (_, src) in enumerate(pending) if j != index):
+                lines.append(f"{indent}{dst} = {pending.pop(index)[1]}")
+                break
+        else:
+            dst, _ = pending[0]
+            lines.append(f"{indent}_tmp = {dst}")
+            pending = [(d, "_tmp" if s == dst else s) for d, s in pending]
     return lines

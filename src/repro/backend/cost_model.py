@@ -55,10 +55,18 @@ class TierEstimate:
 #: line was fitted on a slower day than the other two: there the previous
 #: translator read 0.061 ms + 21.9 us (0.065 ms + 10.6 us on the day of the
 #: others), and summed over the 90 TPC-H workers producing bytecode took
-#: ~22 ms and unoptimized code ~6.5x that.  Optimized code takes ~1.35x
-#: unoptimized; the four kernels run ~2.0x (unoptimized) and ~3.6x
-#: (optimized) as many rows per second as the bytecode VM.  The policy
-#: compares the compiled tiers only, so the bytecode line moves no decision.
+#: ~22 ms.  The policy compares the compiled tiers only, so the bytecode
+#: line moves no decision.
+#:
+#: The unoptimized line (and its 2.0x speedup) was fitted on an earlier
+#: unoptimized lowering -- one Python function per basic block over a
+#: register list -- that no longer exists; it is kept so that the policy
+#: decides as it did, which leaves that tier unchosen.  The tier is now the
+#: optimized tier's lowering without the passes: refitted by the procedure
+#: above it reads about 0.017 ms + 13 us per instruction (medians of four
+#: fits; about half the optimized tier's total over the 90 workers) and
+#: runs about 4.2x as many rows per second as the bytecode VM, against
+#: about 4.5x for the optimized tier on the same days.
 _DEFAULT_ESTIMATES = {
     "bytecode": TierEstimate(base_seconds=4.7e-5,
                              per_instruction_seconds=7.3e-6,

@@ -15,7 +15,8 @@ from repro.ir import (Constant, ExternFunction, Function, InlineTemplate,
                       verify_function)
 from repro.ir.types import i1, i64, ptr, void
 from repro.types import SQLType
-from repro.workloads import TPCDS_QUERIES, TPCH_QUERIES, populate_tpcds
+from repro.workloads import (TPCDS_QUERIES, TPCH_QUERIES, populate_tpcds,
+                             populate_wide_table, wide_aggregate_query)
 from repro.passes import (
     CommonSubexpressionEliminationPass,
     ConstantFoldingPass,
@@ -532,8 +533,9 @@ class TestStructuredLowering:
         for close in reversed(closers):
             close()
         b.ret()
-        with pytest.raises(BackendError, match="nests too deeply"):
-            compile_optimized(function)
+        for compile_tier in (compile_unoptimized, compile_optimized):
+            with pytest.raises(BackendError, match="nests too deeply"):
+                compile_tier(function)
 
     def test_irreducible_cfg_is_a_backend_error(self):
         function = Function("irreducible", [i1], ["c"], i64)
@@ -544,8 +546,9 @@ class TestStructuredLowering:
         IRBuilder(function, right).condbr(function.args[0], left,
                                           b.new_block("done"))
         IRBuilder(function, function.blocks[-1]).ret(b.const_i64(1))
-        with pytest.raises(BackendError, match="irreducible"):
-            compile_optimized(function)
+        for compile_tier in (compile_unoptimized, compile_optimized):
+            with pytest.raises(BackendError, match="irreducible"):
+                compile_tier(function)
 
     def test_break_across_two_loops_is_a_backend_error(self):
         out = []
@@ -563,28 +566,35 @@ class TestStructuredLowering:
         close_inner()
         close_outer()
         b.ret()
-        with pytest.raises(BackendError, match="cannot structure"):
-            compile_optimized(function)
-        compile_unoptimized(function)(None, 0, 6)  # the blockwise tier is fine
-        assert out[-1] == 2
+        for compile_tier in (compile_unoptimized, compile_optimized):
+            with pytest.raises(BackendError, match="cannot structure"):
+                compile_tier(function)
 
 
 class TestWorkloadLowering:
-    """Every TPC-H and TPC-DS worker lowers to structured code."""
+    """Every TPC-H, TPC-DS and wide-aggregate worker lowers to structured
+    code in both tiers; the unoptimized one runs no pass and leaves the IR
+    as it found it."""
 
     @staticmethod
-    def _optimized_sources(db, queries):
-        for number in sorted(queries):
-            generated, _, _ = db.generate(queries[number])
-            for function in generated.module.worker_functions():
-                yield number, function.name, compile_optimized(function).source
-
-    def _check(self, db, queries):
+    def _check(db, queries):
         count = 0
-        for number, worker, source in self._optimized_sources(db, queries):
-            count += 1
-            assert "_bb" not in source, (number, worker)
-            assert "_p[0][_p[1]]" not in source, (number, worker)
+        for key in sorted(queries):
+            generated, _, _ = db.generate(queries[key])
+            for function in generated.module.worker_functions():
+                count += 1
+                before = print_function(function)
+                unoptimized = compile_unoptimized(function)
+                assert print_function(function) == before, (key,
+                                                            function.name)
+                assert unoptimized.pass_seconds == 0.0
+                assert unoptimized.instructions_after \
+                    == unoptimized.instructions_before \
+                    == function.instruction_count()
+                for compiled in (unoptimized, compile_optimized(function)):
+                    assert "_bb" not in compiled.source, (key, function.name)
+                    assert "_p[0][_p[1]]" not in compiled.source, \
+                        (key, function.name, compiled.tier)
         return count
 
     def test_tpch_workers(self, tpch_db_tiny):
@@ -593,6 +603,12 @@ class TestWorkloadLowering:
     def test_tpcds_workers(self):
         db = populate_tpcds(fact_rows=50)
         assert self._check(db, TPCDS_QUERIES) >= len(TPCDS_QUERIES)
+
+    def test_wide_aggregate_workers(self):
+        queries = {count: wide_aggregate_query(count)
+                   for count in (10, 120, 320, 800)}
+        assert self._check(populate_wide_table(num_rows=10), queries) \
+            >= len(queries)
 
     def test_q1_reads_each_lineitem_column_once(self, tpch_db_tiny):
         """Load CSE: the aggregating scan of Q1 reads each of its seven
