@@ -312,12 +312,6 @@ class _Namer:
         return name
 
 
-def _exec_namespace(namer: _Namer) -> dict:
-    namespace = dict(_PRELUDE_NAMESPACE)
-    namespace.update(namer.namespace)
-    return namespace
-
-
 # --------------------------------------------------------------------------- #
 # the lowering: one structured function, SSA values become locals
 # --------------------------------------------------------------------------- #
@@ -327,7 +321,7 @@ def _lower(function: Function) -> tuple[str, dict]:
     body = _Structurer(function, namer, users).lower()
     params = ", ".join(_local(arg) for arg in function.args)
     lines = [f"def _entry_{_safe(function.name)}({params}):"] + body
-    return "\n".join(lines), _exec_namespace(namer)
+    return "\n".join(lines), {**_PRELUDE_NAMESPACE, **namer.namespace}
 
 
 class _Frame:
