@@ -10,6 +10,20 @@ dominator tree:
 
 * a loop header becomes ``while True:``, a back edge ``continue`` and a
   loop exit ``break``; the blocks a loop exits to follow its ``while``;
+* a *morsel loop* -- header holding only the counter phi ``i`` and a fused
+  ``i < end`` over the worker's ``end`` argument, every back edge carrying
+  an ``i + 1`` nothing else uses, ``i`` unused outside the loop, no phi in
+  the exit block -- runs without its increment or phi copy.  It runs per
+  chunk: ``while i < end:`` binds the chunk index, base and clamped limit
+  and each counter-indexed column's chunk list to locals, then ``for j in
+  range(i - base, limit):`` reads ``k[j]``, materialising ``i = base + j``
+  only if something else reads ``i``.  A body that can leave the loop
+  other than through its header (a trap's ``raise`` aside), or column
+  reads without one shared chunk shift and offset 0, or none, make it a
+  plain ``for i in range(i, end):`` instead.  Either way a zero-argument
+  pure extern call in the body (a bind-parameter load) runs once, before
+  the loop.  Inner probe loops stay ``while True:`` (with 0-2 matches per
+  probe a ``range`` costs more than it saves);
 * a successor with one forward predecessor is nested inline under its
   ``if``/``else``; a merge block follows the construct that jumps to it;
 * the shared ``overflow.error`` block (any phi-free block ending in
@@ -22,7 +36,8 @@ dominator tree:
 Each IR instruction becomes Python through :func:`_emit_instruction`,
 which keeps the per-row path free of generic machinery:
 
-* a column read ``load(gep((buffer, 0), i))`` becomes
+* a column read ``load(gep((buffer, 0), i))`` at a per-chunk morsel loop's
+  counter is one subscript ``k[j]`` of a chunk-local list; elsewhere it is
   ``_Kn[i >> shift][i & mask]`` over the :class:`ColumnView`'s chunk list
   (``_Bn[i]`` over a plain intermediate list) -- no pointer tuple, no
   ``ColumnView.__getitem__`` call;
@@ -229,6 +244,15 @@ def _column_pointer(value: Value) -> Optional[tuple]:
     return None
 
 
+def _is_increment(value: Value, counter: Value) -> bool:
+    """Whether ``value`` is ``counter + 1``."""
+    if not isinstance(value, BinaryInst) or value.opcode != "add":
+        return False
+    step = (value.rhs if value.lhs is counter
+            else value.lhs if value.rhs is counter else None)
+    return isinstance(step, Constant) and step.value == 1
+
+
 def _offset_index(index: str, offset: int) -> str:
     return index if offset == 0 else f"({index} + {offset})"
 
@@ -256,6 +280,10 @@ class _Namer:
         #: :class:`_Structurer`: an op right before its overflow trap, a
         #: counted loop's increment).
         self.unwrapped: set[int] = set()
+        #: Direct geps at the counter of a per-chunk morsel loop (filled by
+        #: :class:`_Structurer`): the chunk-local subscript their loads
+        #: read.  Such a gep emits nothing itself.
+        self.chunk_reads: dict[int, str] = {}
         for block in function.blocks:
             instructions = block.instructions
             for position, inst in enumerate(instructions):
@@ -337,6 +365,23 @@ class _Frame:
         self.broken = False
 
 
+@dataclass
+class _MorselLoop:
+    """How a morsel loop over ``[i, end)`` is lowered (see the module
+    docstring)."""
+
+    counter: PhiInst
+    #: Zero-argument pure extern calls of the body (bind-parameter loads):
+    #: the same value on every row, so called once before the loop.
+    invariant: list
+    #: ``(chunk list name, local)`` per column the body reads at the
+    #: counter; empty for a plain ``for``.
+    chunks: tuple = ()
+    shift: int = 0
+    #: Something other than a chunk-local read uses ``i`` in the body.
+    needs_index: bool = False
+
+
 class _Structurer:
     """Emits one function as structured Python (see the module docstring).
 
@@ -396,8 +441,11 @@ class _Structurer:
         #: Blocks reached through a frame rather than nested inline.
         self.framed = merges | exits
 
-        #: Compares / overflow checks emitted as their branch's condition.
-        self.fused: set[int] = set()
+        #: Instructions that emit no statement where they stand: compares /
+        #: overflow checks emitted as their branch's condition, the
+        #: increments of morsel loops (the ``for`` steps ``i``) and the
+        #: invariant calls emitted before them.
+        self.elided: set[int] = set()
         self.conditions: dict[int, tuple[str, bool]] = {}
         for b, block in enumerate(order):
             term = block.terminator
@@ -405,6 +453,13 @@ class _Structurer:
                 self._fuse_condition(block, term, users)
                 if b in bodies:
                     self._unwrap_counter(block, term, bodies[b], users)
+
+        #: Morsel loops lowered as ``for`` loops, by header index.
+        self.morsels: dict[int, _MorselLoop] = {}
+        for b, body in bodies.items():
+            morsel = self._morsel_loop(b, body, users)
+            if morsel is not None:
+                self.morsels[b] = morsel
 
     # ------------------------------------------------------------------ #
     def lower(self) -> list[str]:
@@ -440,12 +495,91 @@ class _Structurer:
             return
         counter = cond.lhs
         for user in users.get(counter.uid, ()):
-            if isinstance(user, BinaryInst) and user.opcode == "add" \
-                    and user.block is not head \
+            if _is_increment(user, counter) and user.block is not head \
                     and index.get(user.block) in body:
-                step = user.rhs if user.lhs is counter else user.lhs
-                if isinstance(step, Constant) and step.value == 1:
-                    self.namer.unwrapped.add(user.uid)
+                self.namer.unwrapped.add(user.uid)
+
+    def _morsel_loop(self, h: int, body: set[int],
+                     users) -> Optional[_MorselLoop]:
+        """The lowering of header ``h``'s loop if it is a morsel loop: the
+        header holds only the counter phi and the fused ``i < end`` over
+        the worker's ``end`` argument, every back edge carries ``i + 1``
+        used by nothing else, ``i`` is not used outside the loop, and the
+        exit block has no phis."""
+        order, index = self.order, self.index
+        head = order[h]
+        term = head.terminator
+        cond = term.condition
+        args = self.function.args
+        if len(head.instructions) != 3 or cond.uid not in self.elided \
+                or not isinstance(cond, CompareInst) \
+                or cond.predicate != "lt" or not args \
+                or cond.rhs is not args[-1] \
+                or head.instructions[0] is not cond.lhs \
+                or index[term.true_target] not in body \
+                or term.false_target.phis() \
+                or self.follows.get(h, [None])[0] is not term.false_target \
+                or any(child in self.merge_children
+                       for child in self.dom.children[h]):
+            return None
+        counter = cond.lhs
+        increments: set[int] = set()
+        for value, pred in counter.incoming:
+            if index[pred] not in body:
+                continue
+            if not _is_increment(value, counter) or any(
+                    user is not counter for user in users.get(value.uid, ())):
+                return None
+            increments.add(value.uid)
+        # Column reads at the counter share one chunk layout, offset 0.
+        reads: dict[int, list] = {}
+        shifts, flat, needs_index = set(), False, False
+        for user in users.get(counter.uid, ()):
+            if index.get(user.block) not in body:
+                return None
+            if user is cond or user.uid in increments:
+                continue
+            pointer = self.namer.direct.get(user.uid)
+            if isinstance(user, GEPInst) and user.index is counter \
+                    and pointer is not None \
+                    and isinstance(pointer[0], ColumnView):
+                if any(index.get(load.block) not in body
+                       for load in users.get(user.uid, ())):
+                    return None
+                chunks, shift, _ = pointer[0].chunk_layout()
+                shifts.add(shift)
+                flat = flat or pointer[1] != 0
+                reads[user.uid] = chunks
+            else:
+                needs_index = True
+        invariant = []
+        for b in sorted(body):
+            block = order[b]
+            # The chunk loop runs its body as an inner ``for``: a ``break``
+            # or ``return`` there would not leave the chunk loop.
+            if b != h and (isinstance(block.terminator, ReturnInst) or any(
+                    s not in body and s not in self.traps
+                    for s in self.dom.succs[b])):
+                flat = True
+            invariant += [inst for inst in block.instructions
+                          if isinstance(inst, CallInst) and not inst.args
+                          and isinstance(inst.callee, ExternFunction)
+                          and not inst.callee.has_side_effects]
+        self.elided |= increments
+        self.elided.update(inst.uid for inst in invariant)
+        if flat or not reads or len(shifts) != 1:
+            return _MorselLoop(counter, invariant)
+        uid = counter.uid
+        locals_: dict[int, str] = {}
+        chunks = []
+        for gep, chunk_list in reads.items():
+            local = locals_.get(id(chunk_list))
+            if local is None:
+                local = locals_[id(chunk_list)] = f"_k{uid}_{len(locals_)}"
+                chunks.append((self.namer.bind(chunk_list, "_K"), local))
+            self.namer.chunk_reads[gep] = f"{local}[_j{uid}]"
+        return _MorselLoop(counter, invariant, tuple(chunks), shifts.pop(),
+                           needs_index)
 
     def _fuse_condition(self, block, term: CondBranchInst, users) -> None:
         """Record a compare or overflow check whose only user is its own
@@ -459,7 +593,7 @@ class _Structurer:
         position = instructions.index(cond)
         if any(inst.has_side_effects for inst in instructions[position + 1:-1]):
             return
-        self.fused.add(cond.uid)
+        self.elided.add(cond.uid)
         lhs, rhs = self.ref(cond.lhs), self.ref(cond.rhs)
         if isinstance(cond, CompareInst):
             self.conditions[id(term)] = (
@@ -505,13 +639,53 @@ class _Structurer:
                 return False
             return follow, ctx, indent
         frame = _Frame(head, True)
-        self.lines.append(f"{indent}while True:")
-        if self._finish(self._within(head, children, (frame,) + ctx,
-                                     indent + "    ")):
+        morsel = self.morsels.get(self.index[head])
+        if morsel is not None:
+            falls = self._morsel(head, morsel, (frame,) + ctx, indent)
+        else:
+            self.lines.append(f"{indent}while True:")
+            falls = self._finish(self._within(head, children, (frame,) + ctx,
+                                              indent + "    "))
+        if falls:
             raise BackendError(
                 f"@{self.function.name}: loop body of {head.name} falls "
                 f"through")
-        return frame.broken
+        # A morsel loop ends when its ``range`` or ``i < end`` runs out.
+        return morsel is not None or frame.broken
+
+    def _morsel(self, head, morsel: _MorselLoop, ctx, indent) -> bool:
+        """A morsel loop: ``for i in range(i, end):``, or per chunk, ``while
+        i < end:`` over the chunk holding ``i`` and an inner ``for j`` whose
+        column reads are ``k[j]`` over chunk lists bound once per chunk.
+        Neither runs the increment or its phi copy.  Returns whether the
+        body falls through."""
+        i, end = _local(morsel.counter), self.ref(self.function.args[-1])
+        lines = self.lines
+        for inst in morsel.invariant:
+            lines.extend(_emit_instruction(inst, self.ref, indent,
+                                           self.namer))
+        inner = indent + "    "
+        if not morsel.chunks:
+            lines.append(f"{indent}for {i} in range({i}, {end}):")
+            body = inner
+        else:
+            uid, shift = morsel.counter.uid, morsel.shift
+            c, base, limit, j = f"_c{uid}", f"_b{uid}", f"_n{uid}", f"_j{uid}"
+            lines += [f"{indent}while {i} < {end}:",
+                      f"{inner}{c} = {i} >> {shift}",
+                      f"{inner}{base} = {c} << {shift}",
+                      f"{inner}{limit} = min({end} - {base}, {1 << shift})"]
+            lines += [f"{inner}{local} = {name}[{c}]"
+                      for name, local in morsel.chunks]
+            lines.append(f"{inner}for {j} in range({i} - {base}, {limit}):")
+            body = inner + "    "
+            if morsel.needs_index:
+                lines.append(f"{body}{i} = {base} + {j}")
+        falls = self._finish(self._branch(head, head.terminator.true_target,
+                                          ctx, body))
+        if morsel.chunks:
+            lines.append(f"{inner}{i} = {base} + {limit}")
+        return falls
 
     def _within(self, block, children, ctx, indent):
         """``block``'s code, then each merge child after the region before
@@ -526,7 +700,7 @@ class _Structurer:
         lines = self.lines
         for inst in block.instructions:
             if isinstance(inst, PhiInst) or inst.is_terminator \
-                    or inst.uid in self.fused:
+                    or inst.uid in self.elided:
                 continue
             lines.extend(_emit_instruction(inst, self.ref, indent,
                                            self.namer))
@@ -662,6 +836,9 @@ class _Structurer:
         return False
 
     def _phi_copies(self, pred, succ, indent: str) -> list[str]:
+        index = self.index
+        if index[succ] in self.morsels and index[pred] >= index[succ]:
+            return []  # a morsel loop's back edge: ``for`` steps ``i``
         copies = []
         for phi in succ.phis():
             incoming = phi.incoming_for(pred)
@@ -743,7 +920,7 @@ def _emit_instruction(inst: Instruction, ref, indent: str, namer: _Namer
     if isinstance(inst, GEPInst):
         pointer = namer.direct.get(inst.uid)
         if pointer is not None:
-            if inst.uid in namer.folded:
+            if inst.uid in namer.folded or inst.uid in namer.chunk_reads:
                 return []
             return [f"{indent}{target} = "
                     f"{_offset_index(ref(inst.index), pointer[1])}"]
@@ -752,6 +929,9 @@ def _emit_instruction(inst: Instruction, ref, indent: str, namer: _Namer
 
     if isinstance(inst, LoadInst):
         gep = inst.pointer
+        local = namer.chunk_reads.get(gep.uid)
+        if local is not None:
+            return [f"{indent}{target} = {local}"]
         pointer = namer.direct.get(gep.uid)
         if pointer is not None:
             buffer, offset = pointer

@@ -4,6 +4,7 @@ import re
 
 import pytest
 
+from repro import ExecOptions
 from repro.backend import compile_optimized, compile_unoptimized
 from repro.backend.cost_model import CostModel, default_cost_model
 from repro.catalog.schema import Column, TableSchema
@@ -435,7 +436,11 @@ class TestStructuredLowering:
         assert emitted[:5] == [-3, 3, -3, 5, 2]
         source = compile_optimized(function).source
         assert "_tmp" in source  # the swap is a copy cycle
-        assert source.count("while True:") == 2
+        # The outer loop is a morsel loop with no column read: a plain
+        # ``for`` over the counter.  The inner one (constant bound) stays
+        # ``while True:``.
+        assert re.search(r"for (v\d+) in range\(\1, v\d+\):", source)
+        assert source.count("while True:") == 1
 
     def test_case_diamond_merging_into_a_phi(self):
         out = []
@@ -446,9 +451,13 @@ class TestStructuredLowering:
         emitted, _ = assert_tiers_agree(function, out, [None, 0, len(values)])
         assert emitted[:3] == [0, 30, 40]
         source = compile_optimized(function).source
-        # Column reads index the chunk list (chunk_rows=4), the side list
-        # directly; no pointer tuple is built or dereferenced.
-        assert " >> 2][" in source and " & 3]" in source
+        # The scan runs per chunk (chunk_rows=4): the column read is one
+        # subscript of a chunk list bound per chunk, the side list is read
+        # at the materialised row index; no pointer tuple is built.
+        row_loop = source[source.index("for _j"):]
+        assert re.search(r"= _k\d+_0\[_j\d+\]", row_loop)
+        assert " >> 2][" not in row_loop and " & 3]" not in source
+        assert re.search(r"_B\d+\[v\d+\]", row_loop)
         assert "_p" not in source and "_bb" not in source
 
     def test_checked_add_in_a_probe_loop_reaches_the_overflow_block(self):
@@ -470,14 +479,71 @@ class TestStructuredLowering:
 
     def test_inner_loop_exit_lands_on_the_outer_latch(self):
         out = []
-        keys = [7, 1, 3]
+        keys = chunked_column([7, 1, 3], chunk_rows=2)
         function = make_probe_loop(out, keys, {1: [(4,), (5,)], 3: []})
         source = compile_optimized(function).source
-        # The filter edge continues the scan loop; the exhausted probe loop
-        # breaks out to the latch that follows it.
-        assert "break" in source and "continue" in source
+        # The scan runs per chunk and reads its key chunk-locally; the
+        # filter edge continues the row loop, and the exhausted probe loop
+        # (still ``while True:``) breaks out to the latch that follows it.
+        row_loop = source[source.index("for _j"):]
+        assert re.search(r"= _k\d+_0\[_j\d+\]", row_loop)
+        assert " >> 1][" not in source
+        assert "while True:" in row_loop
+        assert "break" in row_loop and "continue" in row_loop
         emitted, _ = assert_tiers_agree(function, out, [None, 0, 3])
         assert emitted == [5, 6]
+
+    def test_compiled_scan_reads_chunks_sealed_after_compile(self):
+        """A compiled morsel loop binds chunk lists per chunk at run time,
+        so rows appended after the compile -- sealing the old tail and
+        opening new chunks -- are read by the same compiled function."""
+        out = []
+        table = Table(TableSchema("t", [Column("a", SQLType.INT64)]),
+                      chunk_rows=4)
+        table.insert_rows([(v,) for v in range(6)], encode=False)
+        function = make_probe_loop(out, table.column_data("a"),
+                                   {1: [(4,)], 9: [(5,), (6,)]})
+        tiers = (compile_unoptimized(function), compile_optimized(function))
+        for tier in tiers:
+            assert "for _j" in tier.source
+            out.clear()
+            tier(None, 0, 6)
+            assert out == [5]
+        table.insert_rows([(v,) for v in range(6, 11)], encode=False)
+        assert table.num_sealed_chunks == 2
+        for tier in tiers:
+            out.clear()
+            tier(None, 5, 11)
+            assert out == [14, 15]
+        assert assert_tiers_agree(function, out, [None, 3, 11]) \
+            == ([14, 15], ("returned", None))
+
+    def test_only_pure_zero_argument_calls_leave_the_morsel_loop(self):
+        """A pure argument-less extern is called once before the morsel
+        loop; one with side effects (here: a sequence) still runs per row."""
+        out, ticks = [], iter(range(100, 200))
+        function = Function("calls", [ptr, i64, i64],
+                            ["state", "begin", "end"])
+        b = IRBuilder(function)
+        i, _, close = _loop(b, function, "scan", function.args[1],
+                            function.args[2])
+        scale = b.call(ExternFunction("rt_param_0", [], i64, lambda: 3,
+                                      has_side_effects=False), [])
+        tick = b.call(ExternFunction("rt_next", [], i64,
+                                     lambda: next(ticks)), [])
+        b.call(ExternFunction("collect", [i64], void, out.append),
+               [b.add(b.mul(i, scale), tick)])
+        close()
+        b.ret()
+        for compiled in (compile_unoptimized(function),
+                         compile_optimized(function)):
+            before, loop = compiled.source.split("for ", 1)
+            assert "rt_param_0()" in before and "rt_param_0" not in loop
+            assert "rt_next()" in loop
+            ticks = iter(range(100, 200))
+            out.clear()
+            compiled(None, 2, 5)
+            assert out == [106, 110, 114]
 
     def test_counter_increment_before_its_guard_still_wraps(self):
         """``i + 1`` skips its wrap test only behind the header's ``i <
@@ -620,6 +686,27 @@ class TestWorkloadLowering:
         reads = re.findall(r"(_K\d+)\[",
                            compile_optimized(scan.function).source)
         assert len(reads) == len(set(reads)) == 7
+
+    def test_bind_parameter_loads_run_once_per_morsel(self, tpch_db_tiny):
+        """A zero-argument pure extern (a bind-parameter load) reads the same
+        value on every row: both tiers call it once, before the morsel
+        loop, and the answer still follows each new binding."""
+        sql = ("select count(*) as n from lineitem "
+               "where l_partkey >= ? and l_partkey < ?")
+        generated, _, _ = tpch_db_tiny.generate(sql)
+        scan = generated.module.worker_functions()[0]
+        for compiled in (compile_unoptimized(scan), compile_optimized(scan)):
+            before, loop = compiled.source.split("while ", 1)
+            assert "rt_param_0()" in before and "rt_param_1()" in before
+            assert "rt_param" not in loop
+        partkeys = tpch_db_tiny.catalog.table("lineitem") \
+            .column_data("l_partkey").to_list()
+        for low, high in ((0, 5), (3, 40), (10, 10)):
+            expected = sum(low <= key < high for key in partkeys)
+            for mode in ("unoptimized", "optimized"):
+                result = tpch_db_tiny.execute(
+                    sql, params=(low, high), options=ExecOptions(mode=mode))
+                assert result.rows == [(expected,)], (mode, low, high)
 
     def test_optimized_compile_leaves_the_original_ir_unchanged(
             self, tpch_db_tiny):
