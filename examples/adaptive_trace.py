@@ -3,8 +3,9 @@ style execution trace.
 
 The script loads a scaled TPC-H instance, runs query 11 adaptively, prints
 which execution mode every pipeline ended up using (small pipelines stay in
-the bytecode interpreter, expensive pipelines get compiled), and then renders
-the virtual-time multi-threaded trace the paper's Fig. 14 shows.
+the bytecode interpreter, expensive pipelines get compiled) together with the
+measured morsel timeline of that run, and then renders the virtual-time
+multi-threaded trace the paper's Fig. 14 shows.
 
 Run with:  python examples/adaptive_trace.py
 """
@@ -27,15 +28,19 @@ def main() -> None:
     sql = TPCH_QUERIES[11]
 
     # --- real adaptive execution ------------------------------------------
+    # Telemetry level "trace" bypasses the result cache, so the attached
+    # query trace always shows a real execution.
     result = db.execute(sql,
                         options=ExecOptions(mode="adaptive",
-                                            collect_trace=True))
+                                            telemetry="trace"))
     print(f"\nadaptive execution of TPC-H Q11 "
           f"({result.timings.total * 1000:.1f} ms total):")
     for pipeline in result.pipelines:
         modes = " -> ".join(pipeline.mode_history)
         print(f"  {pipeline.name:<22} rows={pipeline.rows:7d} "
               f"morsels={pipeline.morsels:4d} modes: {modes}")
+    print()
+    print(render_trace(result.query_trace, width=90))
 
     # --- Fig. 14 style virtual-time trace with 4 worker threads ------------
     print("\nprofiling the query for the 4-thread trace ...")

@@ -127,9 +127,8 @@ class PipelineExecutor:
     # ------------------------------------------------------------------ #
     def execute(self, generated: GeneratedQuery, planning: PlanningResult,
                 timings: PhaseTimings) -> QueryResult:
-        # Tier-switch events are recorded unconditionally (they are rare);
-        # the per-morsel event stream only reaches the result at
-        # ``collect_trace``.
+        # Every morsel, compile and tier-switch event lands in this trace;
+        # ``mode_history`` is derived from it.
         mode = self.opts.mode
         trace = QueryTrace(label=mode, mode=mode)
         query_start = time.perf_counter()
@@ -141,7 +140,6 @@ class PipelineExecutor:
             for pipeline, handle in zip(generated.pipelines, handles)]
         return self.database._assemble_result(
             generated, planning, timings, mode, pipeline_stats,
-            trace=trace if self.opts.collect_trace else None,
             query_trace=trace)
 
     def _handle(self, index: int, pipeline: GeneratedPipeline,
@@ -155,8 +153,7 @@ class PipelineExecutor:
         handle = self.handles.get(key)
         if handle is None:
             handle = FunctionHandle(pipeline.function, self.start_mode,
-                                    vm=self.database._vm,
-                                    verify_ir=self.opts.verify_ir)
+                                    vm=self.database._vm)
             timings.compile += handle.build_seconds
             self.handles[key] = handle
         return handle

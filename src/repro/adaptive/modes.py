@@ -71,12 +71,11 @@ class FunctionHandle:
 
     def __init__(self, function: Function,
                  mode: ExecutionMode = ExecutionMode.BYTECODE,
-                 vm: Optional[VirtualMachine] = None,
-                 verify_ir: Optional[bool] = None):
+                 vm: Optional[VirtualMachine] = None):
         self.function = function
         self.vm = vm or VirtualMachine()
         from ..analysis import verify_ir_enabled
-        self.verify = verify_ir_enabled(verify_ir)
+        self.verify = verify_ir_enabled()
         self._lock = threading.Lock()
         #: Serializes compilations of this handle so that two concurrent
         #: ``compile`` calls can never translate the same tier twice.

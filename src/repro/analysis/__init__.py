@@ -12,11 +12,11 @@ Three verifiers and one linter guard the engine's correctness invariants:
 * :mod:`repro.analysis.lint` — an AST-based concurrency/invariant linter
   over the engine's own source (``python -m repro.analysis.lint src/repro``).
 
-Pass-pipeline validation (re-verifying IR after each optimization pass) is
-switched by ``ExecOptions.verify_ir``; when that option is unset the
-``REPRO_VERIFY_IR`` environment variable decides (see
-:func:`verify_ir_enabled`), which is how CI keeps verification on for the
-whole test suite.
+The ``REPRO_VERIFY_IR`` environment variable is the one switch for
+build-time verification (see :func:`verify_ir_enabled`): the IR verifier
+over every generated module and after each optimization pass that changed
+a function, and the bytecode verifier after translation.  The test suite
+sets it, so every build there is verified.
 """
 
 from __future__ import annotations
@@ -35,15 +35,8 @@ from .extern_contracts import (
 _TRUTHY = {"1", "true", "yes", "on"}
 
 
-def verify_ir_enabled(option=None) -> bool:
-    """Resolve the effective verify-ir switch.
-
-    An explicit ``ExecOptions.verify_ir`` value wins; otherwise the
-    ``REPRO_VERIFY_IR`` environment variable decides (unset or a falsy
-    string means off).
-    """
-    if option is not None:
-        return bool(option)
+def verify_ir_enabled() -> bool:
+    """Whether ``REPRO_VERIFY_IR`` is set to a truthy string."""
     return os.environ.get("REPRO_VERIFY_IR", "").strip().lower() in _TRUTHY
 
 

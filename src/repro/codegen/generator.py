@@ -118,7 +118,9 @@ class CodeGenerator:
 
         if output_sink is None:
             raise CodegenError("query plan has no output pipeline")
-        verify_module(module)
+        from ..analysis import verify_ir_enabled
+        if verify_ir_enabled():
+            verify_module(module)
 
         return GeneratedQuery(
             module=module,

@@ -178,7 +178,6 @@ class QueryResult:
     timings: PhaseTimings
     pipelines: list[PipelineExecution] = field(default_factory=list)
     ir_instructions: int = 0
-    trace: Optional[object] = None
     #: True when this execution reused a prepared/cached plan (the parse /
     #: bind / plan / codegen phases were skipped entirely) or was served
     #: from the semantic result cache.
@@ -191,8 +190,8 @@ class QueryResult:
     #: before the scan was exhausted.
     early_terminated: bool = False
     #: The unified :class:`repro.telemetry.QueryTrace` of this execution
-    #: (lifecycle spans, tier-switch events; morsel events at telemetry
-    #: level ``"trace"``).  ``None`` at level ``"off"``.
+    #: (lifecycle spans; for an engine-mode execution also its tier-switch,
+    #: morsel and compile events).  ``None`` at level ``"off"``.
     query_trace: Optional[object] = None
     #: The structured :class:`repro.telemetry.ExplainResult` when this
     #: result came from an EXPLAIN / EXPLAIN ANALYZE statement.
@@ -275,9 +274,7 @@ class Database:
                  workers: int = DEFAULT_WORKERS,
                  max_concurrent: Optional[int] = None,
                  max_pending: int = 256,
-                 auto_parameterize: bool = True,
-                 result_cache_size: Optional[int] = None,
-                 result_cache_bytes: Optional[int] = None):
+                 result_cache_size: Optional[int] = None):
         self.catalog = Catalog()
         self.morsel_size = morsel_size
         self._vm = VirtualMachine()
@@ -287,17 +284,12 @@ class Database:
         #: reads return materialized rows with zero execution (see
         #: :mod:`repro.result_cache`).  ``result_cache_size=0`` disables
         #: it; ``ExecOptions.use_result_cache=False`` bypasses per call.
-        result_cache_kwargs = {}
-        if result_cache_size is not None:
-            result_cache_kwargs["capacity"] = result_cache_size
-        if result_cache_bytes is not None:
-            result_cache_kwargs["max_bytes"] = result_cache_bytes
-        self.result_cache = ResultCache(**result_cache_kwargs)
-        #: Default for extracting literal constants into synthetic bind
-        #: parameters on ``execute`` so differing constants share one plan
-        #: cache entry; per-call ``ExecOptions.auto_parameterize`` overrides.
-        self.auto_parameterize = bool(auto_parameterize)
+        self.result_cache = (ResultCache() if result_cache_size is None
+                             else ResultCache(capacity=result_cache_size))
         self._workers = max(int(workers), 1)
+        #: Hash partitions per pipeline breaker (join build / aggregation)
+        #: of every execution: the worker count rounded up to a power of two.
+        self.breaker_partitions = round_up_pow2(self._workers)
         self._max_concurrent = max_concurrent
         self._max_pending = max_pending
         self._runtime_lock = threading.RLock()
@@ -621,10 +613,6 @@ class Database:
                 raise ExecutionError(
                     f"baseline mode {mode!r} is single-threaded; "
                     f"got threads={opts.threads}")
-            if opts.collect_trace:
-                raise ExecutionError(
-                    f"baseline mode {mode!r} does not record execution "
-                    f"traces")
         elif mode not in ENGINE_MODES:
             raise ExecutionError(
                 f"unknown execution mode {mode!r}; expected one of "
@@ -650,9 +638,9 @@ class Database:
         Engine modes are served through the plan cache: repeated executions
         of the same (normalized) SQL reuse the cached plan, IR and compiled
         tiers.  When a statement without placeholders arrives with caching
-        enabled, its literal constants are auto-parameterized (unless opted
-        out), so all executions of one query *shape* collide on one cache
-        entry regardless of the constants.  ``use_cache=False`` forces a
+        enabled, its literal constants are auto-parameterized, so all
+        executions of one query *shape* collide on one cache entry
+        regardless of the constants.  ``use_cache=False`` forces a
         cold build of all artifacts from the original text.  Parallel
         executions (``threads > 1``) draw their workers from the database's
         shared pool; the calling thread participates, so this works both for
@@ -716,11 +704,6 @@ class Database:
         each decided exactly once.
         """
         self._validate_options(opts)
-        # Level "trace" implies the morsel-event timeline for engine modes;
-        # the baselines have no morsel events, so the level degrades to
-        # "basic" there (an *explicit* collect_trace still errors above).
-        if opts.telemetry == "trace" and opts.mode in ENGINE_MODES:
-            opts = opts.merged(collect_trace=True)
         record = opts.telemetry != "off"
         try:
             if opts.mode in BASELINE_MODES:
@@ -740,19 +723,17 @@ class Database:
                 result.query_trace = None
         return results
 
-    def _plan_statement(self, sql: str, opts: ExecOptions,
-                        bindings: list) -> tuple[str, Optional[list], list]:
+    def _plan_statement(self, sql: str, bindings: list
+                        ) -> tuple[str, Optional[list], list]:
         """The statement as the plan cache sees it.
 
         Returns ``(sql, parameter_hints, bindings)``: a statement that
         arrived without any parameter values has its literal constants
-        extracted into positional parameters (unless opted out), and every
-        binding becomes the extracted values; anything else passes through
-        with ``parameter_hints=None``.
+        extracted into positional parameters, and every binding becomes the
+        extracted values; anything else passes through with
+        ``parameter_hints=None``.
         """
-        auto = (opts.auto_parameterize if opts.auto_parameterize is not None
-                else self.auto_parameterize)
-        if auto and all(binding is None for binding in bindings):
+        if all(binding is None for binding in bindings):
             rewritten = auto_parameterize_sql(sql)
             if rewritten is not None:
                 exec_sql, extracted = rewritten
@@ -764,7 +745,7 @@ class Database:
         """Engine-mode execution of all bindings over one prepared entry."""
         hints = None
         if opts.use_cache and self.plan_cache.capacity > 0:
-            sql, hints, bindings = self._plan_statement(sql, opts, bindings)
+            sql, hints, bindings = self._plan_statement(sql, bindings)
             prepared = self.prepare_query(sql, parameter_hints=hints)
             results = prepared.execute_many(bindings, options=opts,
                                             block=False)
@@ -791,18 +772,17 @@ class Database:
     def _usable_result_cache(self, opts: ExecOptions):
         """The result cache if this execution may probe/populate it.
 
-        Executions that exist to *observe* execution (trace collection,
-        per-morsel telemetry, operator-stat collection for EXPLAIN
-        ANALYZE) must run for real, so they bypass the cache in both
-        directions.  ``use_cache=False`` -- the cold-measurement switch --
-        implies the result cache off as well.
+        Executions that exist to *observe* execution (telemetry level
+        ``"trace"``, operator-stat collection for EXPLAIN ANALYZE) must
+        run for real, so they bypass the cache in both directions.
+        ``use_cache=False`` -- the cold-measurement switch -- implies the
+        result cache off as well.
         """
         if not self.result_cache.enabled:
             return None
         if not opts.use_cache or not opts.use_result_cache:
             return None
-        if opts.collect_trace or opts.collect_operator_stats \
-                or opts.telemetry == "trace":
+        if opts.collect_operator_stats or opts.telemetry == "trace":
             return None
         return self.result_cache
 
@@ -870,7 +850,7 @@ class Database:
         if explain_kind:
             return None
         exec_sql, hints, (exec_params,) = self._plan_statement(
-            sql, opts, [params])
+            sql, [params])
         prepared = self.plan_cache.peek(plan_cache_key(exec_sql, hints))
         if prepared is None:
             return None
@@ -925,7 +905,6 @@ class Database:
         result = self._explain_to_result(explain, inner.timings, inner.mode)
         result.pipelines = inner.pipelines
         result.ir_instructions = inner.ir_instructions
-        result.trace = inner.trace
         result.cached = inner.cached
         result.early_terminated = inner.early_terminated
         result.query_trace = inner.query_trace
@@ -945,17 +924,11 @@ class Database:
         return result
 
     # ------------------------------------------------------------------ #
-    def breaker_partitions_for(self, options: ExecOptions) -> int:
-        """Resolve the breaker partition count of one execution."""
-        if options.breaker_partitions is not None:
-            return round_up_pow2(options.breaker_partitions)
-        return round_up_pow2(self._workers)
-
     def _assemble_result(self, generated: GeneratedQuery,
                          planning: PlanningResult, timings: PhaseTimings,
                          mode: str,
                          pipeline_stats: list[PipelineExecution],
-                         trace=None, query_trace=None) -> QueryResult:
+                         query_trace=None) -> QueryResult:
         sink = generated.output_sink
         runtime = generated.runtime
         rows = runtime.finish_output(sink)
@@ -989,7 +962,6 @@ class Database:
             timings=timings,
             pipelines=pipeline_stats,
             ir_instructions=generated.instruction_count,
-            trace=trace,
             early_terminated=state.early_terminated,
             query_trace=query_trace)
 
@@ -1029,7 +1001,7 @@ class Database:
         if mode == "volcano":
             engine = VolcanoEngine(
                 self.catalog, use_pruning=opts.use_pruning,
-                breaker_partitions=self.breaker_partitions_for(opts))
+                breaker_partitions=self.breaker_partitions)
         else:
             engine = VectorizedEngine(self.catalog,
                                       use_pruning=opts.use_pruning)

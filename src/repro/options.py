@@ -1,9 +1,9 @@
 """Unified execution options for every query entry point.
 
 One :class:`ExecOptions` value describes *how* a statement executes --
-execution mode, thread budget, tracing, cache usage and
-auto-parameterization -- and it is the only way to say so: ``Database``,
-``Session``, ``PreparedQuery`` and ``QueryScheduler`` entry points take
+execution mode, thread budget, cache usage, scan pruning and telemetry --
+and it is the only way to say so: ``Database``, ``Session``,
+``PreparedQuery`` and ``QueryScheduler`` entry points take
 ``options=ExecOptions(...)`` and nothing else.  :meth:`ExecOptions.merged`
 is the single merge, for the two callers that override a base value: a
 session's per-call ``**overrides`` on its defaults, and the wire
@@ -25,15 +25,12 @@ from .errors import ExecutionError
 
 @dataclass(frozen=True)
 class ExecOptions:
-    """How one query execution should run.
-
-    ``auto_parameterize=None`` means "use the database's default"; ``True``
-    / ``False`` force auto-parameterization on or off for this call.
-    """
+    """How one query execution should run."""
 
     mode: str = "adaptive"
     threads: int = 1
-    collect_trace: bool = False
+    #: Plan caching: ``False`` builds every artifact cold from the literal
+    #: text (no auto-parameterization, no plan or result cache).
     use_cache: bool = True
     #: Semantic result caching (:mod:`repro.result_cache`): repeated
     #: identical reads are served from materialized rows without executing.
@@ -41,32 +38,21 @@ class ExecOptions:
     #: execution and for callers that want fresh statistics); results are
     #: identical either way.  ``use_cache=False`` implies this off too.
     use_result_cache: bool = True
-    auto_parameterize: Optional[bool] = None
     #: Zone-map chunk pruning for table scans.  ``False`` scans every chunk
     #: (the escape hatch for measuring pruning and for debugging); results
     #: are identical either way.
     use_pruning: bool = True
-    #: Number of hash partitions per pipeline breaker (join build /
-    #: aggregation).  ``None`` uses the database's worker count rounded up
-    #: to a power of two; explicit values are rounded up likewise.
-    breaker_partitions: Optional[int] = None
     #: Telemetry level of this execution: ``"off"`` records nothing,
     #: ``"basic"`` (the default) updates the database's metrics registry
-    #: and attaches a lifecycle :class:`repro.telemetry.QueryTrace` to the
-    #: result, ``"trace"`` additionally collects the per-morsel event
-    #: timeline (implies ``collect_trace`` for engine modes).
+    #: and attaches a :class:`repro.telemetry.QueryTrace` to the result
+    #: (lifecycle spans and, when an engine mode executed, its tier
+    #: switches and morsel events); ``"trace"`` additionally bypasses the
+    #: result cache, so the trace always shows a real execution.
     telemetry: str = "basic"
     #: Collect per-operator cardinalities that are not free to maintain
     #: (currently: hash-join build-side entry counts).  EXPLAIN ANALYZE
     #: turns this on for its inner execution; everything else defaults off.
     collect_operator_stats: bool = False
-    #: Pass-pipeline validation: re-run the IR verifier after every
-    #: optimization pass that changed a function, and the bytecode verifier
-    #: after translation, so a bad rewrite fails at the pass that broke it.
-    #: ``None`` (the default) defers to the ``REPRO_VERIFY_IR`` environment
-    #: flag, which is how CI keeps validation on suite-wide; ``True`` /
-    #: ``False`` force it per execution.
-    verify_ir: Optional[bool] = None
 
     @classmethod
     def of(cls, options: Optional["ExecOptions"]) -> "ExecOptions":

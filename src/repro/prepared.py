@@ -226,11 +226,11 @@ class PreparedQuery:
         self.generated.reset_for_execution()
         self.generated.state.set_params(values)
         database = self.database
-        # Install this execution's breaker layout (the same cached artifacts
-        # serve any partition count: generated code reads the partition
-        # lists by identity and sizes masks per call).
+        # Install the database's breaker layout (a no-op once installed:
+        # generated code reads the partition lists by identity and sizes
+        # masks per call).
         self.generated.state.configure_breakers(
-            partitions=database.breaker_partitions_for(opts))
+            partitions=database.breaker_partitions)
         # Resolve LIMIT against the just-bound parameters and choose the
         # output strategy (top-k breaker / early termination / plain
         # collection) for this execution.

@@ -10,10 +10,11 @@ Telemetry levels (``ExecOptions.telemetry``):
 
 * ``"off"``   -- nothing is recorded; the recorder is never called.
 * ``"basic"`` -- the default: counters/histograms above plus a
-  :class:`QueryTrace` with lifecycle phase spans and adaptive tier-switch
-  events (already collected by the executor at zero extra cost).
-* ``"trace"`` -- additionally collects the per-morsel event timeline
-  (implies ``collect_trace`` for engine modes).
+  :class:`QueryTrace` with lifecycle phase spans; an engine-mode
+  execution's trace also carries the tier-switch and per-morsel events
+  its executor recorded (``mode_history`` is derived from them).
+* ``"trace"`` -- the same, but the execution bypasses the result cache,
+  so the trace always shows a real run.
 """
 
 from __future__ import annotations

@@ -152,10 +152,10 @@ class QueryTrace(ExecutionTrace):
 
     Extends the morsel-level :class:`ExecutionTrace` with identity
     (``query_id``, ``sql``, ``mode``), lifecycle :class:`Span` s and
-    adaptive :class:`TierSwitchEvent` s.  Produced for every engine-mode
-    execution at telemetry level ``basic`` and above; morsel events are
-    only populated at level ``trace`` (they are per-morsel and therefore
-    not free).
+    adaptive :class:`TierSwitchEvent` s.  Attached to every result at
+    telemetry level ``basic`` and above; an engine-mode execution's trace
+    holds the morsel and compile events its executor recorded at either
+    level (a result-cache hit or a baseline run has none).
     """
 
     query_id: str = ""

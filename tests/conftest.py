@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import contextlib
 import faulthandler
 import os
 import sys
@@ -17,7 +18,7 @@ if _SRC not in sys.path:
 # Pass-pipeline validation stays on for the whole suite: every optimization
 # pass is re-verified and every bytecode translation is checked, so a bad
 # rewrite fails the test that compiled it, at the pass that broke it.
-# Explicit ExecOptions(verify_ir=...) and pre-set environments still win.
+# A pre-set environment still wins.
 os.environ.setdefault("REPRO_VERIFY_IR", "1")
 
 # ---------------------------------------------------------------------- #
@@ -45,7 +46,7 @@ if not _HAVE_PYTEST_TIMEOUT and hasattr(faulthandler,
         finally:
             faulthandler.cancel_dump_traceback_later()
 
-from repro import Database, SQLType               # noqa: E402
+from repro import ENGINE_MODES, Database, ExecOptions, SQLType  # noqa: E402
 from repro.workloads import populate_tpch          # noqa: E402
 
 
@@ -90,3 +91,40 @@ def normalized(rows, digits: int = 4):
         out.append(tuple(round(value, digits) if isinstance(value, float)
                          else value for value in row))
     return out
+
+
+@contextlib.contextmanager
+def _open_breaker_layouts(load, layouts, morsel_size):
+    """``runs(mode)`` over one database per breaker layout.
+
+    ``layouts`` are ``(workers, threads)`` pairs.  A database's worker
+    count fixes its breaker partition count (rounded up to a power of
+    two), so layouts are compared across databases that ``load(db)``
+    filled alike; one that only runs ``threads=1`` queries starts no
+    thread.  ``runs(mode)`` lists ``(db, options)`` for every layout
+    ``mode`` can run (the baseline engines are single-threaded).
+    """
+    databases: dict = {}
+    try:
+        for workers, _ in layouts:
+            if workers not in databases:
+                databases[workers] = Database(morsel_size=morsel_size,
+                                              workers=workers)
+                load(databases[workers])
+
+        def runs(mode):
+            return [(databases[workers],
+                     ExecOptions(mode=mode, threads=threads))
+                    for workers, threads in layouts
+                    if threads == 1 or mode in ENGINE_MODES]
+        yield runs
+    finally:
+        for db in databases.values():
+            db.close()
+
+
+@pytest.fixture(scope="session")
+def breaker_layouts():
+    """``breaker_layouts(load, layouts, morsel_size)``: see
+    :func:`_open_breaker_layouts`."""
+    return _open_breaker_layouts

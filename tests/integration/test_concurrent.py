@@ -253,21 +253,24 @@ def test_vectorized_scans_race_concurrent_inserts():
 
 
 def test_concurrent_partitioned_aggregations_share_pool():
-    """Many aggregating queries at once, all drawing morsel workers *and*
-    per-partition merge tasks from one shared pool.
+    """Many aggregating queries at once, each drawing morsel workers *and*
+    per-partition merge tasks from its database's one shared pool.
 
     Every execution accumulates into per-worker-slot partials (no shared
     lock on the aggregation hot path -- the ``hot-path-lock`` lint rule's
     job), merges on the pool, and must return exactly what a Python dict
-    group-by computes; three partition layouts run interleaved to prove
-    they coexist on one cached plan.
+    group-by computes; three databases whose worker counts give 4, 2 and
+    1 partitions serve the clients interleaved.
     """
-    db = Database(morsel_size=256, workers=4)
-    db.create_table("sales", [("region", SQLType.INT64),
-                              ("item", SQLType.INT64),
-                              ("amount", SQLType.FLOAT64)])
     sales = [(i % 5, i % 11, float(i % 97)) for i in range(12000)]
-    db.insert("sales", sales)
+    dbs = []
+    for workers in (4, 2, 1):
+        db = Database(morsel_size=256, workers=workers)
+        db.create_table("sales", [("region", SQLType.INT64),
+                                  ("item", SQLType.INT64),
+                                  ("amount", SQLType.FLOAT64)])
+        db.insert("sales", sales)
+        dbs.append(db)
     sql = ("select region, count(*), sum(amount), min(amount), max(amount) "
            "from sales group by region")
     groups: dict = {}
@@ -281,14 +284,11 @@ def test_concurrent_partitioned_aggregations_share_pool():
     def client(index: int) -> None:
         try:
             for run in range(6):
-                if (index + run) % 3 == 0:
-                    options = ExecOptions(mode="adaptive", threads=4)
-                elif (index + run) % 3 == 1:
-                    options = ExecOptions(mode="bytecode", threads=4,
-                                          breaker_partitions=2)
-                else:
-                    options = ExecOptions(mode="optimized", threads=4,
-                                          breaker_partitions=1)
+                layout = (index + run) % 3
+                db = dbs[layout]
+                options = ExecOptions(
+                    mode=("adaptive", "bytecode", "optimized")[layout],
+                    threads=4)
                 result = db.execute(sql, options=options)
                 assert result.rows == expected, options
                 ticket = db.submit(sql, options=options)
@@ -303,4 +303,5 @@ def test_concurrent_partitioned_aggregations_share_pool():
         thread.join(timeout=120)
         assert not thread.is_alive(), "aggregation stress hung"
     assert not errors, errors[:3]
-    db.close()
+    for db in dbs:
+        db.close()

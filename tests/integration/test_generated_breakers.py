@@ -3,9 +3,10 @@
 Every tier calls the same generated aggregate update, build insert and
 probe (``codegen/runtime.py``); the volcano baseline folds rows with the
 generic helpers instead, so it is the in-repo reference and sqlite the
-outside one.  Each query runs single-threaded with one breaker partition
-and, for the engine modes, with two threads over four partitions, which
-exercises the per-slot partials and the merge.
+outside one.  Each query runs single-threaded on a one-worker database (one
+breaker partition) and, for the engine modes, with two threads on a
+four-worker database (four partitions), which exercises the per-slot
+partials and the merge.
 """
 
 from __future__ import annotations
@@ -83,29 +84,34 @@ EMPTY_SCALAR = ("select count(*), count(v), sum(v), sum(f), avg(v), min(v), "
 
 @pytest.fixture(scope="module")
 def databases():
-    db = Database(workers=2, morsel_size=64)
+    """``({workers: db}, oracle)``: one database per breaker layout."""
+    dbs = {workers: Database(workers=workers, morsel_size=64)
+           for workers in (1, 4)}
     oracle = sqlite3.connect(":memory:")
     data = _rows()
     for name, columns in SCHEMA.items():
-        db.create_table(name, columns)
-        db.insert(name, data[name])
+        for db in dbs.values():
+            db.create_table(name, columns)
+            db.insert(name, data[name])
         oracle.execute(f"create table {name} ("
                        + ", ".join(column for column, _ in columns) + ")")
         oracle.executemany(
             f"insert into {name} values ("
             + ", ".join("?" for _ in columns) + ")", data[name])
-    yield db, oracle
+    yield dbs, oracle
     oracle.close()
-    db.close()
+    for db in dbs.values():
+        db.close()
 
 
-def _layouts(mode):
-    layouts = [ExecOptions(mode=mode, threads=1, breaker_partitions=1,
-                           use_result_cache=False)]
+def _layouts(dbs, mode):
+    """``(db, options)``: one partition single-threaded, then (engine modes
+    only) four partitions under two threads."""
+    layouts = [(dbs[1], ExecOptions(mode=mode, threads=1,
+                                    use_result_cache=False))]
     if mode in ENGINE_MODES:
-        layouts.append(ExecOptions(mode=mode, threads=2,
-                                   breaker_partitions=4,
-                                   use_result_cache=False))
+        layouts.append((dbs[4], ExecOptions(mode=mode, threads=2,
+                                            use_result_cache=False)))
     return layouts
 
 
@@ -127,9 +133,9 @@ def _same(left, right) -> bool:
 @pytest.mark.parametrize("mode", ALL_MODES)
 @pytest.mark.parametrize("name", sorted(QUERIES))
 def test_generated_breakers_match_sqlite(databases, name, mode):
-    db, oracle = databases
+    dbs, oracle = databases
     expected = oracle.execute(QUERIES[name]).fetchall()
-    for options in _layouts(mode):
+    for db, options in _layouts(dbs, mode):
         rows = db.execute(QUERIES[name], options=options).rows
         assert _same(rows, expected), (options, rows, expected)
 
@@ -137,7 +143,7 @@ def test_generated_breakers_match_sqlite(databases, name, mode):
 def test_query_set_exercises_every_breaker_shape(databases):
     """The queries above really reach a 0-key build and probe, a multi-key
     probe and aggregate updates with 0, 1 and 3 keys."""
-    db, _ = databases
+    db = databases[0][1]
     build_keys, probe_keys, group_keys = set(), set(), set()
     for sql in QUERIES.values():
         _, planning, _ = db.prepare(sql)
@@ -156,10 +162,10 @@ def test_query_set_exercises_every_breaker_shape(databases):
 
 
 def test_empty_scalar_aggregates_agree_across_modes(databases):
-    db, _ = databases
+    dbs, _ = databases
     results = {}
     for mode in ALL_MODES:
-        for options in _layouts(mode):
+        for db, options in _layouts(dbs, mode):
             results[(mode, options.threads)] = db.execute(
                 EMPTY_SCALAR, options=options).rows
     reference = results[("volcano", 1)]

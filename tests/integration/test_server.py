@@ -314,7 +314,9 @@ def test_removed_or_unknown_option_is_a_typed_error_frame(served_db):
     conn = connect(*server.address)
     try:
         for option in ("use_topk_breaker", "use_partitioned_breakers",
-                       "use_batch_kernels", "morsel_size"):
+                       "use_batch_kernels", "collect_trace",
+                       "auto_parameterize", "breaker_partitions",
+                       "verify_ir", "morsel_size"):
             with pytest.raises(ServerError, match=option) as info:
                 conn.execute(sql, timeout=60, **{option: False})
             assert info.value.code == "EXECUTION"

@@ -18,7 +18,6 @@ from hypothesis import strategies as st
 
 from repro import BASELINE_MODES, ENGINE_MODES, Database, SQLType
 from repro.errors import ReproError
-from repro.options import ExecOptions
 
 ALL_MODES = list(ENGINE_MODES) + list(BASELINE_MODES)
 
@@ -33,17 +32,9 @@ _tag = st.sampled_from(["aa", "bb", "cc"])
 _row = st.tuples(_skewed_key, _tag, st.integers(-100, 100))
 
 
-def _breaker_configs(mode):
-    configs = [
-        ExecOptions(mode=mode),                              # default layout
-        ExecOptions(mode=mode, breaker_partitions=1),
-        ExecOptions(mode=mode, breaker_partitions=32),
-    ]
-    if mode in ENGINE_MODES:
-        configs.append(ExecOptions(mode=mode, threads=4))
-        configs.append(ExecOptions(mode=mode, threads=4,
-                                   breaker_partitions=2))
-    return configs
+#: ``(database workers, query threads)``: 4, 1 and 32 breaker partitions
+#: single-threaded, then 4 and 2 partitions under four threads.
+_LAYOUTS = ((4, 1), (1, 1), (32, 1), (4, 4), (2, 4))
 
 
 def normalized(rows):
@@ -68,22 +59,22 @@ def _expected_group_by(rows):
 
 @_SETTINGS
 @given(rows=st.lists(_row, min_size=0, max_size=120))
-def test_partitioned_group_by_matches_dict_oracle(rows):
-    db = Database(morsel_size=32, workers=4)
-    try:
+def test_partitioned_group_by_matches_dict_oracle(breaker_layouts, rows):
+    def load(db):
         db.create_table("t", [("k", SQLType.INT64), ("s", SQLType.STRING),
                               ("v", SQLType.INT64)])
         if rows:
             db.insert("t", rows)
-        sql = ("select k, s, count(*), sum(v), min(v), max(v), avg(v) "
-               "from t group by k, s")
-        expected = _expected_group_by(rows)
+
+    sql = ("select k, s, count(*), sum(v), min(v), max(v), avg(v) "
+           "from t group by k, s")
+    expected = _expected_group_by(rows)
+    with breaker_layouts(load, _LAYOUTS, morsel_size=32) as runs:
         for mode in ALL_MODES:
-            for options in _breaker_configs(mode):
+            for db, options in runs(mode):
                 result = db.execute(sql, options=options)
-                assert normalized(result.rows) == expected, (mode, options)
-    finally:
-        db.close()
+                assert normalized(result.rows) == expected, \
+                    (mode, db.breaker_partitions, options)
 
 
 @_SETTINGS
@@ -92,10 +83,9 @@ def test_partitioned_group_by_matches_dict_oracle(rows):
                     min_size=0, max_size=20),
        fact=st.lists(st.tuples(_skewed_key, st.integers(0, 3)),
                      min_size=0, max_size=20))
-def test_partitioned_multi_join_group_by_matches_nested_loops(rows, dim,
-                                                              fact):
-    db = Database(morsel_size=16, workers=4)
-    try:
+def test_partitioned_multi_join_group_by_matches_nested_loops(
+        breaker_layouts, rows, dim, fact):
+    def load(db):
         db.create_table("t", [("k", SQLType.INT64), ("s", SQLType.STRING),
                               ("v", SQLType.INT64)])
         db.create_table("d", [("k", SQLType.INT64), ("w", SQLType.INT64)])
@@ -106,58 +96,58 @@ def test_partitioned_multi_join_group_by_matches_nested_loops(rows, dim,
             db.insert("d", dim)
         if fact:
             db.insert("f", fact)
-        sql = ("select t.k, f.g, count(*), sum(t.v + d.w) "
-               "from t, d, f where t.k = d.k and t.k = f.k "
-               "group by t.k, f.g")
 
-        groups: dict = {}
-        for key, _, value in rows:
-            for dkey, weight in dim:
-                if dkey != key:
+    sql = ("select t.k, f.g, count(*), sum(t.v + d.w) "
+           "from t, d, f where t.k = d.k and t.k = f.k "
+           "group by t.k, f.g")
+    groups: dict = {}
+    for key, _, value in rows:
+        for dkey, weight in dim:
+            if dkey != key:
+                continue
+            for fkey, grp in fact:
+                if fkey != key:
                     continue
-                for fkey, grp in fact:
-                    if fkey != key:
-                        continue
-                    cells = groups.setdefault((key, grp), [0, 0])
-                    cells[0] += 1
-                    cells[1] += value + weight
-        expected = [(key, grp, count, total)
-                    for (key, grp), (count, total) in sorted(groups.items())]
+                cells = groups.setdefault((key, grp), [0, 0])
+                cells[0] += 1
+                cells[1] += value + weight
+    expected = [(key, grp, count, total)
+                for (key, grp), (count, total) in sorted(groups.items())]
 
+    with breaker_layouts(load, _LAYOUTS, morsel_size=16) as runs:
         for mode in ALL_MODES:
-            for options in _breaker_configs(mode):
+            for db, options in runs(mode):
                 result = db.execute(sql, options=options)
-                assert normalized(result.rows) == expected, (mode, options)
-    finally:
-        db.close()
+                assert normalized(result.rows) == expected, \
+                    (mode, db.breaker_partitions, options)
 
 
-def test_unordered_group_by_is_deterministic_across_modes():
+def test_unordered_group_by_is_deterministic_across_modes(breaker_layouts):
     """Without ORDER BY, grouped results come out in ascending key order --
     identically in every engine, for every partition count, run after run
     (the old dict-insertion order varied with morsel interleaving)."""
-    db = Database(morsel_size=64, workers=4)
-    try:
+    data = [((i * 7919) % 23, i) for i in range(2000)]
+
+    def load(db):
         db.create_table("t", [("k", SQLType.INT64), ("v", SQLType.INT64)])
-        data = [((i * 7919) % 23, i) for i in range(2000)]
         db.insert("t", data)
-        sql = "select k, count(*), sum(v) from t group by k"
-        groups: dict = {}
-        for key, value in data:
-            count, total = groups.get(key, (0, 0))
-            groups[key] = (count + 1, total + value)
-        reference = [(key, *groups[key]) for key in sorted(groups)]
+
+    sql = "select k, count(*), sum(v) from t group by k"
+    groups: dict = {}
+    for key, value in data:
+        count, total = groups.get(key, (0, 0))
+        groups[key] = (count + 1, total + value)
+    reference = [(key, *groups[key]) for key in sorted(groups)]
+    layouts = ((4, 1), (1, 1), (16, 1))
+    with breaker_layouts(load, layouts, morsel_size=64) as runs:
         for mode in ALL_MODES:
-            for options in (ExecOptions(mode=mode),
-                            ExecOptions(mode=mode, breaker_partitions=1),
-                            ExecOptions(mode=mode, breaker_partitions=16)):
+            for db, options in runs(mode):
                 for _ in range(2):   # run after run: no result cache
                     rows = db.execute(
                         sql,
-                        options=options.merged( use_result_cache=False)).rows
-                    assert rows == reference, (mode, options)
-    finally:
-        db.close()
+                        options=options.merged(use_result_cache=False)).rows
+                    assert rows == reference, \
+                        (mode, db.breaker_partitions, options)
 
 
 def test_null_keys_cannot_reach_breakers():

@@ -33,15 +33,9 @@ _probe_row = st.tuples(_key, st.integers(-50, 50))
 _build_row = st.tuples(_key, st.integers(-50, 50))
 
 
-def _configs(mode):
-    configs = [
-        ExecOptions(mode=mode),
-        ExecOptions(mode=mode, breaker_partitions=1),
-        ExecOptions(mode=mode, breaker_partitions=32),
-    ]
-    if mode in ENGINE_MODES:
-        configs.append(ExecOptions(mode=mode, threads=4))
-    return configs
+#: ``(database workers, query threads)``: 4, 1 and 32 breaker partitions
+#: single-threaded, then 4 partitions under four threads.
+_LAYOUTS = ((4, 1), (1, 1), (32, 1), (4, 4))
 
 
 def _canonical(row):
@@ -64,54 +58,52 @@ def _expected_left_join(probe, build, residual=None):
     return sorted(rows, key=_canonical)
 
 
-@_SETTINGS
-@given(probe=st.lists(_probe_row, min_size=0, max_size=60),
-       build=st.lists(_build_row, min_size=0, max_size=40))
-def test_left_join_equals_inner_plus_unmatched(probe, build):
-    db = Database(morsel_size=16, workers=4)
-    try:
+def _loader(probe, build):
+    def load(db):
         db.create_table("t", [("k", SQLType.INT64), ("v", SQLType.INT64)])
         db.create_table("s", [("k", SQLType.INT64), ("w", SQLType.INT64)])
         if probe:
             db.insert("t", probe)
         if build:
             db.insert("s", build)
-        expected = _expected_left_join(probe, build)
-        sql = ("select t.k, t.v, s.w from t left join s on t.k = s.k "
-               "order by t.k")
+    return load
+
+
+@_SETTINGS
+@given(probe=st.lists(_probe_row, min_size=0, max_size=60),
+       build=st.lists(_build_row, min_size=0, max_size=40))
+def test_left_join_equals_inner_plus_unmatched(breaker_layouts, probe, build):
+    expected = _expected_left_join(probe, build)
+    sql = ("select t.k, t.v, s.w from t left join s on t.k = s.k "
+           "order by t.k")
+    with breaker_layouts(_loader(probe, build), _LAYOUTS,
+                         morsel_size=16) as runs:
         for mode in ALL_MODES:
-            for options in _configs(mode):
+            for db, options in runs(mode):
                 result = db.execute(sql, options=options)
-                assert result.rows == expected, (mode, options)
-    finally:
-        db.close()
+                assert result.rows == expected, \
+                    (mode, db.breaker_partitions, options)
 
 
 @_SETTINGS
 @given(probe=st.lists(_probe_row, min_size=0, max_size=60),
        build=st.lists(_build_row, min_size=0, max_size=40),
        threshold=st.integers(-50, 50))
-def test_left_join_with_residual_on_condition(probe, build, threshold):
+def test_left_join_with_residual_on_condition(breaker_layouts, probe, build,
+                                              threshold):
     """Residual ON conjuncts must run *inside* the probe (a failed residual
     preserves the probe row) -- a post-join filter would drop it."""
-    db = Database(morsel_size=16, workers=4)
-    try:
-        db.create_table("t", [("k", SQLType.INT64), ("v", SQLType.INT64)])
-        db.create_table("s", [("k", SQLType.INT64), ("w", SQLType.INT64)])
-        if probe:
-            db.insert("t", probe)
-        if build:
-            db.insert("s", build)
-        expected = _expected_left_join(
-            probe, build, residual=lambda w: w > threshold)
-        sql = (f"select t.k, t.v, s.w from t left join s "
-               f"on t.k = s.k and s.w > {threshold} order by t.k")
+    expected = _expected_left_join(
+        probe, build, residual=lambda w: w > threshold)
+    sql = (f"select t.k, t.v, s.w from t left join s "
+           f"on t.k = s.k and s.w > {threshold} order by t.k")
+    with breaker_layouts(_loader(probe, build), _LAYOUTS,
+                         morsel_size=16) as runs:
         for mode in ALL_MODES:
-            for options in _configs(mode):
+            for db, options in runs(mode):
                 result = db.execute(sql, options=options)
-                assert result.rows == expected, (mode, options)
-    finally:
-        db.close()
+                assert result.rows == expected, \
+                    (mode, db.breaker_partitions, options)
 
 
 def test_all_matched_and_all_unmatched_build_sides():
@@ -146,15 +138,13 @@ def test_all_matched_and_all_unmatched_build_sides():
         db.close()
 
 
-def test_left_join_composes_with_topk_and_aggregation_siblings():
+def test_left_join_composes_with_topk_and_aggregation_siblings(
+        breaker_layouts):
     """LEFT JOIN output runs through ORDER BY + LIMIT top-k heaps, and its
     NULL-padded columns order canonically (NULL last) in every mode."""
-    db = Database(morsel_size=16, workers=4)
-    try:
-        db.create_table("t", [("k", SQLType.INT64), ("v", SQLType.INT64)])
-        db.create_table("s", [("k", SQLType.INT64), ("w", SQLType.INT64)])
-        db.insert("t", [(i % 10, i) for i in range(100)])
-        db.insert("s", [(k, k * 100) for k in range(0, 10, 2)])
+    load = _loader([(i % 10, i) for i in range(100)],
+                   [(k, k * 100) for k in range(0, 10, 2)])
+    with breaker_layouts(load, ((4, 1), (1, 1)), morsel_size=16) as runs:
         sql = ("select t.v, s.w from t left join s on t.k = s.k "
                "order by s.w desc, t.v limit 7")
         # Sort-then-slice in Python.  NULL orders as the largest value, so
@@ -167,12 +157,9 @@ def test_left_join_composes_with_topk_and_aggregation_siblings():
                                      else (1, -row[1]), row[0]))[:7]
         assert expected == [(v, None) for v in (1, 3, 5, 7, 9, 11, 13)]
         for mode in ALL_MODES:
-            for options in (ExecOptions(mode=mode),
-                            ExecOptions(mode=mode, breaker_partitions=1)):
+            for db, options in runs(mode):
                 rows = db.execute(sql, options=options).rows
-                assert rows == expected, (mode, options)
-    finally:
-        db.close()
+                assert rows == expected, (mode, db.breaker_partitions)
 
 
 def test_right_and_full_joins_rejected_with_precise_errors():

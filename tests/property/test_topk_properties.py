@@ -30,59 +30,53 @@ _dup_key = st.integers(0, 4)
 _row = st.tuples(_dup_key, st.integers(-100, 100))
 
 
-def _configs(mode):
-    configs = [
-        ExecOptions(mode=mode),
-        ExecOptions(mode=mode, breaker_partitions=32),
-    ]
-    if mode in ENGINE_MODES:
-        configs.append(ExecOptions(mode=mode, threads=4))
-    return configs
+#: ``(database workers, query threads)``: 4 and 32 breaker partitions
+#: single-threaded, then 4 partitions under four threads.
+_LAYOUTS = ((4, 1), (32, 1), (4, 4))
+
+
+def _loader(rows, columns=(("k", SQLType.INT64), ("v", SQLType.INT64)),
+            encode=True):
+    def load(db):
+        db.create_table("t", list(columns))
+        if rows:
+            db.insert("t", rows, encode=encode)
+    return load
 
 
 @_SETTINGS
 @given(rows=st.lists(_row, min_size=0, max_size=120),
        limit=st.integers(0, 15))
-def test_topk_matches_sort_then_slice(rows, limit):
+def test_topk_matches_sort_then_slice(breaker_layouts, rows, limit):
     """Top-k == sorted()[:k] for ascending keys with heavy duplicates.
 
     With output columns (k, v) and ORDER BY k, the canonical full-row
     tiebreak makes the expected result simply ``sorted(rows)[:limit]``.
     """
-    db = Database(morsel_size=32, workers=4)
-    try:
-        db.create_table("t", [("k", SQLType.INT64), ("v", SQLType.INT64)])
-        if rows:
-            db.insert("t", rows)
-        expected = sorted(rows)[:limit]
-        sql = f"select k, v from t order by k limit {limit}"
+    expected = sorted(rows)[:limit]
+    sql = f"select k, v from t order by k limit {limit}"
+    with breaker_layouts(_loader(rows), _LAYOUTS, morsel_size=32) as runs:
         for mode in ALL_MODES:
-            for options in _configs(mode):
+            for db, options in runs(mode):
                 result = db.execute(sql, options=options)
-                assert result.rows == expected, (mode, options)
-    finally:
-        db.close()
+                assert result.rows == expected, \
+                    (mode, db.breaker_partitions, options)
 
 
 @_SETTINGS
 @given(rows=st.lists(_row, min_size=0, max_size=120),
        limit=st.integers(0, 15))
-def test_topk_desc_matches_sort_then_slice(rows, limit):
+def test_topk_desc_matches_sort_then_slice(breaker_layouts, rows, limit):
     """DESC keys flow through the inverted heap comparison correctly."""
-    db = Database(morsel_size=32, workers=4)
-    try:
-        db.create_table("t", [("k", SQLType.INT64), ("v", SQLType.INT64)])
-        if rows:
-            db.insert("t", rows)
-        # ORDER BY k DESC, v: fully determined, so plain Python sort works.
-        expected = sorted(rows, key=lambda r: (-r[0], r[1]))[:limit]
-        sql = f"select k, v from t order by k desc, v limit {limit}"
+    # ORDER BY k DESC, v: fully determined, so plain Python sort works.
+    expected = sorted(rows, key=lambda r: (-r[0], r[1]))[:limit]
+    sql = f"select k, v from t order by k desc, v limit {limit}"
+    with breaker_layouts(_loader(rows), _LAYOUTS, morsel_size=32) as runs:
         for mode in ALL_MODES:
-            for options in _configs(mode):
+            for db, options in runs(mode):
                 result = db.execute(sql, options=options)
-                assert result.rows == expected, (mode, options)
-    finally:
-        db.close()
+                assert result.rows == expected, \
+                    (mode, db.breaker_partitions, options)
 
 
 @_SETTINGS
@@ -91,51 +85,43 @@ def test_topk_desc_matches_sort_then_slice(rows, limit):
               st.floats(-1e6, 1e6, allow_nan=False, allow_infinity=False)),
     min_size=0, max_size=60),
     limit=st.integers(0, 10))
-def test_topk_with_nan_sort_keys(values, limit):
+def test_topk_with_nan_sort_keys(breaker_layouts, values, limit):
     """NaN sort keys order canonically (after every number, ties broken by
     the visible columns), identically in the heap and in every engine."""
-    db = Database(morsel_size=16, workers=4)
-    try:
-        db.create_table("t", [("f", SQLType.FLOAT64), ("i", SQLType.INT64)])
-        rows = [(value, index) for index, value in enumerate(values)]
-        if rows:
-            db.insert("t", rows, encode=False)
-        sql = f"select i, f from t order by f limit {limit}"
-        # Sort-then-slice: numbers ascending, then the NaNs; equal keys
-        # (and all NaNs) in ``i`` order.  NaN != NaN breaks plain tuple
-        # comparison, so rows are compared with NaN spelled "nan".
-        ordered = sorted(rows, key=lambda r: ((1, 0.0) if r[0] != r[0]
-                                              else (0, r[0]), r[1]))
-        expected = [(i, "nan" if f != f else f) for f, i in ordered[:limit]]
+    rows = [(value, index) for index, value in enumerate(values)]
+    load = _loader(rows, (("f", SQLType.FLOAT64), ("i", SQLType.INT64)),
+                   encode=False)
+    sql = f"select i, f from t order by f limit {limit}"
+    # Sort-then-slice: numbers ascending, then the NaNs; equal keys
+    # (and all NaNs) in ``i`` order.  NaN != NaN breaks plain tuple
+    # comparison, so rows are compared with NaN spelled "nan".
+    ordered = sorted(rows, key=lambda r: ((1, 0.0) if r[0] != r[0]
+                                          else (0, r[0]), r[1]))
+    expected = [(i, "nan" if f != f else f) for f, i in ordered[:limit]]
+    with breaker_layouts(load, _LAYOUTS, morsel_size=16) as runs:
         for mode in ALL_MODES:
-            for options in _configs(mode):
+            for db, options in runs(mode):
                 got = db.execute(sql, options=options).rows
                 assert [(i, "nan" if f != f else f) for i, f in got] \
-                    == expected, (mode, options)
-    finally:
-        db.close()
+                    == expected, (mode, db.breaker_partitions, options)
 
 
 @_SETTINGS
 @given(rows=st.lists(_row, min_size=1, max_size=200),
        limit=st.integers(0, 12))
-def test_limit_without_order_by_returns_any_k_rows(rows, limit):
+def test_limit_without_order_by_returns_any_k_rows(breaker_layouts, rows,
+                                                   limit):
     """LIMIT without ORDER BY early-terminates with exactly min(k, n) rows,
     every one of them an actual table row."""
-    db = Database(morsel_size=16, workers=4)
-    try:
-        db.create_table("t", [("k", SQLType.INT64), ("v", SQLType.INT64)])
-        db.insert("t", rows)
-        table = set(rows)
-        sql = f"select k, v from t limit {limit}"
+    table = set(rows)
+    sql = f"select k, v from t limit {limit}"
+    with breaker_layouts(_loader(rows), _LAYOUTS, morsel_size=16) as runs:
         for mode in ALL_MODES:
-            for options in _configs(mode):
+            for db, options in runs(mode):
                 result = db.execute(sql, options=options)
                 assert len(result.rows) == min(limit, len(rows)), \
-                    (mode, options)
+                    (mode, db.breaker_partitions, options)
                 assert set(result.rows) <= table, (mode, options)
-    finally:
-        db.close()
 
 
 def test_limit_parameter_reuses_one_prepared_plan():

@@ -351,13 +351,11 @@ class TestExecutors:
         db.insert("t", [(i % 13, float(i)) for i in range(5000)])
         sql = "select a, sum(b) as s, count(*) as c from t group by a order by a"
         static = db.execute(sql, options=ExecOptions(mode="optimized"))
-        adaptive = db.execute(sql,
-                              options=ExecOptions(mode="adaptive",
-                                                  collect_trace=True))
+        adaptive = db.execute(sql, options=ExecOptions(mode="adaptive"))
         assert adaptive.rows == static.rows
         assert adaptive.mode == "adaptive"
-        assert adaptive.trace is not None
-        assert adaptive.trace.events
+        assert adaptive.query_trace is not None
+        assert adaptive.query_trace.events
 
     def test_adaptive_multithreaded(self):
         db = Database(morsel_size=128)

@@ -402,12 +402,28 @@ class TestPassPipelineValidation:
     def test_env_flag_resolution(self, monkeypatch):
         monkeypatch.delenv("REPRO_VERIFY_IR", raising=False)
         assert verify_ir_enabled() is False
-        assert verify_ir_enabled(True) is True
+        for value in ("1", "true", "Yes", " on "):
+            monkeypatch.setenv("REPRO_VERIFY_IR", value)
+            assert verify_ir_enabled() is True
+        for value in ("", "0", "off", "false"):
+            monkeypatch.setenv("REPRO_VERIFY_IR", value)
+            assert verify_ir_enabled() is False
+
+    def test_codegen_verifies_modules_only_with_the_gate_on(self, simple_db,
+                                                          monkeypatch):
+        from repro.codegen import generator
+
+        def rejecting_verifier(module):
+            raise IRVerificationError("stub verifier ran")
+
+        monkeypatch.setattr(generator, "verify_module", rejecting_verifier)
+        sql = "select category, sum(price) as s from items group by category"
         monkeypatch.setenv("REPRO_VERIFY_IR", "1")
-        assert verify_ir_enabled() is True
-        assert verify_ir_enabled(False) is False
-        monkeypatch.setenv("REPRO_VERIFY_IR", "off")
-        assert verify_ir_enabled() is False
+        with pytest.raises(IRVerificationError, match="stub verifier ran"):
+            simple_db.generate(sql)
+        monkeypatch.setenv("REPRO_VERIFY_IR", "0")
+        generated, _, _ = simple_db.generate(sql)   # the stub never runs
+        assert generated.pipelines
 
     def test_ir_error_carries_location_and_snippet(self):
         function = make_worker()
@@ -419,12 +435,6 @@ class TestPassPipelineValidation:
         assert error.block_name is not None
         assert str(error).startswith("worker0/")
 
-    def test_verify_ir_option_accepted_end_to_end(self, simple_db):
-        from repro.options import ExecOptions
-        result = simple_db.execute(
-            "select sum(price) as s from items",
-            options=ExecOptions(mode="optimized", verify_ir=True))
-        assert result.rows
 
 
 # --------------------------------------------------------------------------- #

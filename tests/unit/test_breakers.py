@@ -71,11 +71,16 @@ class TestMergeHelpers:
         assert target == {"k": [3, 15], "j": [1, 1]}
 
 
-@pytest.fixture()
-def grouped_db():
-    db = Database(morsel_size=64, workers=4)
+def _grouped(workers: int = 4) -> Database:
+    db = Database(morsel_size=64, workers=workers)
     db.create_table("t", [("k", SQLType.INT64), ("v", SQLType.INT64)])
     db.insert("t", [(i % 9, i) for i in range(3000)])
+    return db
+
+
+@pytest.fixture()
+def grouped_db():
+    db = _grouped()
     yield db
     db.close()
 
@@ -140,24 +145,25 @@ class TestQueryStateBreakers:
 class TestOptionWiring:
     def test_options_defaults_and_merge(self):
         options = ExecOptions()
-        assert options.breaker_partitions is None
-        merged = options.merged(breaker_partitions=6)
-        assert merged.breaker_partitions == 6
-        assert options.breaker_partitions is None   # frozen: a new value
+        merged = options.merged(threads=6)
+        assert merged.threads == 6
+        assert options.threads == 1   # frozen: a new value
 
     def test_database_resolves_default_partition_count(self):
-        db = Database(workers=5)
+        for workers, partitions in ((1, 1), (3, 4), (5, 8), (16, 16)):
+            db = Database(workers=workers)
+            try:
+                assert db.breaker_partitions == partitions
+            finally:
+                db.close()
+
+    def test_partition_count_flows_into_stats(self):
+        db = _grouped(workers=16)
         try:
-            assert db.breaker_partitions_for(ExecOptions()) == 8
-            assert db.breaker_partitions_for(
-                ExecOptions(breaker_partitions=3)) == 4
+            result = db.execute(GROUP_SQL,
+                                options=ExecOptions(mode="bytecode"))
         finally:
             db.close()
-
-    def test_partition_count_flows_into_stats(self, grouped_db):
-        result = grouped_db.execute(
-            GROUP_SQL, options=ExecOptions(mode="bytecode",
-                                           breaker_partitions=16))
         stats = result.stats
         assert stats["breaker_partitions"] == 16
         assert stats["breaker_partial_entries"] >= 9
@@ -166,21 +172,26 @@ class TestOptionWiring:
         assert pipeline.breaker_partitions == 16
         assert pipeline.breaker_partial_entries >= 9
 
-    def test_one_partition_equals_a_dict_group_by(self, grouped_db):
-        # breaker_partitions=1 is the degenerate layout (what the removed
-        # single-table path used to be); the reference is a plain dict.
+    def test_one_partition_equals_a_dict_group_by(self):
+        # One worker gives the degenerate one-partition layout (what the
+        # removed single-table path used to be); the reference is a plain
+        # dict.
         groups: dict = {}
         for i in range(3000):
             count, total = groups.get(i % 9, (0, 0))
             groups[i % 9] = (count + 1, total + i)
         expected = [(k, *groups[k]) for k in sorted(groups)]
-        for threads in (1, 4):
-            result = grouped_db.execute(
-                GROUP_SQL, options=ExecOptions(
-                    mode="bytecode", threads=threads, breaker_partitions=1,
-                    use_result_cache=False))
-            assert result.rows == expected
-            assert result.stats["breaker_partitions"] == 1
+        db = _grouped(workers=1)
+        try:
+            for threads in (1, 4):
+                result = db.execute(
+                    GROUP_SQL, options=ExecOptions(
+                        mode="bytecode", threads=threads,
+                        use_result_cache=False))
+                assert result.rows == expected
+                assert result.stats["breaker_partitions"] == 1
+        finally:
+            db.close()
 
     def test_scan_only_pipelines_report_no_partitions(self, grouped_db):
         result = grouped_db.execute(
@@ -191,14 +202,19 @@ class TestOptionWiring:
         assert result.stats["breaker_partitions"] == 0
 
     def test_session_and_prepared_accept_breaker_options(self, grouped_db):
-        session = grouped_db.session(
-            options=ExecOptions(mode="bytecode", breaker_partitions=2))
-        assert session.options.breaker_partitions == 2
         expected = grouped_db.execute(
             GROUP_SQL, options=ExecOptions(mode="optimized")).rows
-        assert session.execute(GROUP_SQL).rows == expected
-        prepared = grouped_db.prepare_query(GROUP_SQL)
-        hot = prepared.execute(
-            options=ExecOptions(mode="adaptive", threads=2,
-                                breaker_partitions=4))
-        assert hot.rows == expected
+        db = _grouped(workers=2)
+        try:
+            session = db.session(options=ExecOptions(mode="bytecode"))
+            result = session.execute(GROUP_SQL)
+            assert result.rows == expected
+            assert result.stats["breaker_partitions"] == 2
+            prepared = db.prepare_query(GROUP_SQL)
+            hot = prepared.execute(
+                options=ExecOptions(mode="adaptive", threads=2,
+                                    use_result_cache=False))
+            assert hot.rows == expected
+            assert hot.stats["breaker_partitions"] == 2
+        finally:
+            db.close()

@@ -314,18 +314,24 @@ class TestAutoParameterize:
         assert stats.hits >= 39 and stats.misses == 1
 
     def test_opt_out_per_call_and_per_database(self, db):
-        db.execute("select sum(a) as s from t where a = 1",
-                   options=ExecOptions(auto_parameterize=False))
-        db.execute("select sum(a) as s from t where a = 2",
-                   options=ExecOptions(auto_parameterize=False))
-        assert len(db.plan_cache) == 2  # distinct literal keys
+        # Per call, use_cache=False runs the literal text cold: nothing is
+        # extracted and nothing enters the plan cache.
+        for k in (1, 2):
+            result = db.execute(f"select sum(a) as s from t where a = {k}",
+                                options=ExecOptions(use_cache=False))
+            assert result.rows == [(k,)]
+            assert not result.cached
+        assert len(db.plan_cache) == 0
 
-        cold = Database(auto_parameterize=False)
+        # Per database, plan_cache_size=0: every execution is a cold build.
+        cold = Database(plan_cache_size=0)
         cold.create_table("u", [("a", SQLType.INT64)])
         cold.insert("u", [(1,), (2,)])
-        cold.execute("select a from u where a = 1")
-        cold.execute("select a from u where a = 2")
-        assert len(cold.plan_cache) == 2
+        for k in (1, 2):
+            result = cold.execute(f"select a from u where a = {k}")
+            assert result.rows == [(k,)]
+            assert not result.cached
+        assert len(cold.plan_cache) == 0
 
     def test_hint_typed_statement_survives_invalidation_rebuild(self, db):
         # "select 5" can only be typed from the auto-parameterization hint;
@@ -396,7 +402,7 @@ class TestExecOptions:
             "PreparedQuery.execute": lambda **kw: prepared.execute(**kw),
         }
         for name, call in calls.items():
-            for keyword in ("mode", "threads", "collect_trace", "use_cache",
+            for keyword in ("mode", "threads", "use_pruning", "use_cache",
                             "use_result_cache", "telemetry"):
                 with pytest.raises(TypeError,
                                    match=rf"{name}\(\).*'{keyword}'"):

@@ -590,11 +590,6 @@ class TestBaselineArgumentValidation:
             db.execute(SQL, options=ExecOptions(mode=mode, threads=2))
 
     @pytest.mark.parametrize("mode", ["volcano", "vectorized"])
-    def test_collect_trace_rejected(self, db, mode):
-        with pytest.raises(ExecutionError):
-            db.execute(SQL, options=ExecOptions(mode=mode, collect_trace=True))
-
-    @pytest.mark.parametrize("mode", ["volcano", "vectorized"])
     def test_default_arguments_still_work(self, db, mode):
         reference = db.execute(SQL,
                                options=ExecOptions(mode="optimized",

@@ -253,19 +253,21 @@ class TestDatabaseTelemetry:
     def test_trace_level_implies_morsel_events(self):
         db = _sample_db()
         try:
-            result = db.execute("select sum(b) as s from t",
-                                options=ExecOptions(telemetry="trace"))
-            assert result.trace is not None
-            assert any(event.kind == "morsel"
-                       for event in result.trace.events)
-            # Baselines have no morsel timeline; the level degrades without
-            # erroring (explicit collect_trace still raises -- covered by
-            # the prepared-cache tests).
+            # Level "trace" bypasses the result cache: a repeated statement
+            # still executes, so every trace carries its morsel events.
+            for _ in range(2):
+                result = db.execute("select sum(b) as s from t",
+                                    options=ExecOptions(telemetry="trace"))
+                assert result.cache_source != "result"
+                assert any(event.kind == "morsel"
+                           for event in result.query_trace.events)
+            # Baselines have no morsel timeline; the level degrades to the
+            # lifecycle spans without erroring.
             baseline = db.execute("select sum(b) as s from t",
                                   options=ExecOptions(mode="volcano",
                                                       telemetry="trace"))
-            assert baseline.trace is None
             assert baseline.query_trace is not None
+            assert not baseline.query_trace.events
         finally:
             db.close()
 
